@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataError, NoiseSpec, SplitSpec, make_blended_split
-from .elm import predict, train_elm
+from .elm import predict, train_elm, warm_up
 from .recursive import (
     EnsembleConfig,
     train_e_gasen,
@@ -208,6 +208,7 @@ def _run_cell(cfg, dataset_id, noise_id, method):
         train, test, _ = make_blended_split(
             ds, noise_spec, split_spec, cfg.normalize_noise_columns
         )
+    warm_up(cfg.activation)
     for run in range(cfg.runs):
         if cfg.resample_noise:
             per_run = replace(noise_spec, seed=_noise_seed(cfg.master_seed, dataset_id, noise_id, run))

@@ -33,7 +33,7 @@ from .data import (
     save_csv,
     split,
 )
-from .elm import predict, train_elm
+from .elm import predict, train_elm, warm_up
 from .recursive import EnsembleConfig, train_e_gasen, train_gasen_elm, train_rmse_elm, train_simple_ensemble
 from .selective import DegenerateEnsembleError, GaConfig
 from .synth import benchmark_task
@@ -136,6 +136,7 @@ def _cmd_train(args):
 
     method = canonical_method(args.method)
     ga = GaConfig()
+    warm_up(args.activation)
     t0 = time.perf_counter()
     if method == "ELM":
         fitted = train_elm(train_ds.X, train_ds.y, args.hidden, args.activation, seed=args.seed)

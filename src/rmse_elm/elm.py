@@ -9,8 +9,6 @@ Training is therefore a single linear solve, not an iterative fit.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import expit
 
 
 class DimensionError(ValueError):
@@ -18,11 +16,22 @@ class DimensionError(ValueError):
 
 
 def _linear_part(layer, X):
-    return X @ layer.input_weights.T + layer.biases
+    z = X @ layer.input_weights.T
+    z += layer.biases  # in place: one (n_samples, n_hidden) array per projection
+    return z
+
+
+# scipy is imported inside the nodes that use it: scipy.special and
+# scipy.spatial are most of the package's import time, which commands that
+# project nothing (report, --help) need not pay.
 
 
 def _sigmoid(layer, X):
-    return expit(_linear_part(layer, X))
+    # expit, not 1 / (1 + exp(-z)): the two differ in the last ulps
+    from scipy.special import expit
+
+    z = _linear_part(layer, X)
+    return expit(z, out=z)
 
 
 def _hardlim(layer, X):
@@ -30,12 +39,16 @@ def _hardlim(layer, X):
 
 
 def _gaussian(layer, X):
+    from scipy.spatial.distance import cdist
+
     # RBF node: rows of input_weights act as centres, biases as widths
     sq = cdist(X, layer.input_weights, "sqeuclidean")
     return np.exp(-(layer.biases**2) * sq)
 
 
 def _multiquadric(layer, X):
+    from scipy.spatial.distance import cdist
+
     sq = cdist(X, layer.input_weights, "sqeuclidean")
     return np.sqrt(sq + layer.biases**2)
 
@@ -163,6 +176,15 @@ def hidden_output(layer, X):
             f"X has {X.shape[1]} columns, layer expects {layer.n_inputs}"
         )
     return ACTIVATIONS[layer.activation](layer, X)
+
+
+def warm_up(activation="sigmoid"):
+    """Project one row through a one-node layer of this activation.
+
+    A node kind's first projection imports what it needs (scipy); timed
+    runs call this first so that no timed fit includes that import.
+    """
+    hidden_output(make_hidden_layer(1, 1, activation, seed=0), np.zeros((1, 1)))
 
 
 def pseudoinverse(a):

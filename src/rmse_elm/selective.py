@@ -247,6 +247,35 @@ def _normalize_rows(pop):
     return out
 
 
+def _draw_pairs(rng, n_pairs, crossover_prob):
+    """The random draws of `n_pairs` matings, in the one-pair-at-a-time order.
+
+    Mating k takes two parent uniforms, then a crossover coin, then a
+    blend alpha only when the coin falls below `crossover_prob`. Doubles
+    are drawn in chunks that hold exactly the least the remaining
+    matings still need, so no double is drawn ahead of that order and
+    the generator ends where the pair-by-pair draws would leave it.
+
+    Returns (parent uniforms (2 * n_pairs,), alphas (n_pairs,)). A mating
+    without crossover gets alpha 1, which blends its two children into
+    exact copies of its parents (all genes are finite and nonnegative).
+    """
+    uniforms, alphas = [], []
+    chunk, pos = [], 0
+    for k in range(n_pairs):
+        if len(chunk) - pos < 3:  # top up to the 3 sure draws of every mating left
+            chunk = chunk[pos:] + rng.random(3 * (n_pairs - k) - (len(chunk) - pos)).tolist()
+            pos = 0
+        uniforms += chunk[pos : pos + 2]
+        crossed = chunk[pos + 2] < crossover_prob
+        pos += 3
+        if crossed and pos == len(chunk):
+            chunk, pos = rng.random(1 + 3 * (n_pairs - 1 - k)).tolist(), 0
+        alphas.append(chunk[pos] if crossed else 1.0)
+        pos += crossed
+    return np.array(uniforms), np.array(alphas)
+
+
 def ga_evolve(corr, config=None, seed=None, with_history=False):
     """Evolve ensemble weights by a real-coded GA.
 
@@ -257,6 +286,13 @@ def ga_evolve(corr, config=None, seed=None, with_history=False):
     over unchanged, so the best-ever fitness never decreases. The uniform
     vector is injected into the initial population, which guarantees the
     result is never worse than simple averaging.
+
+    Random stream: each generation breeds all its children at once, yet
+    takes the same doubles from the generator, in the same order, as
+    breeding one pair at a time would -- per pair two parent draws by
+    `Generator.choice(pop_size, 2, p=rank_probs)`, a crossover coin and,
+    only on crossover, a blend alpha -- followed by the mutation mask and
+    the mutation noise. A seed therefore pins the weights bit for bit.
 
     Parameters
     ----------
@@ -307,29 +343,26 @@ def ga_evolve(corr, config=None, seed=None, with_history=False):
     history = [best_fitness]
 
     n_elite = config.elitism_count
+    n_children = pop_size - n_elite
+    n_pairs = (n_children + 1) // 2
     for _ in range(config.generations):
         order = np.argsort(fitness)  # ascending: worst first
         ranks = np.empty(pop_size)
         ranks[order] = np.arange(1, pop_size + 1)
         probs = ranks / ranks.sum()
 
-        children = []
-        if n_elite:
-            elite = pop[order[::-1][:n_elite]]
-            children.extend(elite.copy())
-        while len(children) < pop_size:
-            i, j = rng.choice(pop_size, size=2, p=probs)
-            p1, p2 = pop[i], pop[j]
-            if rng.random() < config.crossover_prob:
-                alpha = rng.random()
-                c1 = alpha * p1 + (1.0 - alpha) * p2
-                c2 = (1.0 - alpha) * p1 + alpha * p2
-            else:
-                c1, c2 = p1.copy(), p2.copy()
-            children.append(c1)
-            if len(children) < pop_size:
-                children.append(c2)
-        pop = np.asarray(children)
+        # roulette on rank exactly as Generator.choice(p=probs) draws it
+        uniforms, alphas = _draw_pairs(rng, n_pairs, config.crossover_prob)
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        parents = pop[cdf.searchsorted(uniforms, side="right")]
+        p1, p2 = parents[0::2], parents[1::2]
+        alpha = alphas[:, None]
+        children = np.empty((2 * n_pairs, n))
+        children[0::2] = alpha * p1 + (1.0 - alpha) * p2
+        children[1::2] = (1.0 - alpha) * p1 + alpha * p2
+        # the elite, best first, then the children in breeding order
+        pop = np.concatenate([pop[order[::-1][:n_elite]], children[:n_children]])
 
         mutate = rng.random(pop.shape) < config.mutation_prob
         if n_elite:

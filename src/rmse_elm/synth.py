@@ -13,6 +13,8 @@ directory and falls back to the generator otherwise (see data/README.md
 for the expected file layout).
 """
 
+import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -224,11 +226,34 @@ _ALIASES = {
 }
 
 
+def _csv_head(path):
+    """Header and first data row of a CSV file, cells stripped ([] if absent)."""
+    with open(path, newline="") as fh:
+        rows = (row for row in csv.reader(fh) if row and any(cell.strip() for cell in row))
+        head = [[cell.strip() for cell in row] for row in itertools.islice(rows, 2)]
+    return head + [[]] * (2 - len(head))
+
+
+def _layout_fits(header, first, target, categorical):
+    """Whether the header has the layout's columns and the first row its codes."""
+    if target not in header:
+        return False
+    for column, codes in (categorical or {}).items():
+        if column not in header:
+            return False
+        i = header.index(column)
+        if i < len(first) and first[i] not in codes:
+            return False
+    return True
+
+
 def benchmark_task(key, data_dir="data", seed=0):
     """Resolve one of the four named benchmark tasks.
 
     Loads `<data_dir>/<file>` when present (see data/README.md for the
     expected columns); otherwise generates the stand-in task with `seed`.
+    The file is parsed only with the column layouts its header row and
+    first data row allow, so a well-formed file is read once.
     """
     canon = _ALIASES.get(str(key).strip().lower())
     if canon is None:
@@ -236,9 +261,12 @@ def benchmark_task(key, data_dir="data", seed=0):
     fname, target_candidates, categorical_variants, maker, n_train = _TASKS[canon]
     path = Path(data_dir) / fname
     if path.exists():
-        last_error = None
+        header, first = _csv_head(path)
+        last_error = f"no column named {' or '.join(target_candidates)} in the header"
         for target in target_candidates:
             for categorical in categorical_variants:
+                if not _layout_fits(header, first, target, categorical):
+                    continue
                 try:
                     ds = load_csv(path, target, has_header=True, categorical=categorical)
                     return BenchmarkTask(ds, SplitSpec(n_train=n_train), source=f"file:{path}")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rmse_elm.synth
 from rmse_elm.data import (
     DataError,
     Dataset,
@@ -272,6 +273,42 @@ class TestSynthTasks:
         task = benchmark_task("housing", data_dir=tmp_path)
         assert task.source.startswith("file:")
         assert np.array_equal(task.dataset.X, ds.X)
+
+    @pytest.fixture
+    def load_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(rmse_elm.synth, "load_csv", counting)
+        return calls
+
+    def test_benchmark_task_parses_saved_file_once(self, tmp_path, load_calls):
+        ds = make_abalone_task(seed=0)
+        save_csv(ds, tmp_path / "abalone.csv")
+        task = benchmark_task("aba", data_dir=tmp_path)
+        assert len(load_calls) == 1
+        assert np.array_equal(task.dataset.X, ds.X)
+        assert np.array_equal(task.dataset.y, ds.y)
+
+    def test_benchmark_task_parses_categorical_layout_once(self, tmp_path, load_calls):
+        write(tmp_path, "Sex,Length,Rings\nM,0.4,9\nI,0.2,4\nF,0.5,12\n", "abalone.csv")
+        task = benchmark_task("abalone", data_dir=tmp_path)
+        assert len(load_calls) == 1
+        assert task.dataset.X[:, 0].tolist() == [1.0, 0.0, -1.0]
+        assert task.dataset.y.tolist() == [9.0, 4.0, 12.0]
+
+    def test_benchmark_task_unknown_layout_names_file(self, tmp_path, load_calls):
+        path = write(tmp_path, "a,b\n1,2\n3,4\n", "winequality_red.csv")
+        with pytest.raises(DataError, match="winequality_red.csv") as err:
+            benchmark_task("rw", data_dir=tmp_path)
+        assert "quality" in str(err.value)
+        assert load_calls == []
+        write(tmp_path, "a,quality\n1,x\n", path.name)
+        with pytest.raises(DataError, match="cannot parse 'x'"):
+            benchmark_task("rw", data_dir=tmp_path)
 
     def test_benchmark_task_unknown_key(self):
         with pytest.raises(ValueError, match="unknown benchmark task"):

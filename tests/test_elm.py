@@ -1,10 +1,14 @@
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rmse_elm
 from rmse_elm.elm import (
     DimensionError,
     HiddenLayer,
@@ -207,3 +211,22 @@ class TestPredict:
         model = train_elm(np.zeros((4, 3)) + np.eye(4, 3), np.ones(4), 2, seed=0)
         with pytest.raises(DimensionError):
             predict(model, np.zeros((2, 5)))
+
+
+def test_scipy_loads_on_first_projection_only():
+    # report, --help and argument errors must not pay for scipy's import;
+    # warm_up pays it before a timed fit
+    code = (
+        "import sys, rmse_elm, rmse_elm.cli\n"
+        "loaded = lambda: [m for m in ('scipy.special', 'scipy.spatial') if m in sys.modules]\n"
+        "print(loaded())\n"
+        "rmse_elm.elm.warm_up('sigmoid')\n"
+        "rmse_elm.elm.warm_up('gaussian')\n"
+        "print(loaded())\n"
+    )
+    src = str(Path(rmse_elm.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PATH": "", "PYTHONPATH": src},
+    )
+    assert proc.stdout.split("\n")[:2] == ["[]", "['scipy.special', 'scipy.spatial']"]

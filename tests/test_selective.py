@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmse_elm.selective import (
+    _normalize_rows,
     CorrelationMatrix,
     DegenerateEnsembleError,
     EnsembleWeights,
@@ -362,3 +363,145 @@ class TestValidation:
             GaConfig(crossover_prob=1.5)
         with pytest.raises(ValueError):
             GaConfig(mutation_scale=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Reference for the random-stream contract of ga_evolve: the GA as it bred
+# one pair of children at a time, with one Generator.choice call per pair.
+# The vectorised breeding in selective.py must take the same doubles from
+# the generator in the same order, so both return bit-identical weights and
+# histories and leave the generator in the same state.
+
+def scalar_ga_evolve(corr, config=None, seed=None, with_history=False):
+    if config is None:
+        config = GaConfig()
+    n = corr.n_learners
+    if n == 1:
+        best = EnsembleWeights(np.ones(1))
+        if with_history:
+            hist = np.full(config.generations + 1, -float(corr.c[0, 0]))
+            return best, hist
+        return best
+    rng = np.random.default_rng(config.seed if seed is None else seed)
+    c = corr.c
+    pop_size = config.population_size
+
+    pop = rng.random((pop_size, n))
+    pop[0] = 1.0 / n  # uniform individual: result never worse than simple average
+
+    def fitness_of(population):
+        w = _normalize_rows(population)
+        return -np.einsum("pi,ij,pj->p", w, c, w), w
+
+    fitness, norm = fitness_of(pop)
+    best_fitness = float(fitness[0])  # start at the uniform individual
+    best_w = norm[0].copy()
+
+    def improved(candidate):
+        # require a real improvement, not ulp noise, so exact ties (e.g.
+        # identical learners) keep the earlier best -- the uniform vector
+        return candidate > best_fitness + 1e-12 * max(1.0, abs(best_fitness))
+
+    init_best = int(np.argmax(fitness))
+    if improved(float(fitness[init_best])):
+        best_fitness = float(fitness[init_best])
+        best_w = norm[init_best].copy()
+    history = [best_fitness]
+
+    n_elite = config.elitism_count
+    for _ in range(config.generations):
+        order = np.argsort(fitness)  # ascending: worst first
+        ranks = np.empty(pop_size)
+        ranks[order] = np.arange(1, pop_size + 1)
+        probs = ranks / ranks.sum()
+
+        children = []
+        if n_elite:
+            elite = pop[order[::-1][:n_elite]]
+            children.extend(elite.copy())
+        while len(children) < pop_size:
+            i, j = rng.choice(pop_size, size=2, p=probs)
+            p1, p2 = pop[i], pop[j]
+            if rng.random() < config.crossover_prob:
+                alpha = rng.random()
+                c1 = alpha * p1 + (1.0 - alpha) * p2
+                c2 = (1.0 - alpha) * p1 + alpha * p2
+            else:
+                c1, c2 = p1.copy(), p2.copy()
+            children.append(c1)
+            if len(children) < pop_size:
+                children.append(c2)
+        pop = np.asarray(children)
+
+        mutate = rng.random(pop.shape) < config.mutation_prob
+        if n_elite:
+            mutate[:n_elite] = False
+        noise = rng.normal(0.0, config.mutation_scale, size=pop.shape)
+        pop = np.where(mutate, np.maximum(pop + noise, 0.0), pop)
+
+        fitness, norm = fitness_of(pop)
+        gen_best = int(np.argmax(fitness))
+        if improved(float(fitness[gen_best])):
+            best_fitness = float(fitness[gen_best])
+            best_w = norm[gen_best].copy()
+        history.append(best_fitness)
+
+    result = EnsembleWeights(np.clip(best_w, 0.0, 1.0))
+    if with_history:
+        return result, np.asarray(history)
+    return result
+
+
+def _stream_cases():
+    base = dict(population_size=12, generations=15)
+    configs = [
+        {},
+        dict(population_size=11),  # odd child count with two elite
+        dict(elitism_count=0),
+        dict(elitism_count=0, population_size=9),
+        dict(elitism_count=3, population_size=10),
+        dict(crossover_prob=0.0),
+        dict(crossover_prob=1.0),
+        dict(mutation_prob=1.0),
+        dict(mutation_prob=0.0, crossover_prob=0.5),
+        dict(population_size=1, elitism_count=0),
+        dict(population_size=2, elitism_count=0),
+        dict(population_size=2, elitism_count=1),
+        dict(population_size=50, generations=8),
+    ]
+    cases = []
+    for n in (2, 3, 5, 20, 37):
+        for k, cfg in enumerate(configs):
+            cases.append((n, {**base, **cfg}, 100 * n + k))
+    return cases
+
+
+class TestGaStreamContract:
+    @pytest.mark.parametrize("n, cfg, seed", _stream_cases())
+    def test_matches_scalar_breeding(self, n, cfg, seed):
+        corr = random_psd_corr(np.random.default_rng(seed), n)
+        config = GaConfig(seed=seed, **cfg)
+        w, hist = ga_evolve(corr, config, with_history=True)
+        w_ref, hist_ref = scalar_ga_evolve(corr, config, with_history=True)
+        assert np.array_equal(w.w, w_ref.w)
+        assert np.array_equal(hist, hist_ref)
+
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+    )
+    def test_generator_left_in_same_state(self, bit_generator):
+        corr = random_psd_corr(np.random.default_rng(7), 6)
+        config = GaConfig(population_size=15, generations=12, elitism_count=1)
+        ours, ref = np.random.Generator(bit_generator(3)), np.random.Generator(bit_generator(3))
+        w = ga_evolve(corr, config, seed=ours)
+        w_ref = scalar_ga_evolve(corr, config, seed=ref)
+        assert np.array_equal(w.w, w_ref.w)
+        assert ours.random() == ref.random()
+
+    def test_seed_sequence_override(self):
+        corr = random_psd_corr(np.random.default_rng(8), 5)
+        config = GaConfig(population_size=20, generations=10)
+        seed = np.random.SeedSequence(4, spawn_key=(1, 2))
+        w = ga_evolve(corr, config, seed=seed)
+        w_ref = scalar_ga_evolve(corr, config, seed=np.random.SeedSequence(4, spawn_key=(1, 2)))
+        assert np.array_equal(w.w, w_ref.w)
