@@ -37,7 +37,6 @@ from .recursive import (
     EnsembleConfig,
     RmseElmEnsemble,
     member_seed,
-    predict_ensemble,
     train_e_gasen,
     train_gasen_elm,
     train_rmse_elm,
@@ -74,6 +73,7 @@ from .bench import (
     RunRecord,
     canonical_method,
     comparison_pct,
+    fit,
     load_experiment_config,
     mse,
     read_records,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, NoiseSpec, SplitSpec, make_blended_split
+from .data import DataError, NoiseSpec, SplitSpec, load_csv, make_blended_split
 from .elm import predict, train_elm, warm_up
 from .recursive import (
     EnsembleConfig,
@@ -28,21 +28,25 @@ from .recursive import (
 from .selective import GaConfig
 from .synth import benchmark_task
 
-METHODS = ("ELM", "SimpleEnsemble", "GASEN-ELM", "E-GASEN", "RMSE-ELM")
-
+# canonical method name -> (extra spellings, trainer): five readings of one
+# EnsembleConfig. Each trainer looks its function up in this module when
+# called, so a wrapper put under e.g. `bench.train_elm` sees every cell's call.
+_METHOD_TABLE = {
+    "ELM": ((), lambda X, y, c: train_elm(X, y, c.n_hidden, c.activation, seed=c.seed)),
+    "SimpleEnsemble": (("simple", "simple-ensemble"), lambda X, y, c: train_simple_ensemble(
+        X, y, c.groups * c.group_size, c.n_hidden, c.activation, seed=c.seed)),
+    "GASEN-ELM": (("gasen",), lambda X, y, c: train_gasen_elm(
+        X, y, c.group_size, c.n_hidden, c.activation, c.threshold1, c.ga, c.seed,
+        c.validation_fraction)),
+    "E-GASEN": ((), lambda X, y, c: train_e_gasen(X, y, c)),
+    "RMSE-ELM": (("rmse",), lambda X, y, c: train_rmse_elm(X, y, c)),
+}
+METHODS = tuple(_METHOD_TABLE)
+# any case, with or without hyphens, plus each method's extra spellings
 _METHOD_ALIASES = {
-    "elm": "ELM",
-    "simple": "SimpleEnsemble",
-    "simpleensemble": "SimpleEnsemble",
-    "simple-ensemble": "SimpleEnsemble",
-    "gasen": "GASEN-ELM",
-    "gasenelm": "GASEN-ELM",
-    "gasen-elm": "GASEN-ELM",
-    "egasen": "E-GASEN",
-    "e-gasen": "E-GASEN",
-    "rmse": "RMSE-ELM",
-    "rmseelm": "RMSE-ELM",
-    "rmse-elm": "RMSE-ELM",
+    alias: name
+    for name, (extra, _) in _METHOD_TABLE.items()
+    for alias in (name.lower(), name.lower().replace("-", "")) + extra
 }
 
 
@@ -51,6 +55,11 @@ def canonical_method(name):
     if key not in _METHOD_ALIASES:
         raise ValueError(f"unknown method {name!r}; choose from {METHODS}")
     return _METHOD_ALIASES[key]
+
+
+def fit(method, X, y, config):
+    """Train `method` on (X, y) with the settings of one EnsembleConfig."""
+    return _METHOD_TABLE[canonical_method(method)][1](X, y, config)
 
 
 def mse(pred, target):
@@ -123,15 +132,8 @@ class ExperimentConfig:
     methods: tuple = METHODS
     runs: int = 5
     master_seed: int = 0
-    groups: int = 4
-    group_size: int = 20
-    n_hidden: int = 50
-    activation: str = "sigmoid"
-    threshold1: float | None = None
-    threshold2: float | None = None
-    ga: GaConfig = field(default_factory=GaConfig)
-    simple_size: int | None = None  # None: groups * group_size
-    validation_fraction: float = 0.0
+    # the settings of every method; ensemble.seed is replaced by each run's derived seed
+    ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
     resample_noise: bool = False
     normalize_noise_columns: bool = False
     jobs: int = 1
@@ -158,41 +160,6 @@ def _noise_seed(master_seed, dataset_id, noise_id, run_index):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _fit_method(method, cfg, X, y, seed):
-    if method == "ELM":
-        return train_elm(X, y, cfg.n_hidden, cfg.activation, seed=seed)
-    if method == "SimpleEnsemble":
-        n = cfg.simple_size if cfg.simple_size is not None else cfg.groups * cfg.group_size
-        return train_simple_ensemble(X, y, n, cfg.n_hidden, cfg.activation, seed=seed)
-    if method == "GASEN-ELM":
-        return train_gasen_elm(
-            X, y,
-            n_learners=cfg.group_size,
-            n_hidden=cfg.n_hidden,
-            activation=cfg.activation,
-            threshold=cfg.threshold1,
-            ga=cfg.ga,
-            seed=seed,
-            validation_fraction=cfg.validation_fraction,
-        )
-    ens_cfg = EnsembleConfig(
-        groups=cfg.groups,
-        group_size=cfg.group_size,
-        n_hidden=cfg.n_hidden,
-        activation=cfg.activation,
-        threshold1=cfg.threshold1,
-        threshold2=cfg.threshold2,
-        ga=cfg.ga,
-        seed=seed,
-        validation_fraction=cfg.validation_fraction,
-    )
-    if method == "E-GASEN":
-        return train_e_gasen(X, y, ens_cfg)
-    if method == "RMSE-ELM":
-        return train_rmse_elm(X, y, ens_cfg)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _predict_fitted(fitted, X):
     if hasattr(fitted, "members"):
         return fitted.predict(X)
@@ -208,7 +175,7 @@ def _run_cell(cfg, dataset_id, noise_id, method):
         train, test, _ = make_blended_split(
             ds, noise_spec, split_spec, cfg.normalize_noise_columns
         )
-    warm_up(cfg.activation)
+    warm_up(cfg.ensemble.activation)
     for run in range(cfg.runs):
         if cfg.resample_noise:
             per_run = replace(noise_spec, seed=_noise_seed(cfg.master_seed, dataset_id, noise_id, run))
@@ -216,8 +183,9 @@ def _run_cell(cfg, dataset_id, noise_id, method):
                 ds, per_run, split_spec, cfg.normalize_noise_columns
             )
         seed = _run_seed(cfg.master_seed, dataset_id, noise_id, method, run)
+        run_config = replace(cfg.ensemble, seed=seed)
         t0 = time.perf_counter()
-        fitted = _fit_method(method, cfg, train.X, train.y, seed)
+        fitted = fit(method, train.X, train.y, run_config)
         wall = time.perf_counter() - t0
         pred = _predict_fitted(fitted, test.X)
         records.append(
@@ -324,22 +292,20 @@ def write_records(records, path):
 def read_records(path):
     path = Path(path)
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != list(_RECORD_FIELDS):
-        raise ValueError(f"{path}: not a run-record file")
-    out = []
-    for row in rows[1:]:
-        out.append(
-            RunRecord(
-                method=row[0],
-                dataset=row[1],
-                noise_id=row[2],
-                run_index=int(row[3]),
-                test_mse=float(row[4]),
-                wall_time_s=float(row[5]),
-                seed=int(row[6]),
-            )
-        )
+        reader = csv.reader(fh)
+        if next(reader, None) != list(_RECORD_FIELDS):
+            raise ValueError(f"{path}: not a run-record file")
+        out = []
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(_RECORD_FIELDS):
+                raise ValueError(f"{where}: expected {len(_RECORD_FIELDS)} fields, got {len(row)}")
+            method, dataset, noise_id, run_index, test_mse, wall_time_s, seed = row
+            try:
+                out.append(RunRecord(method, dataset, noise_id, int(run_index), float(test_mse),
+                                     float(wall_time_s), int(seed)))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return out
 
 
@@ -456,6 +422,11 @@ def load_experiment_config(path, overrides=None):
     take precedence) or a `path` with `target` column, `has_header`, and
     an optional `categorical` encoding; `n_train` and `shuffle_seed`
     control the split. `overrides` may replace runs, seed, jobs, out_dir.
+
+    The [ensemble] keys (groups, group_size, hidden, activation, lambda1,
+    lambda2, validation_fraction) and the [ga] keys map onto the one
+    EnsembleConfig every method reads, which validates them here: a bad
+    setting fails the load, not every cell.
     """
     path = Path(path)
     if not path.exists():
@@ -467,14 +438,25 @@ def load_experiment_config(path, overrides=None):
     exp = cp["experiment"]
 
     ens = cp["ensemble"] if "ensemble" in cp else {}
-    ga_sec = cp["ga"] if "ga" in cp else {}
-    ga = GaConfig(
-        population_size=int(ga_sec.get("population", 50)),
-        generations=int(ga_sec.get("generations", 100)),
-        crossover_prob=float(ga_sec.get("crossover", 0.8)),
-        mutation_prob=float(ga_sec.get("mutation", 0.1)),
-        mutation_scale=float(ga_sec.get("mutation_scale", 0.1)),
-        elitism_count=int(ga_sec.get("elitism", 2)),
+    ga = cp["ga"] if "ga" in cp else {}
+    thr1 = ens.get("lambda1", "").strip()
+    thr2 = ens.get("lambda2", "").strip()
+    ensemble = EnsembleConfig(
+        groups=int(ens.get("groups", 4)),
+        group_size=int(ens.get("group_size", 20)),
+        n_hidden=int(ens.get("hidden", 50)),
+        activation=ens.get("activation", "sigmoid"),
+        threshold1=float(thr1) if thr1 else None,
+        threshold2=float(thr2) if thr2 else None,
+        ga=GaConfig(
+            population_size=int(ga.get("population", 50)),
+            generations=int(ga.get("generations", 100)),
+            crossover_prob=float(ga.get("crossover", 0.8)),
+            mutation_prob=float(ga.get("mutation", 0.1)),
+            mutation_scale=float(ga.get("mutation_scale", 0.1)),
+            elitism_count=int(ga.get("elitism", 2)),
+        ),
+        validation_fraction=float(ens.get("validation_fraction", 0.0)),
     )
 
     noise_specs = {}
@@ -501,8 +483,6 @@ def load_experiment_config(path, overrides=None):
                     ds = task.dataset
                     n_train = int(sec.get("n_train", task.split.n_train))
                 else:
-                    from .data import load_csv  # local import to keep module load light
-
                     target = sec.get("target", "target")
                     if target.lstrip("-").isdigit():
                         target = int(target)
@@ -531,33 +511,19 @@ def load_experiment_config(path, overrides=None):
         raise ValueError(f"{path}: no [noise:<id>] sections")
 
     overrides = overrides or {}
-    thr1 = ens.get("lambda1", "").strip() if ens else ""
-    thr2 = ens.get("lambda2", "").strip() if ens else ""
-    simple_size = ens.get("simple_size", "").strip() if ens else ""
     jobs = int(overrides.get("jobs", exp.get("jobs", 1)))
     if exp.getboolean("serial_timing", False):
         jobs = 1  # wall-time cells must not share cores
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         datasets=datasets,
         noise_specs=noise_specs,
-        methods=tuple(
-            canonical_method(m) for m in exp.get("methods", "elm,rmse").replace(",", " ").split()
-        ),
+        methods=tuple(exp.get("methods", "elm,rmse").replace(",", " ").split()),
         runs=int(overrides.get("runs", exp.get("runs", 5))),
         master_seed=int(overrides.get("seed", exp.get("seed", 0))),
-        groups=int(ens.get("groups", 4)) if ens else 4,
-        group_size=int(ens.get("group_size", 20)) if ens else 20,
-        n_hidden=int(ens.get("hidden", 50)) if ens else 50,
-        activation=ens.get("activation", "sigmoid") if ens else "sigmoid",
-        threshold1=float(thr1) if thr1 else None,
-        threshold2=float(thr2) if thr2 else None,
-        ga=ga,
-        simple_size=int(simple_size) if simple_size else None,
-        validation_fraction=float(ens.get("validation_fraction", 0.0)) if ens else 0.0,
+        ensemble=ensemble,
         resample_noise=exp.getboolean("resample_noise", False),
         normalize_noise_columns=exp.getboolean("normalize_noise_columns", False),
         jobs=jobs,
         out_dir=str(overrides.get("out_dir", exp.get("out_dir", "reports"))),
         dataset_errors=dataset_errors,
     )
-    return cfg

@@ -12,7 +12,9 @@ import time
 import numpy as np
 
 from .bench import (
+    METHODS,
     canonical_method,
+    fit,
     load_experiment_config,
     mse,
     read_records,
@@ -33,9 +35,9 @@ from .data import (
     save_csv,
     split,
 )
-from .elm import predict, train_elm, warm_up
-from .recursive import EnsembleConfig, train_e_gasen, train_gasen_elm, train_rmse_elm, train_simple_ensemble
-from .selective import DegenerateEnsembleError, GaConfig
+from .elm import warm_up
+from .recursive import EnsembleConfig
+from .selective import DegenerateEnsembleError
 from .synth import benchmark_task
 
 EXIT_OK = 0
@@ -60,7 +62,7 @@ def _build_parser():
                        help="target column name or 0-based index (CSV datasets)")
     train.add_argument("--no-header", action="store_true", help="CSV has no header row")
     train.add_argument("--method", default="elm",
-                       help="elm | simple | gasen-elm | e-gasen | rmse-elm")
+                       help=f"{' | '.join(METHODS)} (any case)")
     train.add_argument("--groups", type=int, default=4)
     train.add_argument("--group-size", type=int, default=20)
     train.add_argument("--hidden", type=int, default=50)
@@ -73,7 +75,6 @@ def _build_parser():
     train.add_argument("--noise-seed", type=int, default=0)
     train.add_argument("--n-train", type=int, default=None,
                        help="training rows (default: 75%% of the dataset)")
-    train.add_argument("--jobs", type=int, default=1, help="accepted for symmetry; training is one run")
 
     bench = sub.add_parser("bench", help="run the benchmark matrix from a config file")
     bench.add_argument("--config", required=True)
@@ -106,16 +107,19 @@ def _parse_variances(chunks):
     return tuple(out)
 
 
+def _load_csv_dataset(args):
+    target = args.target_col
+    if target.lstrip("-").isdigit():
+        target = int(target)
+    return load_csv(args.dataset, target, has_header=not args.no_header)
+
+
 def _load_train_dataset(args):
     spec = args.dataset
     if spec.startswith("task:"):
         task = benchmark_task(spec.split(":", 1)[1], seed=args.seed)
         return task.dataset, task.split.n_train
-    target = args.target_col
-    if isinstance(target, str) and target.lstrip("-").isdigit():
-        target = int(target)
-    ds = load_csv(spec, target, has_header=not args.no_header)
-    return ds, None
+    return _load_csv_dataset(args), None
 
 
 def _cmd_train(args):
@@ -135,47 +139,26 @@ def _cmd_train(args):
         test_ds = apply_normalization(test_ds, params)
 
     method = canonical_method(args.method)
-    ga = GaConfig()
-    warm_up(args.activation)
+    config = EnsembleConfig(
+        groups=args.groups, group_size=args.group_size,
+        n_hidden=args.hidden, activation=args.activation,
+        threshold1=args.threshold, seed=args.seed,
+    )
+    warm_up(config.activation)
     t0 = time.perf_counter()
-    if method == "ELM":
-        fitted = train_elm(train_ds.X, train_ds.y, args.hidden, args.activation, seed=args.seed)
-        pred = predict(fitted, test_ds.X)
-        survivors = None
-    else:
-        if method == "SimpleEnsemble":
-            fitted = train_simple_ensemble(
-                train_ds.X, train_ds.y, args.groups * args.group_size,
-                args.hidden, args.activation, seed=args.seed,
-            )
-        elif method == "GASEN-ELM":
-            fitted = train_gasen_elm(
-                train_ds.X, train_ds.y, n_learners=args.group_size,
-                n_hidden=args.hidden, activation=args.activation,
-                threshold=args.threshold, ga=ga, seed=args.seed,
-            )
-        else:
-            cfg = EnsembleConfig(
-                groups=args.groups, group_size=args.group_size,
-                n_hidden=args.hidden, activation=args.activation,
-                threshold1=args.threshold, ga=ga, seed=args.seed,
-            )
-            fitted = train_e_gasen(train_ds.X, train_ds.y, cfg) if method == "E-GASEN" \
-                else train_rmse_elm(train_ds.X, train_ds.y, cfg)
-        pred = fitted.predict(test_ds.X)
-        survivors = fitted
+    fitted = fit(method, train_ds.X, train_ds.y, config)
+    pred = fitted.predict(test_ds.X)
     wall = time.perf_counter() - t0
 
     print(f"method: {method}")
     print(f"train rows: {train_ds.n_samples}  test rows: {test_ds.n_samples}  "
           f"features: {train_ds.n_features}")
     print(f"training time: {wall:.4f} s")
-    if survivors is not None:
-        if hasattr(survivors, "pool_size"):
-            print(f"layer-1 pool size: {survivors.pool_size}")
-            print(f"layer-2 survivors: {survivors.n_members}")
-        else:
-            print(f"survivors: {survivors.n_members}")
+    if hasattr(fitted, "pool_size"):
+        print(f"layer-1 pool size: {fitted.pool_size}")
+        print(f"layer-2 survivors: {fitted.n_members}")
+    elif hasattr(fitted, "n_members"):
+        print(f"survivors: {fitted.n_members}")
     print(f"test MSE: {mse(pred, test_ds.y):.6g}")
     return EXIT_OK
 
@@ -206,10 +189,7 @@ def _cmd_bench(args):
 
 def _cmd_blend(args):
     print(f"master seed: {args.seed}")
-    target = args.target_col
-    if isinstance(target, str) and target.lstrip("-").isdigit():
-        target = int(target)
-    ds = load_csv(args.dataset, target, has_header=not args.no_header)
+    ds = _load_csv_dataset(args)
     noise = NoiseSpec(variances=_parse_variances(args.noise), seed=args.seed)
     blended = blend_noise(ds, noise)
     manifest = {

@@ -221,6 +221,8 @@ def split(ds, spec):
     otherwise file order is kept.
     """
     n = ds.n_samples
+    if n < 2:
+        raise ValueError(f"{ds.name}: a train/test split needs at least 2 rows, got {n}")
     if not 1 <= spec.n_train < n:
         raise ValueError(f"n_train must be in [1, {n - 1}], got {spec.n_train}")
     if spec.shuffle_seed is None:

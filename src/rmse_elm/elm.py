@@ -239,6 +239,8 @@ def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None):
         raise DimensionError("X and Y must have the same number of rows")
     if X.shape[0] < 1:
         raise DimensionError("training set is empty")
+    if not np.all(np.isfinite(Y2)):
+        raise ValueError("train_elm: Y contains non-finite entries")
     layer = make_hidden_layer(X.shape[1], n_hidden, activation, seed)
     h = hidden_output(layer, X)
     beta = pseudoinverse(h) @ Y2

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elm import predict, train_elm
+from .elm import _canonical_activation, predict, train_elm
 from .selective import GaConfig, correlation_matrix, ga_evolve, select_by_threshold
 
 # spawn-key streams so every random draw in a training run has its own
@@ -55,6 +55,7 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.groups < 1 or self.group_size < 1 or self.n_hidden < 1:
             raise ValueError("groups, group_size and n_hidden must be positive")
+        _canonical_activation(self.activation)  # an unknown name fails here, not in a fit
         for t in (self.threshold1, self.threshold2):
             if t is not None and not 0.0 <= t <= 1.0:
                 raise ValueError("thresholds must lie in [0, 1]")
@@ -104,11 +105,6 @@ class RmseElmEnsemble(ElmEnsemble):
     @property
     def pool_size(self):
         return len(self.pool_provenance)
-
-
-def predict_ensemble(ensemble, X):
-    """Arithmetic mean of the member predictions."""
-    return ensemble.predict(X)
 
 
 def _estimation_split(X, y, validation_fraction, master_seed):

@@ -1,9 +1,13 @@
 import time
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import rmse_elm.bench as bench
 from rmse_elm.bench import (
+    METHODS,
     ExperimentConfig,
     RunRecord,
     canonical_method,
@@ -18,7 +22,7 @@ from rmse_elm.bench import (
     write_report,
 )
 from rmse_elm.data import NoiseSpec, SplitSpec, save_csv
-from rmse_elm.recursive import train_simple_ensemble
+from rmse_elm.recursive import EnsembleConfig, train_simple_ensemble
 from rmse_elm.selective import GaConfig
 from rmse_elm.synth import make_synthetic_regression
 
@@ -99,10 +103,12 @@ def tiny_config(**kw):
         methods=("ELM",),
         runs=1,
         master_seed=11,
-        groups=2,
-        group_size=3,
-        n_hidden=6,
-        ga=GaConfig(population_size=8, generations=5, elitism_count=1),
+        ensemble=EnsembleConfig(
+            groups=2,
+            group_size=3,
+            n_hidden=6,
+            ga=GaConfig(population_size=8, generations=5, elitism_count=1),
+        ),
     )
     base.update(kw)
     return ExperimentConfig(**base)
@@ -146,6 +152,25 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert not report.errors
         assert len(report.cells) == 5
+
+    def test_cells_call_their_trainer_through_bench(self, monkeypatch):
+        # a wrapper put under a bench name (a profiler, the benchmark's CPU
+        # meter) must see every cell's training call and every ELM predict
+        names = ("train_elm", "train_simple_ensemble", "train_gasen_elm",
+                 "train_e_gasen", "train_rmse_elm", "predict")
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(bench, name, counting(name, getattr(bench, name)))
+        report = run_experiment(tiny_config(runs=2, methods=METHODS))
+        assert not report.errors
+        assert calls == {name: 2 for name in names}
 
     def test_parallel_jobs_match_serial(self):
         serial = run_experiment(tiny_config(runs=2, methods=("ELM", "SimpleEnsemble")))
@@ -242,7 +267,7 @@ n_train = 40
         assert cfg.methods == ("ELM", "RMSE-ELM")
         assert cfg.runs == 2
         assert cfg.master_seed == 42
-        assert cfg.ga.population_size == 8
+        assert cfg.ensemble.ga.population_size == 8
         report = run_experiment(cfg)
         assert not report.errors
         assert len(report.records) == 4

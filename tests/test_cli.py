@@ -4,8 +4,19 @@ import sys
 import numpy as np
 import pytest
 
+import rmse_elm.cli as cli
+from rmse_elm.bench import mse
 from rmse_elm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from rmse_elm.data import save_csv
+from rmse_elm.data import NoiseSpec, SplitSpec, load_csv, make_blended_split, save_csv
+from rmse_elm.elm import train_elm
+from rmse_elm.recursive import (
+    EnsembleConfig,
+    train_e_gasen,
+    train_gasen_elm,
+    train_rmse_elm,
+    train_simple_ensemble,
+)
+from rmse_elm.selective import GaConfig
 from rmse_elm.synth import make_synthetic_regression
 
 
@@ -39,6 +50,46 @@ class TestTrain:
         pool = int([l for l in out.splitlines() if "layer-1 pool size" in l][0].split(":")[1])
         survivors = int([l for l in out.splitlines() if "layer-2 survivors" in l][0].split(":")[1])
         assert 1 <= survivors <= pool <= 8
+
+    @pytest.mark.parametrize("method", ["elm", "simple", "gasen-elm", "e-gasen", "rmse-elm"])
+    def test_matches_a_direct_trainer_call(self, method, csv_path, capsys):
+        code = run_cli([
+            "train", "--dataset", csv_path, "--method", method, "--groups", "2",
+            "--group-size", "3", "--hidden", "6", "--lambda", "0.2", "--noise", "1,0.5",
+            "--seed", "4",
+        ])
+        printed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("test MSE:")]
+        assert code == EXIT_OK
+        train, test, _ = make_blended_split(
+            load_csv(csv_path, "target"), NoiseSpec((1.0, 0.5), seed=0), SplitSpec(n_train=60)
+        )
+        X, y = train.X, train.y
+        cfg = EnsembleConfig(groups=2, group_size=3, n_hidden=6, threshold1=0.2, seed=4)
+        # what each method means in terms of the train flags above
+        fitted = {
+            "elm": lambda: train_elm(X, y, 6, "sigmoid", seed=4),
+            "simple": lambda: train_simple_ensemble(X, y, 2 * 3, 6, "sigmoid", seed=4),
+            "gasen-elm": lambda: train_gasen_elm(
+                X, y, n_learners=3, n_hidden=6, activation="sigmoid", threshold=0.2,
+                ga=GaConfig(), seed=4,
+            ),
+            "e-gasen": lambda: train_e_gasen(X, y, cfg),
+            "rmse-elm": lambda: train_rmse_elm(X, y, cfg),
+        }[method]()
+        assert printed == [f"test MSE: {mse(fitted.predict(test.X), test.y):.6g}"]
+
+    def test_one_row_dataset_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("x1,x2,target\n1.0,2.0,3.0\n")
+        code = run_cli(["train", "--dataset", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "a train/test split needs at least 2 rows, got 1" in err
+
+    def test_jobs_flag_removed(self, csv_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["train", "--dataset", csv_path, "--jobs", "2"])
+        assert exc.value.code == 2
 
     def test_synthetic_task_reference(self, capsys):
         code = run_cli(["train", "--dataset", "task:waveform", "--hidden", "8",
@@ -133,6 +184,24 @@ n_train = 60
         original = (reports / "mse.csv").read_text()
         assert rebuilt == original
 
+    @pytest.mark.parametrize("setting, message", [
+        ("lambda1 = 2", "thresholds must lie in [0, 1]"),
+        ("activation = relu", "unknown activation 'relu'"),
+    ])
+    def test_bad_ensemble_setting_fails_before_any_cell(self, csv_path, tmp_path, capsys,
+                                                        monkeypatch, setting, message):
+        cfg = self.write_config(tmp_path, csv_path)
+        cfg.write_text(cfg.read_text().replace("hidden = 6", f"hidden = 6\n{setting}"))
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", ran.append)
+        code = run_cli(["bench", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+        assert ran == []
+        assert not (tmp_path / "reports").exists()
+
     def test_bench_missing_config(self, capsys):
         code = run_cli(["bench", "--config", "/no/such.ini"])
         assert code == EXIT_CONFIG
@@ -144,6 +213,29 @@ n_train = 60
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "master seed: 99" in out
+
+
+RECORDS_HEADER = "method,dataset,noise_id,run_index,test_mse,wall_time_s,seed\n"
+GOOD_RECORD = "ELM,syn,g2,0,1.5,0.01,7\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("method,dataset\n" + GOOD_RECORD, ": not a run-record file"),
+    (RECORDS_HEADER + GOOD_RECORD + "ELM,syn,g2,1,1.5\n", ", line 3: expected 7 fields, got 5"),
+    (RECORDS_HEADER + GOOD_RECORD + "\n" + GOOD_RECORD, ", line 3: expected 7 fields, got 0"),
+    (RECORDS_HEADER + GOOD_RECORD.replace("\n", ",extra\n"), ", line 2: expected 7 fields, got 8"),
+    (RECORDS_HEADER + "ELM,syn,g2,first,1.5,0.01,7\n", ", line 2: invalid literal for int()"),
+    (RECORDS_HEADER + "ELM,syn,g2,0,-1.5,0.01,7\n", ", line 2: test_mse must be finite"),
+], ids=["header", "short-row", "blank-line", "extra-field", "bad-int", "negative-mse"])
+def test_malformed_records_are_config_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "runrecords.csv"
+    path.write_text(text)
+    code = run_cli(["report", "--records", str(path), "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: {path}{message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "rep").exists()
 
 
 class TestEntryPoint:

@@ -182,9 +182,21 @@ class TestTrainElm:
         with pytest.raises(DimensionError):
             train_elm(np.zeros((0, 2)), np.zeros(0), 3, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("outputs", [None, 2])
+    def test_non_finite_targets_rejected(self, bad, outputs):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(20, 2))
+        y = rng.normal(size=20 if outputs is None else (20, outputs))
+        y[4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            train_elm(X, y, 5, seed=0)
+
     def test_benchmark_shape_trains_fast(self):
         rng = np.random.default_rng(8)
         X, y = rng.normal(size=(400, 13)), rng.normal(size=400)
+        # untimed: a fresh process pays for its first LAPACK call and scipy's import here
+        train_elm(X, y, 50, "sigmoid", seed=0)
         t0 = time.perf_counter()
         train_elm(X, y, 50, "sigmoid", seed=0)
         assert time.perf_counter() - t0 < 0.1

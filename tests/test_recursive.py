@@ -8,7 +8,6 @@ from rmse_elm.recursive import (
     ElmEnsemble,
     EnsembleConfig,
     member_seed,
-    predict_ensemble,
     train_e_gasen,
     train_gasen_elm,
     train_rmse_elm,
@@ -174,10 +173,13 @@ class TestSimpleEnsemble:
 
 
 class TestPlumbing:
-    def test_predict_ensemble_function(self, task):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_targets_rejected(self, task, bad):
         X, y = task
-        ens = train_simple_ensemble(X, y, n_learners=3, n_hidden=5, seed=0)
-        assert np.array_equal(predict_ensemble(ens, X), ens.predict(X))
+        y = y.copy()
+        y[3] = bad
+        with pytest.raises(ValueError, match="train_elm: Y contains non-finite"):
+            train_rmse_elm(X, y, small_config())
 
     def test_member_seeds_distinct(self):
         keys = {member_seed(0, g, i).spawn_key for g in range(4) for i in range(20)}
@@ -194,3 +196,5 @@ class TestPlumbing:
             EnsembleConfig(threshold1=1.5)
         with pytest.raises(ValueError):
             EnsembleConfig(validation_fraction=1.0)
+        with pytest.raises(ValueError, match="unknown activation"):
+            EnsembleConfig(activation="relu")
