@@ -421,7 +421,8 @@ def load_experiment_config(path, overrides=None):
     `task` (housing, abalone, redwine, waveform; real files in data_dir
     take precedence) or a `path` with `target` column, `has_header`, and
     an optional `categorical` encoding; `n_train` and `shuffle_seed`
-    control the split. `overrides` may replace runs, seed, jobs, out_dir.
+    control the split, and an `n_train` outside [1, rows - 1] fails the
+    load. `overrides` may replace runs, seed, jobs, out_dir.
 
     The [ensemble] keys (groups, group_size, hidden, activation, lambda1,
     lambda2, validation_fraction) and the [ga] keys map onto the one
@@ -503,6 +504,11 @@ def load_experiment_config(path, overrides=None):
                 # a broken dataset loses its cells, not the whole matrix
                 dataset_errors[ds_id] = str(exc)
                 continue
+            if not 1 <= n_train < ds.n_samples:
+                raise ValueError(
+                    f"{path}: [dataset:{ds_id}] n_train must be in "
+                    f"[1, {ds.n_samples - 1}], got {n_train}"
+                )
             datasets[ds_id] = (ds, SplitSpec(n_train=n_train, shuffle_seed=shuffle_seed))
 
     if not datasets and not dataset_errors:

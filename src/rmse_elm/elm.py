@@ -212,8 +212,11 @@ def pseudoinverse(a):
 def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None):
     """Train an ELM: draw the hidden layer, then solve the readout.
 
-    The readout is `pseudoinverse(H) @ Y`, the minimum-norm least-squares
-    solution; no iteration is involved. Deterministic given
+    The readout is the minimum-norm least-squares solution of H beta = Y,
+    computed by one LAPACK gelsd solve with `pseudoinverse()`'s cutoff
+    (singular values below eps * max(n, m) * s_max count as zero), so it
+    equals `pseudoinverse(H) @ Y` without forming pinv(H) or the SVD's U.
+    No iteration is involved. Deterministic given
     (X, Y, n_hidden, activation, seed).
 
     Parameters
@@ -239,11 +242,15 @@ def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None):
         raise DimensionError("X and Y must have the same number of rows")
     if X.shape[0] < 1:
         raise DimensionError("training set is empty")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("train_elm: X contains non-finite entries")
     if not np.all(np.isfinite(Y2)):
         raise ValueError("train_elm: Y contains non-finite entries")
     layer = make_hidden_layer(X.shape[1], n_hidden, activation, seed)
     h = hidden_output(layer, X)
-    beta = pseudoinverse(h) @ Y2
+    if not np.all(np.isfinite(h)):
+        raise ValueError("train_elm: hidden layer output contains non-finite entries")
+    beta = np.linalg.lstsq(h, Y2, rcond=np.finfo(float).eps * max(h.shape))[0]
     return ElmModel(
         hidden=layer,
         output_weights=beta,

@@ -202,6 +202,30 @@ n_train = 60
         assert ran == []
         assert not (tmp_path / "reports").exists()
 
+    @pytest.mark.parametrize("section, rows", [
+        ("path = {csv}\ntarget = target\nn_train = {n}", 80),
+        ("task = housing\nn_train = {n}", 506),
+    ], ids=["path", "task"])
+    @pytest.mark.parametrize("n_train", [0, "rows", 900])
+    def test_bad_n_train_fails_before_any_cell(self, csv_path, tmp_path, capsys,
+                                               monkeypatch, section, rows, n_train):
+        n = rows if n_train == "rows" else n_train
+        cfg = self.write_config(tmp_path, csv_path)
+        text = cfg.read_text().replace(
+            f"path = {csv_path}\ntarget = target\nn_train = 60",
+            section.format(csv=csv_path, n=n),
+        )
+        cfg.write_text(text.replace("[experiment]", f"[experiment]\ndata_dir = {tmp_path}"))
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", ran.append)
+        code = run_cli(["bench", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err == (f"error: {cfg}: [dataset:syn] n_train must be in "
+                       f"[1, {rows - 1}], got {n}\n")
+        assert ran == []
+        assert not (tmp_path / "reports" / "runrecords.csv").exists()
+
     def test_bench_missing_config(self, capsys):
         code = run_cli(["bench", "--config", "/no/such.ini"])
         assert code == EXIT_CONFIG

@@ -192,6 +192,21 @@ class TestTrainElm:
         with pytest.raises(ValueError, match="non-finite"):
             train_elm(X, y, 5, seed=0)
 
+    @pytest.mark.parametrize("activation", ["sigmoid", "hardlim", "gaussian", "multiquadric"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, activation, bad):
+        # one inf leaves a sigmoid or hardlim H finite (0 or 1), so X is checked too
+        X = np.random.default_rng(5).normal(size=(20, 3))
+        X[7, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            train_elm(X, np.ones(20), 5, activation, seed=0)
+
+    def test_non_finite_hidden_output_rejected(self):
+        # finite inputs whose squared distances overflow
+        X = np.full((6, 2), 1e200)
+        with pytest.raises(ValueError, match="hidden layer output contains non-finite"):
+            train_elm(X, np.ones(6), 4, "multiquadric", seed=0)
+
     def test_benchmark_shape_trains_fast(self):
         rng = np.random.default_rng(8)
         X, y = rng.normal(size=(400, 13)), rng.normal(size=400)
@@ -200,6 +215,76 @@ class TestTrainElm:
         t0 = time.perf_counter()
         train_elm(X, y, 50, "sigmoid", seed=0)
         assert time.perf_counter() - t0 < 0.1
+
+
+DEGENERATE_INPUTS = ["random", "constant column", "duplicate column", "identical rows"]
+
+
+def degenerate_problem(data):
+    """Draw (X, Y, n_hidden, kind, layer seed) with the input defects of real tables."""
+    n = data.draw(st.integers(1, 30), label="n")
+    n_hidden = data.draw(st.integers(1, 40), label="n_hidden")
+    d = data.draw(st.integers(1, 4), label="d")
+    kind = data.draw(st.sampled_from(DEGENERATE_INPUTS), label="kind")
+    outputs = data.draw(st.sampled_from([None, 1, 3]), label="outputs")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31), label="data seed"))
+    X = rng.uniform(-2.0, 2.0, size=(n, d))
+    if kind == "constant column":
+        X[:, 0] = 0.3
+    elif kind == "duplicate column":
+        X[:, -1] = X[:, 0]
+    elif kind == "identical rows":
+        X[:] = X[0]
+    Y = rng.normal(size=n if outputs is None else (n, outputs))
+    return X, Y, n_hidden, kind, data.draw(st.integers(0, 2**31), label="layer seed")
+
+
+class TestReadoutContract:
+    """The gelsd readout is the minimum-norm least-squares solution pinv(H) @ Y.
+
+    Elementwise equality is asserted where H's rank is exact: hard-limit
+    layers (0/1 entries) and identical rows (rank 1). A smooth layer over
+    near-duplicate inputs has singular values all the way down to the
+    cutoff, and two SVDs may place one of them on different sides of it;
+    there the solution is checked by the normal equations instead.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_pseudoinverse_solution(self, data):
+        X, Y, n_hidden, kind, seed = degenerate_problem(data)
+        activation = "hardlim"
+        if kind == "identical rows":
+            activation = data.draw(st.sampled_from(sorted(rmse_elm.elm.ACTIVATIONS)))
+        beta = train_elm(X, Y, n_hidden, activation, seed=seed).output_weights
+        h = hidden_output(make_hidden_layer(X.shape[1], n_hidden, activation, seed), X)
+        expected = pseudoinverse(h) @ (Y[:, None] if Y.ndim == 1 else Y)
+        assert beta.shape == expected.shape
+        assert np.linalg.norm(beta - expected) <= 1e-10 * np.linalg.norm(beta)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), activation=st.sampled_from(sorted(rmse_elm.elm.ACTIVATIONS)))
+    def test_solves_normal_equations(self, data, activation):
+        X, Y, n_hidden, _, seed = degenerate_problem(data)
+        beta = train_elm(X, Y, n_hidden, activation, seed=seed).output_weights
+        h = hidden_output(make_hidden_layer(X.shape[1], n_hidden, activation, seed), X)
+        Y2 = Y[:, None] if Y.ndim == 1 else Y
+        # a dropped singular value s <= cutoff leaves s * |u'y| in H'r
+        h_norm = np.linalg.norm(h, 2)
+        cutoff = np.finfo(float).eps * max(h.shape) * h_norm
+        bound = 16 * cutoff * (np.linalg.norm(Y2) + h_norm * np.linalg.norm(beta))
+        assert np.linalg.norm(h.T @ (h @ beta - Y2)) <= bound
+
+    def test_all_zero_hidden_output_gives_zero_readout(self):
+        # every node's weight is positive, so inputs far below zero switch all off
+        seed = next(s for s in range(1000)
+                    if np.all(make_hidden_layer(1, 4, "hardlim", s).input_weights > 0.1))
+        X = np.full((9, 1), -20.0)
+        assert np.all(hidden_output(make_hidden_layer(1, 4, "hardlim", seed), X) == 0.0)
+        Y = np.random.default_rng(0).normal(size=(9, 2))
+        beta = train_elm(X, Y, 4, "hardlim", seed=seed).output_weights
+        assert beta.shape == (4, 2)
+        assert np.all(beta == 0.0)
 
 
 class TestPredict:
