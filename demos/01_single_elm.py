@@ -3,9 +3,10 @@
 Training is: draw a random hidden layer, push the inputs through it, and
 solve one least-squares problem for the minimum-norm readout pinv(H) @ y.
 `pseudoinverse` forms pinv(H) by SVD and is the reference; `train_elm`
-gets the same readout from one LAPACK gelsd solve, without forming
-pinv(H). Nothing is iterated, which is why the whole fit takes
-milliseconds.
+gets the same readout without forming pinv(H): from the normal equations
+H'H beta = H'y when H is safely full column rank, otherwise from one
+LAPACK gelsd solve. Nothing is iterated, which is why the whole fit
+takes milliseconds.
 """
 
 import time

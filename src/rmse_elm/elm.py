@@ -1,9 +1,13 @@
 """Single extreme learning machines.
 
 An ELM is a one-hidden-layer feedforward network whose hidden parameters
-are drawn at random and never tuned; only the linear readout is solved,
-through the Moore-Penrose pseudoinverse of the hidden layer output matrix.
-Training is therefore a single linear solve, not an iterative fit.
+are drawn at random and never tuned; only the linear readout is solved:
+the minimum-norm least-squares solution beta = pinv(H) Y for the hidden
+layer output matrix H. The readout solves the normal equations
+H'H beta = H'Y when H is safely full column rank, and otherwise makes one
+LAPACK gelsd solve, which gives the minimum-norm solution on
+rank-deficient layers. Training is therefore a single linear solve, not
+an iterative fit.
 """
 
 from dataclasses import dataclass
@@ -209,15 +213,41 @@ def pseudoinverse(a):
     return (vt.T * inv_s) @ u.T
 
 
+# Solving the normal equations squares cond(H), so they are used only when
+# lambda_min(H'H) > _GRAM_RCOND * lambda_max(H'H), i.e. cond(H) < 1e4: the
+# readout's relative error then stays below about cond(H)^2 * eps = 2e-8.
+_GRAM_RCOND = 1e-8
+
+
+def _readout(h, Y2):
+    """Minimum-norm least-squares solution of h @ beta = Y2.
+
+    With at least as many rows as columns and a well-conditioned Gram
+    matrix h'h, the solution is unique and comes from the normal
+    equations, which cost a fraction of an SVD. Every other h (fewer rows
+    than columns, rank-deficient or ill-conditioned) goes to gelsd with
+    `pseudoinverse()`'s cutoff.
+    """
+    if h.shape[0] >= h.shape[1]:
+        g = h.T @ h
+        lam = np.linalg.eigvalsh(g)
+        if lam[0] > _GRAM_RCOND * lam[-1]:
+            return np.linalg.solve(g, h.T @ Y2)
+    return np.linalg.lstsq(h, Y2, rcond=np.finfo(float).eps * max(h.shape))[0]
+
+
 def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None):
     """Train an ELM: draw the hidden layer, then solve the readout.
 
     The readout is the minimum-norm least-squares solution of H beta = Y,
-    computed by one LAPACK gelsd solve with `pseudoinverse()`'s cutoff
-    (singular values below eps * max(n, m) * s_max count as zero), so it
-    equals `pseudoinverse(H) @ Y` without forming pinv(H) or the SVD's U.
-    No iteration is involved. Deterministic given
-    (X, Y, n_hidden, activation, seed).
+    which `pseudoinverse(H) @ Y` also gives, computed without forming
+    pinv(H). When H has at least as many rows as columns and is safely
+    full column rank (cond(H) below about 1e4, judged from the
+    eigenvalues of H'H), it is the guarded normal-equations solve
+    (H'H) beta = H'Y. Otherwise it is one LAPACK gelsd solve with
+    `pseudoinverse()`'s cutoff (singular values below
+    eps * max(n, m) * s_max count as zero). No iteration is involved.
+    Deterministic given (X, Y, n_hidden, activation, seed).
 
     Parameters
     ----------
@@ -250,7 +280,7 @@ def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None):
     h = hidden_output(layer, X)
     if not np.all(np.isfinite(h)):
         raise ValueError("train_elm: hidden layer output contains non-finite entries")
-    beta = np.linalg.lstsq(h, Y2, rcond=np.finfo(float).eps * max(h.shape))[0]
+    beta = _readout(h, Y2)
     return ElmModel(
         hidden=layer,
         output_weights=beta,

@@ -16,7 +16,8 @@ from .elm import _canonical_activation, predict, train_elm
 from .selective import GaConfig, correlation_matrix, ga_evolve, select_by_threshold
 
 # spawn-key streams so every random draw in a training run has its own
-# deterministic, non-overlapping seed derived from the master seed
+# deterministic, non-overlapping seed derived from the master seed; the
+# unused _RETRAIN slot stays so that _VAL_SPLIT, and every hold-out split, keeps its key
 _MEMBER, _GROUP_GA, _POOL_GA, _RETRAIN, _VAL_SPLIT = range(5)
 
 
@@ -34,9 +35,7 @@ class EnsembleConfig:
     """Settings for the two-layer recursive model.
 
     `threshold1`/`threshold2` of None mean the reciprocal of the group
-    size / realized pool size. `retrain_pool=True` replaces each pooled
-    survivor with a freshly drawn ELM of the same shape instead of
-    reusing the trained one. `validation_fraction` > 0 holds out that
+    size / realized pool size. `validation_fraction` > 0 holds out that
     share of the training rows for correlation estimation; 0 estimates on
     the training set itself.
     """
@@ -49,7 +48,6 @@ class EnsembleConfig:
     threshold2: float | None = None
     ga: GaConfig = field(default_factory=GaConfig)
     seed: int = 0
-    retrain_pool: bool = False
     validation_fraction: float = 0.0
 
     def __post_init__(self):
@@ -164,7 +162,7 @@ def _layer_one(X, y, config):
             pool_models.append(models[i])
             pool_preds.append(preds[i])
             pool_prov.append((g, int(i)))
-    return X_fit, y_fit, X_est, y_est, pool_models, pool_preds, pool_prov, counts
+    return y_est, pool_models, pool_preds, pool_prov, counts
 
 
 def train_rmse_elm(X, y, config=None):
@@ -175,27 +173,10 @@ def train_rmse_elm(X, y, config=None):
     whose weight reaches threshold1 (default 1/group_size). Layer 2: pool
     all survivors, evolve weights once more over the pool, keep models at
     threshold2 (default 1/pool_size), and average the final survivors.
-    Pooled survivors are reused as trained unless config.retrain_pool.
     """
     if config is None:
         config = EnsembleConfig()
-    (X_fit, y_fit, X_est, y_est, pool_models, pool_preds, pool_prov, counts) = _layer_one(
-        X, y, config
-    )
-
-    if config.retrain_pool:
-        pool_models, pool_preds = [], []
-        for j, prov in enumerate(pool_prov):
-            m = train_elm(
-                X_fit,
-                y_fit,
-                config.n_hidden,
-                config.activation,
-                seed=np.random.SeedSequence(config.seed, spawn_key=(_RETRAIN, j)),
-            )
-            pool_models.append(m)
-            pool_preds.append(np.ravel(predict(m, X_est)))
-
+    y_est, pool_models, pool_preds, pool_prov, counts = _layer_one(X, y, config)
     pool_size = len(pool_models)
     threshold2 = config.threshold2 if config.threshold2 is not None else 1.0 / pool_size
     corr = correlation_matrix(pool_preds, np.ravel(y_est))
@@ -218,7 +199,7 @@ def train_e_gasen(X, y, config=None):
     """
     if config is None:
         config = EnsembleConfig()
-    (_, _, _, _, pool_models, _, pool_prov, counts) = _layer_one(X, y, config)
+    _, pool_models, _, pool_prov, counts = _layer_one(X, y, config)
     return RmseElmEnsemble(
         members=tuple(pool_models),
         provenance=tuple(pool_prov),
@@ -253,7 +234,7 @@ def train_gasen_elm(
         seed=seed,
         validation_fraction=validation_fraction,
     )
-    (_, _, _, _, pool_models, _, pool_prov, _) = _layer_one(X, y, config)
+    _, pool_models, _, pool_prov, _ = _layer_one(X, y, config)
     return ElmEnsemble(members=tuple(pool_models), provenance=tuple(pool_prov))
 
 

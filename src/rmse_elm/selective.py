@@ -325,7 +325,7 @@ def ga_evolve(corr, config=None, seed=None, with_history=False):
 
     def fitness_of(population):
         w = _normalize_rows(population)
-        return -np.einsum("pi,ij,pj->p", w, c, w), w
+        return -((w @ c) * w).sum(axis=1), w
 
     fitness, norm = fitness_of(pop)
     best_fitness = float(fitness[0])  # start at the uniform individual

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rmse_elm
@@ -220,10 +220,13 @@ class TestTrainElm:
 DEGENERATE_INPUTS = ["random", "constant column", "duplicate column", "identical rows"]
 
 
-def degenerate_problem(data):
-    """Draw (X, Y, n_hidden, kind, layer seed) with the input defects of real tables."""
+def degenerate_problem(data, tall=False):
+    """Draw (X, Y, n_hidden, kind, layer seed) with the input defects of real tables.
+
+    `tall` draws at most as many hidden nodes as rows (n >= L).
+    """
     n = data.draw(st.integers(1, 30), label="n")
-    n_hidden = data.draw(st.integers(1, 40), label="n_hidden")
+    n_hidden = data.draw(st.integers(1, n if tall else 40), label="n_hidden")
     d = data.draw(st.integers(1, 4), label="d")
     kind = data.draw(st.sampled_from(DEGENERATE_INPUTS), label="kind")
     outputs = data.draw(st.sampled_from([None, 1, 3]), label="outputs")
@@ -287,6 +290,76 @@ class TestReadoutContract:
         assert np.all(beta == 0.0)
 
 
+def passes_gram_guard(h):
+    """Whether the readout takes the normal equations for this H, given n >= L."""
+    lam = np.linalg.eigvalsh(h.T @ h)
+    return lam[0] > rmse_elm.elm._GRAM_RCOND * lam[-1]
+
+
+class TestReadoutPaths:
+    """Two solvers, chosen by H: normal equations when H is safely full column
+    rank, gelsd everywhere else."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), activation=st.sampled_from(sorted(rmse_elm.elm.ACTIVATIONS)))
+    def test_normal_equations_agree_with_gelsd(self, data, activation):
+        X, Y, n_hidden, _, seed = degenerate_problem(data, tall=True)
+        h = hidden_output(make_hidden_layer(X.shape[1], n_hidden, activation, seed), X)
+        assume(passes_gram_guard(h))
+        Y2 = Y[:, None] if Y.ndim == 1 else Y
+        beta = train_elm(X, Y, n_hidden, activation, seed=seed).output_weights
+        eps = np.finfo(float).eps
+        expected = np.linalg.lstsq(h, Y2, rcond=eps * max(h.shape))[0]
+        # forming H'H and H'Y perturbs beta by about cond(H)^2 * eps times
+        # |beta| + |Y| / |H|; the second term matters when Y is nearly
+        # orthogonal to H's columns and beta is small
+        h_norm = np.linalg.norm(h, 2)
+        scale = np.linalg.norm(beta) + np.linalg.norm(Y2) / h_norm
+        bound = 10 * max(h.shape) * np.linalg.cond(h) ** 2 * eps * scale
+        assert np.linalg.norm(beta - expected) <= bound
+
+    @pytest.fixture
+    def gelsd_calls(self, monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        return calls
+
+    def test_fewer_rows_than_nodes_use_gelsd(self, gelsd_calls):
+        X = np.random.default_rng(1).normal(size=(10, 3))
+        train_elm(X, np.ones(10), 20, "sigmoid", seed=0)
+        assert gelsd_calls == [(10, 20)]
+
+    def test_rank_deficient_hardlim_uses_gelsd(self, gelsd_calls):
+        # one input repeated: every node is a step along that one direction
+        x = np.random.default_rng(2).uniform(-1, 1, size=40)
+        X = np.column_stack([x, x])
+        h = hidden_output(make_hidden_layer(2, 30, "hardlim", seed=4), X)
+        assert np.linalg.matrix_rank(h) < 30
+        train_elm(X, x, 30, "hardlim", seed=4)
+        assert gelsd_calls == [(40, 30)]
+
+    def test_ill_conditioned_gaussian_uses_gelsd(self, gelsd_calls):
+        # wide RBF nodes over few inputs overlap almost entirely
+        X = np.random.default_rng(3).uniform(-1, 1, size=(400, 5))
+        h = hidden_output(make_hidden_layer(5, 50, "gaussian", seed=0), X)
+        assert np.linalg.cond(h) >= 1e6
+        train_elm(X, X[:, 0], 50, "gaussian", seed=0)
+        assert gelsd_calls == [(400, 50)]
+
+    def test_benchmark_shape_uses_normal_equations(self, gelsd_calls):
+        # the layer of TestTrainElm.test_benchmark_shape_trains_fast
+        rng = np.random.default_rng(8)
+        X, y = rng.normal(size=(400, 13)), rng.normal(size=400)
+        train_elm(X, y, 50, "sigmoid", seed=0)
+        assert gelsd_calls == []
+
+
 class TestPredict:
     def test_training_fit_is_reproducible(self):
         rng = np.random.default_rng(11)
@@ -312,12 +385,15 @@ class TestPredict:
 
 def test_scipy_loads_on_first_projection_only():
     # report, --help and argument errors must not pay for scipy's import;
-    # warm_up pays it before a timed fit
+    # warm_up pays it before a timed fit, and a sigmoid fit never loads scipy.linalg
     code = (
-        "import sys, rmse_elm, rmse_elm.cli\n"
+        "import sys, numpy as np, rmse_elm, rmse_elm.cli\n"
         "loaded = lambda: [m for m in ('scipy.special', 'scipy.spatial') if m in sys.modules]\n"
         "print(loaded())\n"
         "rmse_elm.elm.warm_up('sigmoid')\n"
+        "X = np.random.default_rng(0).normal(size=(40, 3))\n"
+        "rmse_elm.elm.train_elm(X, X[:, 0], 8, 'sigmoid', seed=0)\n"
+        "print('scipy.linalg' in sys.modules)\n"
         "rmse_elm.elm.warm_up('gaussian')\n"
         "print(loaded())\n"
     )
@@ -326,4 +402,4 @@ def test_scipy_loads_on_first_projection_only():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={"PATH": "", "PYTHONPATH": src},
     )
-    assert proc.stdout.split("\n")[:2] == ["[]", "['scipy.special', 'scipy.spatial']"]
+    assert proc.stdout.split("\n")[:3] == ["[]", "False", "['scipy.special', 'scipy.spatial']"]

@@ -99,19 +99,6 @@ class TestTrainRmseElm:
         single = predict(ens.members[0], X)
         assert np.allclose(ens.predict(X), single, rtol=1e-12, atol=1e-12)
 
-    def test_retrain_pool_draws_fresh_models(self, task):
-        X, y = task
-        reused = train_rmse_elm(X, y, small_config())
-        retrained = train_rmse_elm(X, y, small_config(retrain_pool=True))
-        # provenance bookkeeping is preserved but the models are fresh draws
-        assert retrained.pool_provenance == reused.pool_provenance
-        fresh = retrained.members[0].hidden.input_weights
-        originals = [
-            train_elm(X, y, 6, "sigmoid", seed=member_seed(7, g, i)).hidden.input_weights
-            for (g, i) in retrained.provenance
-        ]
-        assert not any(np.array_equal(fresh, w) for w in originals)
-
     def test_validation_fraction_smoke(self, task):
         X, y = task
         ens = train_rmse_elm(X, y, small_config(validation_fraction=0.25))
