@@ -57,7 +57,7 @@ lagrange = optimal_weights(corr)
 print(f"\nLagrange solution inside the simplex: {lagrange.in_simplex}")
 print("  raw:", lagrange.raw.round(3))
 
-evolved = ga_evolve(corr, GaConfig(seed=0))
+evolved = ga_evolve(corr, GaConfig(), seed=0)
 print("GA-evolved weights:", evolved.w.round(3))
 print(f"  error: GA {ensemble_error(evolved, corr):.6f} vs "
       f"uniform {ensemble_error(uniform, corr):.6f}")

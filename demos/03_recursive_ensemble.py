@@ -56,7 +56,7 @@ simple = train_simple_ensemble(train.X, train.y, n_learners=80, n_hidden=50, see
 rows.append(("SimpleEnsemble(80)", simple.predict(test.X), time.perf_counter() - t0))
 
 t0 = time.perf_counter()
-gasen = train_gasen_elm(train.X, train.y, n_learners=20, n_hidden=50, seed=11)
+gasen = train_gasen_elm(train.X, train.y, config)  # one group of the same config
 rows.append((f"GASEN-ELM ({gasen.n_members} kept)", gasen.predict(test.X), time.perf_counter() - t0))
 
 t0 = time.perf_counter()

@@ -53,7 +53,6 @@ from .data import (
     fit_normalization,
     load_csv,
     make_blended_split,
-    normalize,
     save_csv,
     split,
 )

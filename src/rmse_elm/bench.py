@@ -35,9 +35,7 @@ _METHOD_TABLE = {
     "ELM": ((), lambda X, y, c: train_elm(X, y, c.n_hidden, c.activation, seed=c.seed)),
     "SimpleEnsemble": (("simple", "simple-ensemble"), lambda X, y, c: train_simple_ensemble(
         X, y, c.groups * c.group_size, c.n_hidden, c.activation, seed=c.seed)),
-    "GASEN-ELM": (("gasen",), lambda X, y, c: train_gasen_elm(
-        X, y, c.group_size, c.n_hidden, c.activation, c.threshold1, c.ga, c.seed,
-        c.validation_fraction)),
+    "GASEN-ELM": (("gasen",), lambda X, y, c: train_gasen_elm(X, y, c)),
     "E-GASEN": ((), lambda X, y, c: train_e_gasen(X, y, c)),
     "RMSE-ELM": (("rmse",), lambda X, y, c: train_rmse_elm(X, y, c)),
 }
@@ -134,8 +132,6 @@ class ExperimentConfig:
     master_seed: int = 0
     # the settings of every method; ensemble.seed is replaced by each run's derived seed
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
-    resample_noise: bool = False
-    normalize_noise_columns: bool = False
     jobs: int = 1
     out_dir: str | None = None
     dataset_errors: dict = field(default_factory=dict)  # id -> load failure message
@@ -154,12 +150,6 @@ def _run_seed(master_seed, dataset_id, noise_id, method, run_index):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _noise_seed(master_seed, dataset_id, noise_id, run_index):
-    key = zlib.crc32(f"noise|{dataset_id}|{noise_id}".encode())
-    ss = np.random.SeedSequence(master_seed, spawn_key=(key, run_index))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _predict_fitted(fitted, X):
     if hasattr(fitted, "members"):
         return fitted.predict(X)
@@ -168,20 +158,10 @@ def _predict_fitted(fitted, X):
 
 def _run_cell(cfg, dataset_id, noise_id, method):
     ds, split_spec = cfg.datasets[dataset_id]
-    noise_spec = cfg.noise_specs[noise_id]
+    train, test, _ = make_blended_split(ds, cfg.noise_specs[noise_id], split_spec)
     records = []
-    train = test = None
-    if not cfg.resample_noise:
-        train, test, _ = make_blended_split(
-            ds, noise_spec, split_spec, cfg.normalize_noise_columns
-        )
     warm_up(cfg.ensemble.activation)
     for run in range(cfg.runs):
-        if cfg.resample_noise:
-            per_run = replace(noise_spec, seed=_noise_seed(cfg.master_seed, dataset_id, noise_id, run))
-            train, test, _ = make_blended_split(
-                ds, per_run, split_spec, cfg.normalize_noise_columns
-            )
         seed = _run_seed(cfg.master_seed, dataset_id, noise_id, method, run)
         run_config = replace(cfg.ensemble, seed=seed)
         t0 = time.perf_counter()
@@ -411,29 +391,54 @@ def _parse_categorical(text):
     return out
 
 
+# every key load_experiment_config reads, per section; "noise:" and
+# "dataset:" stand for every [noise:<id>] and [dataset:<id>]
+_CONFIG_KEYS = {
+    "experiment": {"methods", "runs", "seed", "jobs", "out_dir", "data_dir"},
+    "ensemble": {"groups", "group_size", "hidden", "activation", "lambda1", "lambda2",
+                 "validation_fraction"},
+    "ga": {"population", "generations", "crossover", "mutation", "mutation_scale", "elitism"},
+    "noise:": {"variances", "seed"},
+    "dataset:": {"task", "seed", "n_train", "shuffle_seed", "path", "target", "has_header",
+                 "categorical"},
+}
+
+
 def load_experiment_config(path, overrides=None):
     """Build an ExperimentConfig from a plain-text INI file.
 
-    Sections: [experiment] (methods, runs, seed, jobs, out_dir, and the
-    resample_noise / normalize_noise_columns switches), [ensemble], [ga],
-    one [noise:<id>] per noise spec (variances, seed) and one
-    [dataset:<id>] per dataset. A dataset section names either a built-in
-    `task` (housing, abalone, redwine, waveform; real files in data_dir
-    take precedence) or a `path` with `target` column, `has_header`, and
-    an optional `categorical` encoding; `n_train` and `shuffle_seed`
-    control the split, and an `n_train` outside [1, rows - 1] fails the
-    load. `overrides` may replace runs, seed, jobs, out_dir.
+    Sections and the keys each may hold (see `_CONFIG_KEYS`):
+    - [experiment]: methods, runs, seed, jobs, out_dir, data_dir;
+    - [ensemble]: groups, group_size, hidden, activation, lambda1,
+      lambda2, validation_fraction;
+    - [ga]: population, generations, crossover, mutation,
+      mutation_scale, elitism;
+    - one [noise:<id>] per noise spec: variances, seed;
+    - one [dataset:<id>] per dataset: either a built-in `task` (housing,
+      abalone, redwine, waveform; real files in data_dir take
+      precedence) with its generator `seed`, or a `path` with `target`
+      column, `has_header` and an optional `categorical` encoding; plus
+      `n_train` and `shuffle_seed` for the split.
 
-    The [ensemble] keys (groups, group_size, hidden, activation, lambda1,
-    lambda2, validation_fraction) and the [ga] keys map onto the one
-    EnsembleConfig every method reads, which validates them here: a bad
-    setting fails the load, not every cell.
+    An unknown section or key fails the load, so a misspelt or retired
+    setting cannot quietly fall back to its default. The [ensemble] and
+    [ga] keys map onto the one EnsembleConfig every method reads, which
+    validates them here, and an `n_train` outside [1, rows - 1] fails
+    too: a bad setting fails the load, not every cell. `overrides` may
+    replace runs, seed, jobs, out_dir.
     """
     path = Path(path)
     if not path.exists():
         raise ValueError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.read(path)
+    for section in cp.sections():
+        kind = section.split(":")[0] + ":" if ":" in section else section
+        if kind not in _CONFIG_KEYS:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        unknown = [key for key in cp[section] if key not in _CONFIG_KEYS[kind]]
+        if unknown:
+            raise ValueError(f"{path}: [{section}] has unknown keys: {', '.join(unknown)}")
     if "experiment" not in cp:
         raise ValueError(f"{path}: missing [experiment] section")
     exp = cp["experiment"]
@@ -517,9 +522,6 @@ def load_experiment_config(path, overrides=None):
         raise ValueError(f"{path}: no [noise:<id>] sections")
 
     overrides = overrides or {}
-    jobs = int(overrides.get("jobs", exp.get("jobs", 1)))
-    if exp.getboolean("serial_timing", False):
-        jobs = 1  # wall-time cells must not share cores
     return ExperimentConfig(
         datasets=datasets,
         noise_specs=noise_specs,
@@ -527,9 +529,7 @@ def load_experiment_config(path, overrides=None):
         runs=int(overrides.get("runs", exp.get("runs", 5))),
         master_seed=int(overrides.get("seed", exp.get("seed", 0))),
         ensemble=ensemble,
-        resample_noise=exp.getboolean("resample_noise", False),
-        normalize_noise_columns=exp.getboolean("normalize_noise_columns", False),
-        jobs=jobs,
+        jobs=int(overrides.get("jobs", exp.get("jobs", 1))),
         out_dir=str(overrides.get("out_dir", exp.get("out_dir", "reports"))),
         dataset_errors=dataset_errors,
     )

@@ -188,17 +188,6 @@ def apply_normalization(ds, params):
     return Dataset(X=Z, y=ds.y, feature_names=ds.feature_names, name=ds.name)
 
 
-def normalize(ds):
-    """Z-score each feature column (population std); constant columns -> 0.
-
-    Fit the statistics on `ds` (to honour train-only statistics, pass the
-    training portion) and return them so the identical transform can be
-    applied to held-out rows via apply_normalization.
-    """
-    params = fit_normalization(ds)
-    return apply_normalization(ds, params), params
-
-
 def blend_noise(ds, spec):
     """Append one irrelevant N(0, variance) column per entry of the spec.
 
@@ -242,30 +231,23 @@ def split(ds, spec):
     return take(tr, "train"), take(te, "test")
 
 
-def make_blended_split(ds, noise_spec, split_spec, normalize_noise_columns=False):
+def make_blended_split(ds, noise_spec, split_spec):
     """Canonical blended-benchmark pipeline.
 
     Blend the full dataset (one noise draw across all rows), split, then
-    z-score with training-row statistics. By default only the original
-    feature columns are normalized, preserving the deliberate variance
-    spread of the noise columns; `normalize_noise_columns=True` switches
-    to the alternative order in which noise columns are standardized too.
+    z-score the original feature columns with training-row statistics.
+    The appended noise columns stay raw, keeping the deliberate variance
+    spread that makes them distinguishable from the real features.
 
-    Returns (train, test, params).
+    Returns (train, test, params); params is the identity on the noise columns.
     """
     blended = blend_noise(ds, noise_spec)
     train, test = split(blended, split_spec)
     params = fit_normalization(train)
-    if not normalize_noise_columns:
-        # identity transform on the appended columns
-        d = ds.n_features
-        mean = params.mean.copy()
-        std = params.std.copy()
-        constant = params.constant.copy()
-        mean[d:] = 0.0
-        std[d:] = 1.0
-        constant[d:] = False
-        params = NormalizationParams(mean=mean, std=std, constant=constant)
+    d = ds.n_features
+    params.mean[d:] = 0.0
+    params.std[d:] = 1.0
+    params.constant[d:] = False
     return apply_normalization(train, params), apply_normalization(test, params), params
 
 

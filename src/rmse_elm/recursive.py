@@ -8,7 +8,7 @@ a plain simple-average ensemble, a one-layer selective ensemble, and the
 variant whose second layer is a plain average of the pooled survivors.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -139,9 +139,10 @@ def _train_group(X_fit, y_fit, X_est, n_models, config, group):
     return models, preds
 
 
-def _select_group(preds, y_est, config, group, threshold):
+def _select(preds, y_est, config, stream, group, threshold):
+    """One GASEN stage: evolve weights on GA stream (stream, group), keep by threshold."""
     corr = correlation_matrix(preds, np.ravel(y_est))
-    weights = ga_evolve(corr, config.ga, seed=_ga_seed(config.seed, _GROUP_GA, group))
+    weights = ga_evolve(corr, config.ga, seed=_ga_seed(config.seed, stream, group))
     return select_by_threshold(weights, threshold)
 
 
@@ -156,7 +157,7 @@ def _layer_one(X, y, config):
     counts = []
     for g in range(config.groups):
         models, preds = _train_group(X_fit, y_fit, X_est, config.group_size, config, g)
-        chosen = _select_group(preds, y_est, config, g, threshold1)
+        chosen = _select(preds, y_est, config, _GROUP_GA, g, threshold1)
         counts.append(int(chosen.size))
         for i in chosen:
             pool_models.append(models[i])
@@ -177,11 +178,8 @@ def train_rmse_elm(X, y, config=None):
     if config is None:
         config = EnsembleConfig()
     y_est, pool_models, pool_preds, pool_prov, counts = _layer_one(X, y, config)
-    pool_size = len(pool_models)
-    threshold2 = config.threshold2 if config.threshold2 is not None else 1.0 / pool_size
-    corr = correlation_matrix(pool_preds, np.ravel(y_est))
-    weights = ga_evolve(corr, config.ga, seed=_ga_seed(config.seed, _POOL_GA))
-    chosen = select_by_threshold(weights, threshold2)
+    threshold2 = config.threshold2 if config.threshold2 is not None else 1.0 / len(pool_models)
+    chosen = _select(pool_preds, y_est, config, _POOL_GA, 0, threshold2)
 
     return RmseElmEnsemble(
         members=tuple(pool_models[i] for i in chosen),
@@ -208,33 +206,16 @@ def train_e_gasen(X, y, config=None):
     )
 
 
-def train_gasen_elm(
-    X,
-    y,
-    n_learners=20,
-    n_hidden=50,
-    activation="sigmoid",
-    threshold=None,
-    ga=None,
-    seed=0,
-    validation_fraction=0.0,
-):
-    """One-layer selective ensemble: train, evolve weights, select, average.
+def train_gasen_elm(X, y, config=None):
+    """One-layer selective ensemble (GASEN-ELM): train, evolve weights, select, average.
 
-    Equivalent to a single group of the recursive model. `threshold`
-    defaults to 1/n_learners.
+    One group of the recursive model: `config.group_size` ELMs, kept at
+    `threshold1` (default 1/group_size). `groups`, `threshold2` and the
+    pool stage do not apply; every other EnsembleConfig field does.
     """
-    config = EnsembleConfig(
-        groups=1,
-        group_size=n_learners,
-        n_hidden=n_hidden,
-        activation=activation,
-        threshold1=threshold,
-        ga=ga if ga is not None else GaConfig(),
-        seed=seed,
-        validation_fraction=validation_fraction,
-    )
-    _, pool_models, _, pool_prov, _ = _layer_one(X, y, config)
+    if config is None:
+        config = EnsembleConfig()
+    _, pool_models, _, pool_prov, _ = _layer_one(X, y, replace(config, groups=1))
     return ElmEnsemble(members=tuple(pool_models), provenance=tuple(pool_prov))
 
 

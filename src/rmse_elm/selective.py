@@ -95,7 +95,11 @@ class OptimalWeights:
 
 @dataclass(frozen=True)
 class GaConfig:
-    """Real-coded GA settings (population of nonnegative weight vectors)."""
+    """Real-coded GA settings (population of nonnegative weight vectors).
+
+    The random stream is not a setting: `ga_evolve` takes its seed as an
+    argument, and the ensemble trainers derive one per selection.
+    """
 
     population_size: int = 50
     generations: int = 100
@@ -103,7 +107,6 @@ class GaConfig:
     mutation_prob: float = 0.1
     mutation_scale: float = 0.1
     elitism_count: int = 2
-    seed: int | None = 0
 
     def __post_init__(self):
         if self.population_size < 1 or self.generations < 1:
@@ -276,7 +279,7 @@ def _draw_pairs(rng, n_pairs, crossover_prob):
     return np.array(uniforms), np.array(alphas)
 
 
-def ga_evolve(corr, config=None, seed=None, with_history=False):
+def ga_evolve(corr, config=None, seed=0, with_history=False):
     """Evolve ensemble weights by a real-coded GA.
 
     Chromosomes are nonnegative length-n vectors, normalized onto the
@@ -298,7 +301,7 @@ def ga_evolve(corr, config=None, seed=None, with_history=False):
     ----------
     corr : CorrelationMatrix
     config : GaConfig, optional
-    seed : optional override of config.seed (int, SeedSequence, Generator)
+    seed : int, SeedSequence or Generator; None draws fresh entropy
     with_history : bool
         When True also return the best-ever fitness after initialization
         and after each generation (length generations + 1).
@@ -316,7 +319,7 @@ def ga_evolve(corr, config=None, seed=None, with_history=False):
             hist = np.full(config.generations + 1, -float(corr.c[0, 0]))
             return best, hist
         return best
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     c = corr.c
     pop_size = config.population_size
 

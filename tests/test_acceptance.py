@@ -160,7 +160,7 @@ def test_criterion_6_ga_sanity():
     uniform_err = ensemble_error(np.array([0.5, 0.5]), corr)
     mass_ok = monotone_ok = uniform_ok = 0
     for seed in range(20):
-        w, hist = ga_evolve(corr, GaConfig(seed=seed), with_history=True)
+        w, hist = ga_evolve(corr, GaConfig(), seed=seed, with_history=True)
         mass_ok += w.w[0] >= 0.9
         monotone_ok += bool(np.all(np.diff(hist) >= 0.0))
         uniform_ok += ensemble_error(w, corr) <= uniform_err + 1e-12

@@ -16,7 +16,6 @@ from rmse_elm.recursive import (
     train_rmse_elm,
     train_simple_ensemble,
 )
-from rmse_elm.selective import GaConfig
 from rmse_elm.synth import make_synthetic_regression
 
 
@@ -69,10 +68,7 @@ class TestTrain:
         fitted = {
             "elm": lambda: train_elm(X, y, 6, "sigmoid", seed=4),
             "simple": lambda: train_simple_ensemble(X, y, 2 * 3, 6, "sigmoid", seed=4),
-            "gasen-elm": lambda: train_gasen_elm(
-                X, y, n_learners=3, n_hidden=6, activation="sigmoid", threshold=0.2,
-                ga=GaConfig(), seed=4,
-            ),
+            "gasen-elm": lambda: train_gasen_elm(X, y, cfg),
             "e-gasen": lambda: train_e_gasen(X, y, cfg),
             "rmse-elm": lambda: train_rmse_elm(X, y, cfg),
         }[method]()
@@ -184,20 +180,28 @@ n_train = 60
         original = (reports / "mse.csv").read_text()
         assert rebuilt == original
 
-    @pytest.mark.parametrize("setting, message", [
-        ("lambda1 = 2", "thresholds must lie in [0, 1]"),
-        ("activation = relu", "unknown activation 'relu'"),
+    @pytest.mark.parametrize("setting, message, section", [
+        ("lambda1 = 2", "thresholds must lie in [0, 1]", "ensemble"),
+        ("activation = relu", "unknown activation 'relu'", "ensemble"),
+        # a retired or misspelt key must not quietly fall back to its default
+        ("resample_noise = true", "{cfg}: [experiment] has unknown keys: resample_noise",
+         "experiment"),
+        ("serial_timing = true", "{cfg}: [experiment] has unknown keys: serial_timing",
+         "experiment"),
+        ("seed = 3", "{cfg}: [ga] has unknown keys: seed", "ga"),
+        ("hiden = 6", "{cfg}: [ensemble] has unknown keys: hiden", "ensemble"),
+        ("shuffle = 3", "{cfg}: [dataset:syn] has unknown keys: shuffle", "dataset:syn"),
     ])
     def test_bad_ensemble_setting_fails_before_any_cell(self, csv_path, tmp_path, capsys,
-                                                        monkeypatch, setting, message):
+                                                        monkeypatch, setting, message, section):
         cfg = self.write_config(tmp_path, csv_path)
-        cfg.write_text(cfg.read_text().replace("hidden = 6", f"hidden = 6\n{setting}"))
+        cfg.write_text(cfg.read_text().replace(f"[{section}]\n", f"[{section}]\n{setting}\n"))
         ran = []
         monkeypatch.setattr(cli, "run_experiment", ran.append)
         code = run_cli(["bench", "--config", str(cfg)])
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG
-        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.startswith(f"error: {message.format(cfg=cfg)}")
         assert captured.err.count("\n") == 1
         assert ran == []
         assert not (tmp_path / "reports").exists()

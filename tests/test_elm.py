@@ -400,6 +400,7 @@ def test_scipy_loads_on_first_projection_only():
     src = str(Path(rmse_elm.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={"PATH": "", "PYTHONPATH": src},
+        # no bytecode: a __pycache__ left in the checkout would speed up later imports
+        env={"PATH": "", "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.stdout.split("\n")[:3] == ["[]", "False", "['scipy.special', 'scipy.spatial']"]

@@ -17,7 +17,7 @@ from rmse_elm.selective import GaConfig, correlation_matrix, ensemble_error
 from rmse_elm.synth import make_synthetic_regression
 
 
-SMALL_GA = GaConfig(population_size=12, generations=10, elitism_count=2, seed=0)
+SMALL_GA = GaConfig(population_size=12, generations=10, elitism_count=2)
 
 
 def small_config(**kw):
@@ -108,10 +108,9 @@ class TestTrainRmseElm:
 class TestEGasen:
     def test_single_group_matches_gasen(self, task):
         X, y = task
-        cfg = small_config(groups=1, group_size=6)
-        a = train_e_gasen(X, y, cfg)
-        b = train_gasen_elm(X, y, n_learners=6, n_hidden=cfg.n_hidden,
-                            activation=cfg.activation, ga=cfg.ga, seed=cfg.seed)
+        a = train_e_gasen(X, y, small_config(groups=1, group_size=6))
+        # GASEN-ELM is one group: `groups` and `threshold2` do not apply
+        b = train_gasen_elm(X, y, small_config(groups=3, group_size=6, threshold2=0.5))
         assert a.provenance == b.provenance
         assert np.array_equal(a.predict(X), b.predict(X))
 
@@ -124,13 +123,13 @@ class TestEGasen:
 class TestGasenElm:
     def test_single_learner_is_plain_elm(self, task):
         X, y = task
-        ens = train_gasen_elm(X, y, n_learners=1, n_hidden=6, ga=SMALL_GA, seed=3)
+        ens = train_gasen_elm(X, y, small_config(group_size=1, seed=3))
         solo = train_elm(X, y, 6, "sigmoid", seed=member_seed(3, 0, 0))
         assert np.array_equal(ens.predict(X), predict(solo, X))
 
     def test_survivors_subset_of_group(self, task):
         X, y = task
-        ens = train_gasen_elm(X, y, n_learners=8, n_hidden=6, ga=SMALL_GA, seed=4)
+        ens = train_gasen_elm(X, y, small_config(group_size=8, seed=4))
         assert 1 <= ens.n_members <= 8
         assert set(ens.provenance) <= {(0, i) for i in range(8)}
 

@@ -285,7 +285,7 @@ class TestGaEvolve:
 
     def test_mass_moves_to_low_error_learner(self):
         corr = CorrelationMatrix(np.diag([1.0, 100.0]), n_samples=10)
-        w = ga_evolve(corr, GaConfig(seed=0))
+        w = ga_evolve(corr, GaConfig(), seed=0)
         assert w.w[0] > 0.9
 
     def test_never_worse_than_uniform(self):
@@ -293,29 +293,37 @@ class TestGaEvolve:
         for trial in range(10):
             n = int(rng.integers(2, 7))
             corr = random_psd_corr(rng, n)
-            cfg = GaConfig(population_size=20, generations=15, seed=trial)
-            w = ga_evolve(corr, cfg)
+            cfg = GaConfig(population_size=20, generations=15)
+            w = ga_evolve(corr, cfg, seed=trial)
             uniform = np.full(n, 1.0 / n)
             assert ensemble_error(w, corr) <= ensemble_error(uniform, corr) + 1e-12
 
     def test_best_fitness_monotone(self):
         corr = random_psd_corr(np.random.default_rng(12), 5)
-        _, history = ga_evolve(corr, GaConfig(seed=3), with_history=True)
+        _, history = ga_evolve(corr, GaConfig(), seed=3, with_history=True)
         assert len(history) == GaConfig().generations + 1
         assert np.all(np.diff(history) >= 0.0)
 
     def test_deterministic_per_seed(self):
         corr = random_psd_corr(np.random.default_rng(13), 4)
-        cfg = GaConfig(population_size=12, generations=10, seed=21)
-        a = ga_evolve(corr, cfg)
-        b = ga_evolve(corr, cfg)
+        cfg = GaConfig(population_size=12, generations=10)
+        a = ga_evolve(corr, cfg, seed=21)
+        b = ga_evolve(corr, cfg, seed=21)
         assert np.array_equal(a.w, b.w)
         c = ga_evolve(corr, cfg, seed=22)
         assert not np.array_equal(a.w, c.w)
 
+    def test_seed_is_an_argument(self):
+        corr = random_psd_corr(np.random.default_rng(13), 4)
+        cfg = GaConfig(population_size=12, generations=10)
+        assert np.array_equal(ga_evolve(corr, cfg).w, ga_evolve(corr, cfg, seed=0).w)
+        # None draws fresh entropy, as make_hidden_layer does
+        assert not np.array_equal(ga_evolve(corr, cfg, seed=None).w,
+                                  ga_evolve(corr, cfg, seed=None).w)
+
     def test_result_is_valid_weights(self):
         corr = random_psd_corr(np.random.default_rng(14), 6)
-        w = ga_evolve(corr, GaConfig(population_size=10, generations=5, seed=0))
+        w = ga_evolve(corr, GaConfig(population_size=10, generations=5), seed=0)
         assert isinstance(w, EnsembleWeights)
 
 
@@ -372,7 +380,7 @@ class TestValidation:
 # the generator in the same order, so both return bit-identical weights and
 # histories and leave the generator in the same state.
 
-def scalar_ga_evolve(corr, config=None, seed=None, with_history=False):
+def scalar_ga_evolve(corr, config=None, seed=0, with_history=False):
     if config is None:
         config = GaConfig()
     n = corr.n_learners
@@ -382,7 +390,7 @@ def scalar_ga_evolve(corr, config=None, seed=None, with_history=False):
             hist = np.full(config.generations + 1, -float(corr.c[0, 0]))
             return best, hist
         return best
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     c = corr.c
     pop_size = config.population_size
 
@@ -480,9 +488,9 @@ class TestGaStreamContract:
     @pytest.mark.parametrize("n, cfg, seed", _stream_cases())
     def test_matches_scalar_breeding(self, n, cfg, seed):
         corr = random_psd_corr(np.random.default_rng(seed), n)
-        config = GaConfig(seed=seed, **cfg)
-        w, hist = ga_evolve(corr, config, with_history=True)
-        w_ref, hist_ref = scalar_ga_evolve(corr, config, with_history=True)
+        config = GaConfig(**cfg)
+        w, hist = ga_evolve(corr, config, seed=seed, with_history=True)
+        w_ref, hist_ref = scalar_ga_evolve(corr, config, seed=seed, with_history=True)
         assert np.array_equal(w.w, w_ref.w)
         assert np.array_equal(hist, hist_ref)
 
