@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataError, NoiseSpec, SplitSpec, load_csv, make_blended_split
-from .elm import predict, train_elm, warm_up
+from .elm import predict, train_elm
 from .recursive import (
     EnsembleConfig,
     train_e_gasen,
@@ -160,7 +160,6 @@ def _run_cell(cfg, dataset_id, noise_id, method):
     ds, split_spec = cfg.datasets[dataset_id]
     train, test, _ = make_blended_split(ds, cfg.noise_specs[noise_id], split_spec)
     records = []
-    warm_up(cfg.ensemble.activation)
     for run in range(cfg.runs):
         seed = _run_seed(cfg.master_seed, dataset_id, noise_id, method, run)
         run_config = replace(cfg.ensemble, seed=seed)

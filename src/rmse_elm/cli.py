@@ -35,7 +35,6 @@ from .data import (
     save_csv,
     split,
 )
-from .elm import warm_up
 from .recursive import EnsembleConfig
 from .selective import DegenerateEnsembleError
 from .synth import benchmark_task
@@ -68,7 +67,8 @@ def _build_parser():
     train.add_argument("--hidden", type=int, default=50)
     train.add_argument("--activation", default="sigmoid")
     train.add_argument("--lambda", dest="threshold", type=float, default=None,
-                       help="selection threshold (default: reciprocal of the pool)")
+                       help="per-group selection threshold (default: 1/group-size; "
+                            "the pool threshold stays 1/pool size)")
     train.add_argument("--seed", type=int, default=DEFAULT_SEED)
     train.add_argument("--noise", action="append", default=None,
                        help="comma-separated noise variances to blend in (repeatable)")
@@ -144,11 +144,10 @@ def _cmd_train(args):
         n_hidden=args.hidden, activation=args.activation,
         threshold1=args.threshold, seed=args.seed,
     )
-    warm_up(config.activation)
     t0 = time.perf_counter()
     fitted = fit(method, train_ds.X, train_ds.y, config)
-    pred = fitted.predict(test_ds.X)
     wall = time.perf_counter() - t0
+    pred = fitted.predict(test_ds.X)
 
     print(f"method: {method}")
     print(f"train rows: {train_ds.n_samples}  test rows: {test_ds.n_samples}  "

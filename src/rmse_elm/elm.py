@@ -7,7 +7,7 @@ layer output matrix H. The readout solves the normal equations
 H'H beta = H'Y when H is safely full column rank, and otherwise makes one
 LAPACK gelsd solve, which gives the minimum-norm solution on
 rank-deficient layers. Training is therefore a single linear solve, not
-an iterative fit.
+an iterative fit. Hidden nodes and readouts are computed with numpy alone.
 """
 
 from dataclasses import dataclass
@@ -25,35 +25,33 @@ def _linear_part(layer, X):
     return z
 
 
-# scipy is imported inside the nodes that use it: scipy.special and
-# scipy.spatial are most of the package's import time, which commands that
-# project nothing (report, --help) need not pay.
-
-
 def _sigmoid(layer, X):
-    # expit, not 1 / (1 + exp(-z)): the two differ in the last ulps
-    from scipy.special import expit
-
     z = _linear_part(layer, X)
-    return expit(z, out=z)
+    # exp(-z) = inf for z < -709 gives the exact limit 0
+    with np.errstate(over="ignore"):
+        np.exp(np.negative(z, out=z), out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
 
 
 def _hardlim(layer, X):
     return (_linear_part(layer, X) >= 0.0).astype(float)
 
 
-def _gaussian(layer, X):
-    from scipy.spatial.distance import cdist
+def _squared_distances(X, centres):
+    # one centre at a time: no (n, L, d) temporary, and no |x|^2 - 2x.c + |c|^2
+    # cancellation, so a row on a centre gives exactly 0
+    return np.stack([((X - c) ** 2).sum(axis=1) for c in centres], axis=1)
 
+
+def _gaussian(layer, X):
     # RBF node: rows of input_weights act as centres, biases as widths
-    sq = cdist(X, layer.input_weights, "sqeuclidean")
+    sq = _squared_distances(X, layer.input_weights)
     return np.exp(-(layer.biases**2) * sq)
 
 
 def _multiquadric(layer, X):
-    from scipy.spatial.distance import cdist
-
-    sq = cdist(X, layer.input_weights, "sqeuclidean")
+    sq = _squared_distances(X, layer.input_weights)
     return np.sqrt(sq + layer.biases**2)
 
 
@@ -118,8 +116,6 @@ class ElmModel:
 
     hidden: HiddenLayer
     output_weights: np.ndarray
-    input_dim: int
-    output_dim: int
     squeeze_output: bool = False
 
     def __post_init__(self):
@@ -128,10 +124,6 @@ class ElmModel:
             raise DimensionError(
                 "output_weights must have one row per hidden node"
             )
-        if beta.shape[1] != self.output_dim:
-            raise DimensionError("output_weights column count != output_dim")
-        if self.input_dim != self.hidden.n_inputs:
-            raise DimensionError("input_dim does not match the hidden layer")
         object.__setattr__(self, "output_weights", beta)
 
     def predict(self, X):
@@ -180,15 +172,6 @@ def hidden_output(layer, X):
             f"X has {X.shape[1]} columns, layer expects {layer.n_inputs}"
         )
     return ACTIVATIONS[layer.activation](layer, X)
-
-
-def warm_up(activation="sigmoid"):
-    """Project one row through a one-node layer of this activation.
-
-    A node kind's first projection imports what it needs (scipy); timed
-    runs call this first so that no timed fit includes that import.
-    """
-    hidden_output(make_hidden_layer(1, 1, activation, seed=0), np.zeros((1, 1)))
 
 
 def pseudoinverse(a):
@@ -284,8 +267,6 @@ def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None):
     return ElmModel(
         hidden=layer,
         output_weights=beta,
-        input_dim=X.shape[1],
-        output_dim=Y2.shape[1],
         squeeze_output=squeeze,
     )
 

@@ -74,6 +74,24 @@ class TestTrain:
         }[method]()
         assert printed == [f"test MSE: {mse(fitted.predict(test.X), test.y):.6g}"]
 
+    def test_training_time_leaves_out_the_predict(self, csv_path, capsys, monkeypatch):
+        clock = [0.0]
+
+        class Stub:
+            def predict(self, X):
+                clock[0] += 100.0
+                return np.zeros(len(X))
+
+        def fake_fit(method, X, y, config):
+            clock[0] += 0.5
+            return Stub()
+
+        monkeypatch.setattr(cli, "fit", fake_fit)
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
+        code = run_cli(["train", "--dataset", csv_path])
+        assert code == EXIT_OK
+        assert "training time: 0.5000 s" in capsys.readouterr().out
+
     def test_one_row_dataset_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
         path.write_text("x1,x2,target\n1.0,2.0,3.0\n")

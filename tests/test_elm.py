@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,13 @@ class TestHiddenOutput:
         out = hidden_output(layer, np.array([[2.0]]))
         assert out[0, 0] == pytest.approx(0.5, abs=0)
 
+    def test_sigmoid_limits_are_exact_and_silent(self):
+        layer = HiddenLayer(np.array([[1.0]]), np.array([0.0]), "sigmoid")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = hidden_output(layer, np.array([[-800.0], [800.0]]))
+        assert out.ravel().tolist() == [0.0, 1.0]
+
     def test_hardlim_sign_cases(self):
         layer = HiddenLayer(np.array([[1.0]]), np.array([-0.3]), "hardlim")
         out = hidden_output(layer, np.array([[0.0], [0.3], [1.0]]))
@@ -85,6 +93,22 @@ class TestHiddenOutput:
         out = hidden_output(layer, np.array([[4.0, 4.0]]))
         # sqrt(|x - w|^2 + b^2) = sqrt(9 + 16 + 4)
         assert out[0, 0] == pytest.approx(np.sqrt(29.0), rel=1e-14)
+
+    @pytest.mark.parametrize("activation", ["gaussian", "multiquadric"])
+    def test_distance_nodes_match_a_double_loop(self, activation):
+        # column t belongs to centre t, for every row
+        rng = np.random.default_rng(3)
+        layer = make_hidden_layer(4, 6, activation, seed=2)
+        X = rng.normal(size=(5, 4))
+        expected = np.empty((5, 6))
+        for i, x in enumerate(X):
+            for t, (w, b) in enumerate(zip(layer.input_weights, layer.biases)):
+                sq = sum((xk - wk) ** 2 for xk, wk in zip(x, w))
+                if activation == "gaussian":
+                    expected[i, t] = np.exp(-(b**2) * sq)
+                else:
+                    expected[i, t] = np.sqrt(sq + b**2)
+        assert np.allclose(hidden_output(layer, X), expected, rtol=1e-14, atol=0)
 
     def test_dimension_mismatch(self):
         layer = make_hidden_layer(3, 4, "sigmoid", seed=0)
@@ -210,7 +234,7 @@ class TestTrainElm:
     def test_benchmark_shape_trains_fast(self):
         rng = np.random.default_rng(8)
         X, y = rng.normal(size=(400, 13)), rng.normal(size=400)
-        # untimed: a fresh process pays for its first LAPACK call and scipy's import here
+        # untimed: a fresh process pays for its first LAPACK call here
         train_elm(X, y, 50, "sigmoid", seed=0)
         t0 = time.perf_counter()
         train_elm(X, y, 50, "sigmoid", seed=0)
@@ -383,19 +407,14 @@ class TestPredict:
             predict(model, np.zeros((2, 5)))
 
 
-def test_scipy_loads_on_first_projection_only():
-    # report, --help and argument errors must not pay for scipy's import;
-    # warm_up pays it before a timed fit, and a sigmoid fit never loads scipy.linalg
+def test_no_scipy_import():
+    # numpy is the only dependency: importing, the CLI and a fit of every node kind load no scipy
     code = (
         "import sys, numpy as np, rmse_elm, rmse_elm.cli\n"
-        "loaded = lambda: [m for m in ('scipy.special', 'scipy.spatial') if m in sys.modules]\n"
-        "print(loaded())\n"
-        "rmse_elm.elm.warm_up('sigmoid')\n"
         "X = np.random.default_rng(0).normal(size=(40, 3))\n"
-        "rmse_elm.elm.train_elm(X, X[:, 0], 8, 'sigmoid', seed=0)\n"
-        "print('scipy.linalg' in sys.modules)\n"
-        "rmse_elm.elm.warm_up('gaussian')\n"
-        "print(loaded())\n"
+        "for activation in ('sigmoid', 'hardlim', 'gaussian', 'multiquadric'):\n"
+        "    rmse_elm.elm.train_elm(X, X[:, 0], 8, activation, seed=0)\n"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
     )
     src = str(Path(rmse_elm.__file__).resolve().parent.parent)
     proc = subprocess.run(
@@ -403,4 +422,4 @@ def test_scipy_loads_on_first_projection_only():
         # no bytecode: a __pycache__ left in the checkout would speed up later imports
         env={"PATH": "", "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
     )
-    assert proc.stdout.split("\n")[:3] == ["[]", "False", "['scipy.special', 'scipy.spatial']"]
+    assert proc.stdout.strip() == "[]"
