@@ -127,13 +127,13 @@ class ExperimentConfig:
 
     datasets: dict  # id -> (Dataset, SplitSpec)
     noise_specs: dict  # id -> NoiseSpec
-    methods: tuple = METHODS
+    methods: tuple = ("ELM", "RMSE-ELM")
     runs: int = 5
     master_seed: int = 0
     # the settings of every method; ensemble.seed is replaced by each run's derived seed
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
     jobs: int = 1
-    out_dir: str | None = None
+    out_dir: str = "reports"
     dataset_errors: dict = field(default_factory=dict)  # id -> load failure message
 
     def __post_init__(self):
@@ -370,58 +370,95 @@ def write_report(report, out_dir):
 
 # ---------------------------------------------------------------- config files
 
-def _parse_float_list(text):
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+def parse_list(text, item=float):
+    """Parse each entry of a comma- or space-separated list, e.g. '2, 1 0.5'."""
+    return tuple(item(tok) for tok in text.replace(",", " ").split())
 
 
-def _parse_categorical(text):
-    # "Sex: M=1, F=-1, I=0" (multiple columns separated by ';')
-    out = {}
-    for block in text.split(";"):
-        block = block.strip()
-        if not block:
-            continue
-        col, _, pairs = block.partition(":")
-        mapping = {}
-        for pair in pairs.replace(",", " ").split():
-            key, _, value = pair.partition("=")
-            mapping[key.strip()] = float(value)
-        out[col.strip()] = mapping
-    return out
+def parse_column(text):
+    """A CSV column as given by a user: a 0-based index, or else a header name."""
+    return int(text) if text.lstrip("-").isdigit() else text
 
 
-# every key load_experiment_config reads, per section; "noise:" and
-# "dataset:" stand for every [noise:<id>] and [dataset:<id>]
+def _threshold(text):
+    return float(text) if text.strip() else None  # empty keeps the reciprocal-size rule
+
+
+# section -> {INI key: (keyword, parser)}; "noise:" and "dataset:" stand for
+# every [noise:<id>] and [dataset:<id>]. A key the file leaves out is left out
+# of the call its section builds, so every default is the one declared there.
 _CONFIG_KEYS = {
-    "experiment": {"methods", "runs", "seed", "jobs", "out_dir", "data_dir"},
-    "ensemble": {"groups", "group_size", "hidden", "activation", "lambda1", "lambda2",
-                 "validation_fraction"},
-    "ga": {"population", "generations", "crossover", "mutation", "mutation_scale", "elitism"},
-    "noise:": {"variances", "seed"},
-    "dataset:": {"task", "seed", "n_train", "shuffle_seed", "path", "target", "has_header",
-                 "categorical"},
+    "experiment": {  # -> ExperimentConfig; data_dir -> benchmark_task
+        "methods": ("methods", lambda text: parse_list(text, str)),
+        "runs": ("runs", int),
+        "seed": ("master_seed", int),
+        "jobs": ("jobs", int),
+        "out_dir": ("out_dir", str),
+        "data_dir": ("data_dir", str),
+    },
+    "ensemble": {  # -> EnsembleConfig
+        "groups": ("groups", int),
+        "group_size": ("group_size", int),
+        "hidden": ("n_hidden", int),
+        "activation": ("activation", str),
+        "lambda1": ("threshold1", _threshold),
+        "lambda2": ("threshold2", _threshold),
+        "validation_fraction": ("validation_fraction", float),
+    },
+    "ga": {  # -> GaConfig
+        "population": ("population_size", int),
+        "generations": ("generations", int),
+        "crossover": ("crossover_prob", float),
+        "mutation": ("mutation_prob", float),
+        "mutation_scale": ("mutation_scale", float),
+        "elitism": ("elitism_count", int),
+    },
+    "noise:": {"variances": ("variances", parse_list), "seed": ("seed", int)},  # -> NoiseSpec
+    "dataset:": {  # task and seed -> benchmark_task, or path and target -> load_csv
+        "task": ("task", str),
+        "seed": ("seed", int),
+        "path": ("path", str),
+        "target": ("target", parse_column),
+        "n_train": ("n_train", int),
+    },
 }
+
+
+def _read_section(path, section, values):
+    """Parse one section's keys into {keyword: value}, naming the key that fails."""
+    kind = section.split(":")[0] + ":" if ":" in section else section
+    if kind not in _CONFIG_KEYS:
+        raise ValueError(f"{path}: unknown section [{section}]")
+    table = _CONFIG_KEYS[kind]
+    unknown = [key for key in values if key not in table]
+    if unknown:
+        raise ValueError(f"{path}: [{section}] has unknown keys: {', '.join(unknown)}")
+    out = {}
+    for key, text in values.items():
+        keyword, parse = table[key]
+        try:
+            out[keyword] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: [{section}] {key} = {text!r}: {exc}") from None
+    return out
 
 
 def load_experiment_config(path, overrides=None):
     """Build an ExperimentConfig from a plain-text INI file.
 
-    Sections and the keys each may hold (see `_CONFIG_KEYS`):
-    - [experiment]: methods, runs, seed, jobs, out_dir, data_dir;
-    - [ensemble]: groups, group_size, hidden, activation, lambda1,
-      lambda2, validation_fraction;
-    - [ga]: population, generations, crossover, mutation,
-      mutation_scale, elitism;
-    - one [noise:<id>] per noise spec: variances, seed;
-    - one [dataset:<id>] per dataset: either a built-in `task` (housing,
-      abalone, redwine, waveform; real files in data_dir take
-      precedence) with its generator `seed`, or a `path` with `target`
-      column, `has_header` and an optional `categorical` encoding; plus
-      `n_train` and `shuffle_seed` for the split.
+    `_CONFIG_KEYS` lists each section's keys with the field or argument
+    each one sets: [experiment], [ensemble] and [ga], one [noise:<id>]
+    per noise spec and one [dataset:<id>] per dataset. A dataset is
+    either a built-in `task` (housing, abalone, redwine, waveform; real
+    files in data_dir take precedence) with its generator `seed`, or a
+    CSV `path` with its `target` column; `n_train` sets the split and
+    is required for a `path`. A key left out keeps the default of the
+    dataclass or function it feeds.
 
     An unknown section or key fails the load, so a misspelt or retired
-    setting cannot quietly fall back to its default. The [ensemble] and
-    [ga] keys map onto the one EnsembleConfig every method reads, which
+    setting cannot quietly fall back to its default, and so does a value
+    that does not parse, naming its file, section and key. The [ensemble]
+    and [ga] keys build the one EnsembleConfig every method reads, which
     validates them here, and an `n_train` outside [1, rows - 1] fails
     too: a bad setting fails the load, not every cell. `overrides` may
     replace runs, seed, jobs, out_dir.
@@ -431,104 +468,61 @@ def load_experiment_config(path, overrides=None):
         raise ValueError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.read(path)
+    sections = {}
     for section in cp.sections():
-        kind = section.split(":")[0] + ":" if ":" in section else section
-        if kind not in _CONFIG_KEYS:
-            raise ValueError(f"{path}: unknown section [{section}]")
-        unknown = [key for key in cp[section] if key not in _CONFIG_KEYS[kind]]
-        if unknown:
-            raise ValueError(f"{path}: [{section}] has unknown keys: {', '.join(unknown)}")
-    if "experiment" not in cp:
+        values = dict(cp[section])
+        if section == "experiment":
+            values.update((key, str(value)) for key, value in (overrides or {}).items())
+        sections[section] = _read_section(path, section, values)
+    if "experiment" not in sections:
         raise ValueError(f"{path}: missing [experiment] section")
-    exp = cp["experiment"]
-
-    ens = cp["ensemble"] if "ensemble" in cp else {}
-    ga = cp["ga"] if "ga" in cp else {}
-    thr1 = ens.get("lambda1", "").strip()
-    thr2 = ens.get("lambda2", "").strip()
-    ensemble = EnsembleConfig(
-        groups=int(ens.get("groups", 4)),
-        group_size=int(ens.get("group_size", 20)),
-        n_hidden=int(ens.get("hidden", 50)),
-        activation=ens.get("activation", "sigmoid"),
-        threshold1=float(thr1) if thr1 else None,
-        threshold2=float(thr2) if thr2 else None,
-        ga=GaConfig(
-            population_size=int(ga.get("population", 50)),
-            generations=int(ga.get("generations", 100)),
-            crossover_prob=float(ga.get("crossover", 0.8)),
-            mutation_prob=float(ga.get("mutation", 0.1)),
-            mutation_scale=float(ga.get("mutation_scale", 0.1)),
-            elitism_count=int(ga.get("elitism", 2)),
-        ),
-        validation_fraction=float(ens.get("validation_fraction", 0.0)),
-    )
+    exp = sections["experiment"]
+    data_dir = {"data_dir": exp.pop("data_dir")} if "data_dir" in exp else {}
+    ga = GaConfig(**sections.get("ga", {}))
+    ensemble = EnsembleConfig(**sections.get("ensemble", {}), ga=ga)
 
     noise_specs = {}
     datasets = {}
     dataset_errors = {}
-    data_dir = exp.get("data_dir", "data")
-    for section in cp.sections():
-        if section.startswith("noise:"):
-            sec = cp[section]
-            noise_specs[section.split(":", 1)[1]] = NoiseSpec(
-                variances=_parse_float_list(sec["variances"]),
-                seed=int(sec.get("seed", 0)),
-            )
-        elif section.startswith("dataset:"):
-            sec = cp[section]
-            ds_id = section.split(":", 1)[1]
-            shuffle = sec.get("shuffle_seed", "none").strip().lower()
-            shuffle_seed = None if shuffle == "none" else int(shuffle)
+    for section, values in sections.items():
+        kind, _, ident = section.partition(":")
+        if kind == "noise":
+            if "variances" not in values:
+                raise ValueError(f"{path}: [{section}] needs variances")
+            noise_specs[ident] = NoiseSpec(**values)
+        elif kind == "dataset":
+            if "task" not in values and "path" not in values:
+                raise ValueError(f"{path}: [{section}] needs task or path")
+            if "task" not in values and "n_train" not in values:
+                raise ValueError(f"{path}: [{section}] needs n_train")
             try:
-                if "task" in sec:
-                    task = benchmark_task(
-                        sec["task"], data_dir=data_dir, seed=int(sec.get("seed", 0))
-                    )
+                if "task" in values:
+                    seed = {"seed": values["seed"]} if "seed" in values else {}
+                    task = benchmark_task(values["task"], **data_dir, **seed)
                     ds = task.dataset
-                    n_train = int(sec.get("n_train", task.split.n_train))
+                    n_train = values.get("n_train", task.split.n_train)
                 else:
-                    target = sec.get("target", "target")
-                    if target.lstrip("-").isdigit():
-                        target = int(target)
-                    categorical = (
-                        _parse_categorical(sec["categorical"]) if "categorical" in sec else None
-                    )
-                    ds = load_csv(
-                        sec["path"],
-                        target,
-                        has_header=sec.getboolean("has_header", True),
-                        categorical=categorical,
-                        name=ds_id,
-                    )
-                    if "n_train" not in sec:
-                        raise ValueError(f"{path}: [dataset:{ds_id}] needs n_train")
-                    n_train = int(sec["n_train"])
+                    ds = load_csv(values["path"], values.get("target", "target"), name=ident)
+                    n_train = values["n_train"]
             except DataError as exc:
                 # a broken dataset loses its cells, not the whole matrix
-                dataset_errors[ds_id] = str(exc)
+                dataset_errors[ident] = str(exc)
                 continue
             if not 1 <= n_train < ds.n_samples:
                 raise ValueError(
-                    f"{path}: [dataset:{ds_id}] n_train must be in "
+                    f"{path}: [{section}] n_train must be in "
                     f"[1, {ds.n_samples - 1}], got {n_train}"
                 )
-            datasets[ds_id] = (ds, SplitSpec(n_train=n_train, shuffle_seed=shuffle_seed))
+            datasets[ident] = (ds, SplitSpec(n_train=n_train))
 
     if not datasets and not dataset_errors:
         raise ValueError(f"{path}: no [dataset:<id>] sections")
     if not noise_specs:
         raise ValueError(f"{path}: no [noise:<id>] sections")
-
-    overrides = overrides or {}
     return ExperimentConfig(
         datasets=datasets,
         noise_specs=noise_specs,
-        methods=tuple(exp.get("methods", "elm,rmse").replace(",", " ").split()),
-        runs=int(overrides.get("runs", exp.get("runs", 5))),
-        master_seed=int(overrides.get("seed", exp.get("seed", 0))),
         ensemble=ensemble,
-        jobs=int(overrides.get("jobs", exp.get("jobs", 1))),
-        out_dir=str(overrides.get("out_dir", exp.get("out_dir", "reports"))),
         dataset_errors=dataset_errors,
+        **exp,
     )

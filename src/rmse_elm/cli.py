@@ -17,6 +17,8 @@ from .bench import (
     fit,
     load_experiment_config,
     mse,
+    parse_column,
+    parse_list,
     read_records,
     run_experiment,
     summarize_records,
@@ -27,13 +29,10 @@ from .data import (
     DataError,
     NoiseSpec,
     SplitSpec,
-    apply_normalization,
     blend_noise,
-    fit_normalization,
     load_csv,
     make_blended_split,
     save_csv,
-    split,
 )
 from .recursive import EnsembleConfig
 from .selective import DegenerateEnsembleError
@@ -62,11 +61,11 @@ def _build_parser():
     train.add_argument("--no-header", action="store_true", help="CSV has no header row")
     train.add_argument("--method", default="elm",
                        help=f"{' | '.join(METHODS)} (any case)")
-    train.add_argument("--groups", type=int, default=4)
-    train.add_argument("--group-size", type=int, default=20)
-    train.add_argument("--hidden", type=int, default=50)
-    train.add_argument("--activation", default="sigmoid")
-    train.add_argument("--lambda", dest="threshold", type=float, default=None,
+    train.add_argument("--groups", type=int, default=EnsembleConfig.groups)
+    train.add_argument("--group-size", type=int, default=EnsembleConfig.group_size)
+    train.add_argument("--hidden", type=int, default=EnsembleConfig.n_hidden)
+    train.add_argument("--activation", default=EnsembleConfig.activation)
+    train.add_argument("--lambda", dest="threshold", type=float, default=EnsembleConfig.threshold1,
                        help="per-group selection threshold (default: 1/group-size; "
                             "the pool threshold stays 1/pool size)")
     train.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -100,24 +99,14 @@ def _build_parser():
     return parser
 
 
-def _parse_variances(chunks):
-    out = []
-    for chunk in chunks:
-        out.extend(float(tok) for tok in chunk.replace(",", " ").split())
-    return tuple(out)
-
-
 def _load_csv_dataset(args):
-    target = args.target_col
-    if target.lstrip("-").isdigit():
-        target = int(target)
-    return load_csv(args.dataset, target, has_header=not args.no_header)
+    return load_csv(args.dataset, parse_column(args.target_col), has_header=not args.no_header)
 
 
 def _load_train_dataset(args):
     spec = args.dataset
     if spec.startswith("task:"):
-        task = benchmark_task(spec.split(":", 1)[1], seed=args.seed)
+        task = benchmark_task(spec.split(":", 1)[1])  # the table bench's `task = <name>` reads
         return task.dataset, task.split.n_train
     return _load_csv_dataset(args), None
 
@@ -128,15 +117,10 @@ def _cmd_train(args):
     n_train = args.n_train if args.n_train is not None else default_n_train
     if n_train is None:
         n_train = max(1, int(round(0.75 * ds.n_samples)))
-    split_spec = SplitSpec(n_train=n_train)
+    noise = None
     if args.noise:
-        noise = NoiseSpec(variances=_parse_variances(args.noise), seed=args.noise_seed)
-        train_ds, test_ds, _ = make_blended_split(ds, noise, split_spec)
-    else:
-        train_ds, test_ds = split(ds, split_spec)
-        params = fit_normalization(train_ds)
-        train_ds = apply_normalization(train_ds, params)
-        test_ds = apply_normalization(test_ds, params)
+        noise = NoiseSpec(variances=parse_list(",".join(args.noise)), seed=args.noise_seed)
+    train_ds, test_ds, _ = make_blended_split(ds, noise, SplitSpec(n_train=n_train))
 
     method = canonical_method(args.method)
     config = EnsembleConfig(
@@ -189,7 +173,7 @@ def _cmd_bench(args):
 def _cmd_blend(args):
     print(f"master seed: {args.seed}")
     ds = _load_csv_dataset(args)
-    noise = NoiseSpec(variances=_parse_variances(args.noise), seed=args.seed)
+    noise = NoiseSpec(variances=parse_list(",".join(args.noise)), seed=args.seed)
     blended = blend_noise(ds, noise)
     manifest = {
         "source": args.dataset,

@@ -237,11 +237,12 @@ def make_blended_split(ds, noise_spec, split_spec):
     Blend the full dataset (one noise draw across all rows), split, then
     z-score the original feature columns with training-row statistics.
     The appended noise columns stay raw, keeping the deliberate variance
-    spread that makes them distinguishable from the real features.
+    spread that makes them distinguishable from the real features. A
+    `noise_spec` of None blends no columns: split, then z-score them all.
 
     Returns (train, test, params); params is the identity on the noise columns.
     """
-    blended = blend_noise(ds, noise_spec)
+    blended = ds if noise_spec is None else blend_noise(ds, noise_spec)
     train, test = split(blended, split_spec)
     params = fit_normalization(train)
     d = ds.n_features

@@ -1,6 +1,7 @@
 import time
 
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +336,90 @@ n_train = 10
         assert ("ELM", "syn", "g2") in report.cells
         out = write_report(report, tmp_path / "rep_broken")
         assert "FAILED" in (out / "summary.txt").read_text()
+
+
+# a [noise] and a [dataset] section, with which any [experiment] loads
+CORE_SECTIONS = """
+[noise:g1]
+variances = 0.5
+
+[dataset:wav]
+task = waveform
+n_train = 100
+"""
+
+
+def load_sections(tmp_path, sections):
+    p = tmp_path / "bench.ini"
+    p.write_text("".join(f"[{name}]\n{body}\n" for name, body in sections.items()) + CORE_SECTIONS)
+    return load_experiment_config(p)
+
+
+def config_settings(cfg):
+    """Every setting an [experiment], [ensemble] or [ga] key can reach, by field path."""
+    flat = {name: getattr(cfg, name) for name in ("methods", "runs", "master_seed", "jobs",
+                                                  "out_dir")}
+    flat.update((f"ensemble.{f.name}", getattr(cfg.ensemble, f.name))
+                for f in fields(EnsembleConfig) if f.name != "ga")
+    flat.update((f"ensemble.ga.{f.name}", getattr(cfg.ensemble.ga, f.name))
+                for f in fields(GaConfig))
+    return flat
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("section, line, name, value", [
+        ("experiment", "methods = gasen, e-gasen", "methods", ("GASEN-ELM", "E-GASEN")),
+        ("experiment", "runs = 3", "runs", 3),
+        ("experiment", "seed = 9", "master_seed", 9),
+        ("experiment", "jobs = 2", "jobs", 2),
+        ("experiment", "out_dir = elsewhere", "out_dir", "elsewhere"),
+        ("ensemble", "groups = 3", "ensemble.groups", 3),
+        ("ensemble", "group_size = 7", "ensemble.group_size", 7),
+        ("ensemble", "hidden = 9", "ensemble.n_hidden", 9),
+        ("ensemble", "activation = gaussian", "ensemble.activation", "gaussian"),
+        ("ensemble", "lambda1 = 0.3", "ensemble.threshold1", 0.3),
+        ("ensemble", "lambda2 = 0.4", "ensemble.threshold2", 0.4),
+        ("ensemble", "validation_fraction = 0.25", "ensemble.validation_fraction", 0.25),
+        ("ga", "population = 12", "ensemble.ga.population_size", 12),
+        ("ga", "generations = 7", "ensemble.ga.generations", 7),
+        ("ga", "crossover = 0.5", "ensemble.ga.crossover_prob", 0.5),
+        ("ga", "mutation = 0.2", "ensemble.ga.mutation_prob", 0.2),
+        ("ga", "mutation_scale = 0.3", "ensemble.ga.mutation_scale", 0.3),
+        ("ga", "elitism = 3", "ensemble.ga.elitism_count", 3),
+    ])
+    def test_each_key_sets_its_field_and_no_other(self, tmp_path, section, line, name, value):
+        base = config_settings(load_sections(tmp_path, {"experiment": ""}))
+        assert base[name] != value  # the test value is not the default
+        sections = {"experiment": ""}
+        sections[section] = line
+        assert config_settings(load_sections(tmp_path, sections)) == {**base, name: value}
+
+    def test_left_out_keys_keep_the_dataclass_defaults(self, tmp_path):
+        cfg = load_sections(tmp_path, {"experiment": "methods = simple"})
+        assert cfg.methods == ("SimpleEnsemble",)
+        assert cfg.ensemble == EnsembleConfig()
+        assert cfg.ensemble.ga == GaConfig()
+        assert (cfg.runs, cfg.master_seed, cfg.jobs, cfg.out_dir) == (5, 0, 1, "reports")
+        assert load_sections(tmp_path, {"experiment": ""}).methods == ("ELM", "RMSE-ELM")
+
+    @pytest.mark.parametrize("experiment, dataset, passed", [
+        ("", "", {}),
+        ("data_dir = elsewhere", "seed = 3", {"data_dir": "elsewhere", "seed": 3}),
+    ], ids=["left-out", "set"])
+    def test_task_keys_reach_benchmark_task(self, tmp_path, monkeypatch, experiment, dataset,
+                                            passed):
+        calls = []
+        real_task = bench.benchmark_task
+
+        def recording_task(key, **kwargs):
+            calls.append((key, kwargs))
+            return real_task(key)
+
+        monkeypatch.setattr(bench, "benchmark_task", recording_task)
+        p = tmp_path / "bench.ini"
+        p.write_text(f"[experiment]\n{experiment}\n" + CORE_SECTIONS + dataset + "\n")
+        load_experiment_config(p)
+        assert calls == [("waveform", passed)]
 
 
 class TestCanonicalMethod:

@@ -7,7 +7,16 @@ import pytest
 import rmse_elm.cli as cli
 from rmse_elm.bench import mse
 from rmse_elm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from rmse_elm.data import NoiseSpec, SplitSpec, load_csv, make_blended_split, save_csv
+from rmse_elm.data import (
+    NoiseSpec,
+    SplitSpec,
+    apply_normalization,
+    fit_normalization,
+    load_csv,
+    make_blended_split,
+    save_csv,
+    split,
+)
 from rmse_elm.elm import train_elm
 from rmse_elm.recursive import (
     EnsembleConfig,
@@ -16,7 +25,7 @@ from rmse_elm.recursive import (
     train_rmse_elm,
     train_simple_ensemble,
 )
-from rmse_elm.synth import make_synthetic_regression
+from rmse_elm.synth import benchmark_task, make_synthetic_regression
 
 
 @pytest.fixture()
@@ -50,17 +59,22 @@ class TestTrain:
         survivors = int([l for l in out.splitlines() if "layer-2 survivors" in l][0].split(":")[1])
         assert 1 <= survivors <= pool <= 8
 
-    @pytest.mark.parametrize("method", ["elm", "simple", "gasen-elm", "e-gasen", "rmse-elm"])
-    def test_matches_a_direct_trainer_call(self, method, csv_path, capsys):
+    @pytest.mark.parametrize("method, noise", [
+        *[pytest.param(m, "1,0.5", id=m)
+          for m in ("elm", "simple", "gasen-elm", "e-gasen", "rmse-elm")],
+        pytest.param("elm", None, id="elm-no-noise"),
+        pytest.param("rmse-elm", None, id="rmse-elm-no-noise"),
+    ])
+    def test_matches_a_direct_trainer_call(self, method, noise, csv_path, capsys):
         code = run_cli([
             "train", "--dataset", csv_path, "--method", method, "--groups", "2",
-            "--group-size", "3", "--hidden", "6", "--lambda", "0.2", "--noise", "1,0.5",
-            "--seed", "4",
-        ])
+            "--group-size", "3", "--hidden", "6", "--lambda", "0.2", "--seed", "4",
+        ] + (["--noise", noise] if noise else []))
         printed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("test MSE:")]
         assert code == EXIT_OK
         train, test, _ = make_blended_split(
-            load_csv(csv_path, "target"), NoiseSpec((1.0, 0.5), seed=0), SplitSpec(n_train=60)
+            load_csv(csv_path, "target"), NoiseSpec((1.0, 0.5), seed=0) if noise else None,
+            SplitSpec(n_train=60),
         )
         X, y = train.X, train.y
         cfg = EnsembleConfig(groups=2, group_size=3, n_hidden=6, threshold1=0.2, seed=4)
@@ -110,6 +124,18 @@ class TestTrain:
                         "--n-train", "200", "--seed", "2"])
         assert code == EXIT_OK
         assert "test MSE" in capsys.readouterr().out
+
+    def test_task_dataset_is_the_table_bench_reads(self, capsys):
+        # --seed seeds the models only: the table is benchmark_task's, as for a bench config
+        code = run_cli(["train", "--dataset", "task:housing", "--n-train", "400",
+                        "--seed", "11"])
+        printed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("test MSE:")]
+        assert code == EXIT_OK
+        train, test = split(benchmark_task("housing").dataset, SplitSpec(n_train=400))
+        params = fit_normalization(train)
+        train, test = apply_normalization(train, params), apply_normalization(test, params)
+        model = train_elm(train.X, train.y, 50, "sigmoid", seed=11)
+        assert printed == [f"test MSE: {mse(model.predict(test.X), test.y):.6g}"]
 
     def test_missing_file_names_path(self, capsys):
         code = run_cli(["train", "--dataset", "/no/such/file.csv"])
@@ -209,6 +235,13 @@ n_train = 60
         ("seed = 3", "{cfg}: [ga] has unknown keys: seed", "ga"),
         ("hiden = 6", "{cfg}: [ensemble] has unknown keys: hiden", "ensemble"),
         ("shuffle = 3", "{cfg}: [dataset:syn] has unknown keys: shuffle", "dataset:syn"),
+        # [dataset] keys that no config set, now deleted
+        ("categorical = sex: M=1, F=-1", "{cfg}: [dataset:syn] has unknown keys: categorical",
+         "dataset:syn"),
+        ("has_header = false", "{cfg}: [dataset:syn] has unknown keys: has_header",
+         "dataset:syn"),
+        ("shuffle_seed = 3", "{cfg}: [dataset:syn] has unknown keys: shuffle_seed",
+         "dataset:syn"),
     ])
     def test_bad_ensemble_setting_fails_before_any_cell(self, csv_path, tmp_path, capsys,
                                                         monkeypatch, setting, message, section):
@@ -247,6 +280,31 @@ n_train = 60
                        f"[1, {rows - 1}], got {n}\n")
         assert ran == []
         assert not (tmp_path / "reports" / "runrecords.csv").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("runs = 2", "runs = abc",
+         "[experiment] runs = 'abc': invalid literal for int() with base 10: 'abc'"),
+        ("groups = 2", "groups = 2.5",
+         "[ensemble] groups = '2.5': invalid literal for int() with base 10: '2.5'"),
+        ("n_train = 60", "n_train = ten",
+         "[dataset:syn] n_train = 'ten': invalid literal for int() with base 10: 'ten'"),
+        ("variances = 1, 0.5\n", "", "[noise:g2] needs variances"),
+        ("path = {csv}\ntarget = target\n", "", "[dataset:syn] needs task or path"),
+    ], ids=["runs", "groups", "n_train", "no-variances", "no-task-or-path"])
+    def test_config_error_names_file_and_section(self, csv_path, tmp_path, capsys, monkeypatch,
+                                                 old, new, message):
+        cfg = self.write_config(tmp_path, csv_path)
+        text = cfg.read_text()
+        assert old.format(csv=csv_path) in text
+        cfg.write_text(text.replace(old.format(csv=csv_path), new))
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", ran.append)
+        code = run_cli(["bench", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == f"error: {cfg}: {message}\n"
+        assert ran == []
+        assert not (tmp_path / "reports").exists()
 
     def test_bench_missing_config(self, capsys):
         code = run_cli(["bench", "--config", "/no/such.ini"])

@@ -194,6 +194,20 @@ class TestMakeBlendedSplit:
         assert abs(np.var(train.X[:, 13]) - 2.0) < 0.35
         assert np.var(train.X[:, 19]) < 0.01
 
+    def test_no_noise_spec_splits_and_z_scores_every_column(self):
+        # train without --noise: the same split and normalization, with no column blended in
+        ds = make_housing_task(seed=0)
+        spec = SplitSpec(n_train=400, shuffle_seed=2)
+        train, test, params = make_blended_split(ds, None, spec)
+        ref_train, ref_test = split(ds, spec)
+        ref_params = fit_normalization(ref_train)
+        for got, want in ((train, apply_normalization(ref_train, ref_params)),
+                          (test, apply_normalization(ref_test, ref_params))):
+            assert np.array_equal(got.X, want.X) and np.array_equal(got.y, want.y)
+            assert got.feature_names == ds.feature_names
+        for name in ("mean", "std", "constant"):
+            assert np.array_equal(getattr(params, name), getattr(ref_params, name))
+
     def test_fully_deterministic(self):
         ds = make_wine_task(seed=0)
         noise = NoiseSpec((1.0, 0.1), seed=4)
