@@ -213,9 +213,14 @@ def _readout(h, Y2):
     """
     if h.shape[0] >= h.shape[1]:
         g = h.T @ h
-        lam = np.linalg.eigvalsh(g)
-        if lam[0] > _GRAM_RCOND * lam[-1]:
-            return np.linalg.solve(g, h.T @ Y2)
+        # a finite g implies a finite h (its diagonal sums the squares of h's
+        # columns), so only the gelsd path needs the n x L check
+        if np.all(np.isfinite(g)):
+            lam = np.linalg.eigvalsh(g)
+            if lam[0] > _GRAM_RCOND * lam[-1]:
+                return np.linalg.solve(g, h.T @ Y2)
+    if not np.all(np.isfinite(h)):
+        raise ValueError("train_elm: hidden layer output contains non-finite entries")
     return np.linalg.lstsq(h, Y2, rcond=np.finfo(float).eps * max(h.shape))[0]
 
 
@@ -260,10 +265,7 @@ def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None):
     if not np.all(np.isfinite(Y2)):
         raise ValueError("train_elm: Y contains non-finite entries")
     layer = make_hidden_layer(X.shape[1], n_hidden, activation, seed)
-    h = hidden_output(layer, X)
-    if not np.all(np.isfinite(h)):
-        raise ValueError("train_elm: hidden layer output contains non-finite entries")
-    beta = _readout(h, Y2)
+    beta = _readout(hidden_output(layer, X), Y2)
     return ElmModel(
         hidden=layer,
         output_weights=beta,

@@ -245,38 +245,11 @@ def should_omit(corr, k):
 
 def _normalize_rows(pop):
     totals = pop.sum(axis=1, keepdims=True)
+    if totals.min() > 0.0:  # the usual case: no all-zero row to replace
+        return pop / totals
     out = pop / np.where(totals > 0.0, totals, 1.0)
     out[totals[:, 0] <= 0.0] = 1.0 / pop.shape[1]
     return out
-
-
-def _draw_pairs(rng, n_pairs, crossover_prob):
-    """The random draws of `n_pairs` matings, in the one-pair-at-a-time order.
-
-    Mating k takes two parent uniforms, then a crossover coin, then a
-    blend alpha only when the coin falls below `crossover_prob`. Doubles
-    are drawn in chunks that hold exactly the least the remaining
-    matings still need, so no double is drawn ahead of that order and
-    the generator ends where the pair-by-pair draws would leave it.
-
-    Returns (parent uniforms (2 * n_pairs,), alphas (n_pairs,)). A mating
-    without crossover gets alpha 1, which blends its two children into
-    exact copies of its parents (all genes are finite and nonnegative).
-    """
-    uniforms, alphas = [], []
-    chunk, pos = [], 0
-    for k in range(n_pairs):
-        if len(chunk) - pos < 3:  # top up to the 3 sure draws of every mating left
-            chunk = chunk[pos:] + rng.random(3 * (n_pairs - k) - (len(chunk) - pos)).tolist()
-            pos = 0
-        uniforms += chunk[pos : pos + 2]
-        crossed = chunk[pos + 2] < crossover_prob
-        pos += 3
-        if crossed and pos == len(chunk):
-            chunk, pos = rng.random(1 + 3 * (n_pairs - 1 - k)).tolist(), 0
-        alphas.append(chunk[pos] if crossed else 1.0)
-        pos += crossed
-    return np.array(uniforms), np.array(alphas)
 
 
 def ga_evolve(corr, config=None, seed=0, with_history=False):
@@ -290,12 +263,15 @@ def ga_evolve(corr, config=None, seed=0, with_history=False):
     vector is injected into the initial population, which guarantees the
     result is never worse than simple averaging.
 
-    Random stream: each generation breeds all its children at once, yet
-    takes the same doubles from the generator, in the same order, as
-    breeding one pair at a time would -- per pair two parent draws by
-    `Generator.choice(pop_size, 2, p=rank_probs)`, a crossover coin and,
-    only on crossover, a blend alpha -- followed by the mutation mask and
-    the mutation noise. A seed therefore pins the weights bit for bit.
+    Random stream: after the initial population, each generation takes,
+    in this order, `rng.random((n_pairs, 4))` -- per mating two parent
+    uniforms, a crossover coin and a blend alpha, used only when the coin
+    falls below `crossover_prob` (otherwise alpha = 1 and the children copy
+    their parents) -- then `rng.random((pop_size, n)) < mutation_prob` as
+    the mutation mask with the elite rows cleared, then one
+    `rng.normal(0, mutation_scale)` per mutated gene in row-major order.
+    Parents are drawn by roulette on rank through the normalized cumulative
+    rank probabilities. A seed therefore pins the weights bit for bit.
 
     Parameters
     ----------
@@ -348,30 +324,33 @@ def ga_evolve(corr, config=None, seed=0, with_history=False):
     n_elite = config.elitism_count
     n_children = pop_size - n_elite
     n_pairs = (n_children + 1) // 2
+    rank_values = np.arange(1.0, pop_size + 1)
+    rank_total = rank_values.sum()
     for _ in range(config.generations):
         order = np.argsort(fitness)  # ascending: worst first
         ranks = np.empty(pop_size)
-        ranks[order] = np.arange(1, pop_size + 1)
-        probs = ranks / ranks.sum()
+        ranks[order] = rank_values
+        probs = ranks / rank_total
 
-        # roulette on rank exactly as Generator.choice(p=probs) draws it
-        uniforms, alphas = _draw_pairs(rng, n_pairs, config.crossover_prob)
+        # the matings' draws and the mutation mask, as one block of doubles
+        draws = rng.random(4 * n_pairs + pop_size * n)
+        mating = draws[: 4 * n_pairs].reshape(n_pairs, 4)
+        mutate = draws[4 * n_pairs :].reshape(pop_size, n) < config.mutation_prob
+        mutate[:n_elite] = False
         cdf = probs.cumsum()
         cdf /= cdf[-1]
-        parents = pop[cdf.searchsorted(uniforms, side="right")]
-        p1, p2 = parents[0::2], parents[1::2]
-        alpha = alphas[:, None]
-        children = np.empty((2 * n_pairs, n))
-        children[0::2] = alpha * p1 + (1.0 - alpha) * p2
-        children[1::2] = (1.0 - alpha) * p1 + alpha * p2
+        parents = pop[cdf.searchsorted(mating[:, :2], side="right")]
+        # blend weights (alpha, 1 - alpha) of each pair's two children; alpha 1
+        # copies the parents exactly (all genes are finite and nonnegative)
+        coef = np.empty((n_pairs, 2, 1))
+        coef[:, 0, 0] = np.where(mating[:, 2] < config.crossover_prob, mating[:, 3], 1.0)
+        coef[:, 1] = 1.0 - coef[:, 0]
+        children = coef * parents[:, :1] + coef[:, ::-1] * parents[:, 1:]
         # the elite, best first, then the children in breeding order
-        pop = np.concatenate([pop[order[::-1][:n_elite]], children[:n_children]])
+        pop = np.concatenate([pop[order[::-1][:n_elite]], children.reshape(-1, n)[:n_children]])
 
-        mutate = rng.random(pop.shape) < config.mutation_prob
-        if n_elite:
-            mutate[:n_elite] = False
-        noise = rng.normal(0.0, config.mutation_scale, size=pop.shape)
-        pop = np.where(mutate, np.maximum(pop + noise, 0.0), pop)
+        genes = pop[mutate]
+        pop[mutate] = np.maximum(genes + rng.normal(0.0, config.mutation_scale, genes.size), 0.0)
 
         fitness, norm = fitness_of(pop)
         gen_best = int(np.argmax(fitness))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import rmse_elm.cli as cli
-from rmse_elm.bench import mse
+from rmse_elm.bench import load_experiment_config, mse
 from rmse_elm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from rmse_elm.data import (
     NoiseSpec,
@@ -305,6 +305,55 @@ n_train = 60
         assert captured.err == f"error: {cfg}: {message}\n"
         assert ran == []
         assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("runs = 2\n", "runs = 2\nruns = 3\n",
+         "While reading from 'bench.ini' [line 5]: option 'runs' in section 'experiment' "
+         "already exists"),
+        ("\n[experiment]\n", "runs = 3\n[experiment]\n",
+         "File contains no section headers. file: 'bench.ini', line: 1 'runs = 3\\n'"),
+        # no interpolation: the path loads with its "%" as written
+        ("reports\n", "a%b/%(runs)s\n", None),
+    ], ids=["duplicate-key", "no-section-header", "percent-in-path"])
+    def test_malformed_ini_is_one_line_config_error(self, csv_path, tmp_path, capsys,
+                                                    monkeypatch, old, new, message):
+        cfg = self.write_config(tmp_path, csv_path)
+        text = cfg.read_text()
+        assert old in text
+        cfg.write_text(text.replace(old, new, 1))
+        if message is None:
+            assert load_experiment_config(cfg).out_dir == f"{tmp_path}/a%b/%(runs)s"
+            return
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", ran.append)
+        code = run_cli(["bench", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == f"error: {cfg}: {message}\n"
+        assert "Traceback" not in captured.err
+        assert ran == []
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("path = {csv}\ntarget = target\n", "task = housing\npath = /no/such.csv\n"
+         "target = nothing\n", "[dataset:syn] path, target cannot be set with task"),
+        ("path = {csv}\ntarget = target\n", "task = housing\ntarget = nothing\n",
+         "[dataset:syn] target cannot be set with task"),
+        ("target = target\n", "target = target\nseed = 5\n",
+         "[dataset:syn] seed cannot be set with path"),
+    ], ids=["task-path-target", "task-target", "path-seed"])
+    def test_dataset_key_of_the_other_source_fails(self, csv_path, tmp_path, capsys,
+                                                    monkeypatch, old, new, message):
+        cfg = self.write_config(tmp_path, csv_path)
+        text = cfg.read_text()
+        assert old.format(csv=csv_path) in text
+        cfg.write_text(text.replace(old.format(csv=csv_path), new))
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", ran.append)
+        code = run_cli(["bench", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == f"error: {cfg}: {message}\n"
+        assert ran == []
 
     def test_bench_missing_config(self, capsys):
         code = run_cli(["bench", "--config", "/no/such.ini"])

@@ -374,11 +374,13 @@ class TestValidation:
 
 
 # ---------------------------------------------------------------------------
-# Reference for the random-stream contract of ga_evolve: the GA as it bred
-# one pair of children at a time, with one Generator.choice call per pair.
-# The vectorised breeding in selective.py must take the same doubles from
-# the generator in the same order, so both return bit-identical weights and
-# histories and leave the generator in the same state.
+# Reference for the random-stream contract of ga_evolve: the GA breeding one
+# pair of children, and mutating one gene, at a time. Per generation it takes
+# the documented draws -- rng.random((n_pairs, 4)) for the matings (two parent
+# uniforms, a crossover coin, a blend alpha), rng.random((pop_size, n)) for
+# the mutation mask, then one rng.normal per mutated gene in row-major order --
+# so the vectorised breeding in selective.py must return bit-identical weights
+# and histories and leave the generator in the same state.
 
 def scalar_ga_evolve(corr, config=None, seed=0, with_history=False):
     if config is None:
@@ -423,15 +425,19 @@ def scalar_ga_evolve(corr, config=None, seed=0, with_history=False):
         ranks[order] = np.arange(1, pop_size + 1)
         probs = ranks / ranks.sum()
 
-        children = []
-        if n_elite:
-            elite = pop[order[::-1][:n_elite]]
-            children.extend(elite.copy())
-        while len(children) < pop_size:
-            i, j = rng.choice(pop_size, size=2, p=probs)
-            p1, p2 = pop[i], pop[j]
-            if rng.random() < config.crossover_prob:
-                alpha = rng.random()
+        n_pairs = (pop_size - n_elite + 1) // 2
+        matings = rng.random((n_pairs, 4))
+        mutate = rng.random((pop_size, n)) < config.mutation_prob
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+
+        def roulette(u):
+            return next(i for i in range(pop_size) if u < cdf[i])
+
+        children = [row.copy() for row in pop[order[::-1][:n_elite]]]
+        for u1, u2, coin, alpha in matings:
+            p1, p2 = pop[roulette(u1)], pop[roulette(u2)]
+            if coin < config.crossover_prob:
                 c1 = alpha * p1 + (1.0 - alpha) * p2
                 c2 = (1.0 - alpha) * p1 + alpha * p2
             else:
@@ -441,11 +447,10 @@ def scalar_ga_evolve(corr, config=None, seed=0, with_history=False):
                 children.append(c2)
         pop = np.asarray(children)
 
-        mutate = rng.random(pop.shape) < config.mutation_prob
-        if n_elite:
-            mutate[:n_elite] = False
-        noise = rng.normal(0.0, config.mutation_scale, size=pop.shape)
-        pop = np.where(mutate, np.maximum(pop + noise, 0.0), pop)
+        for r in range(n_elite, pop_size):
+            for g in range(n):
+                if mutate[r, g]:
+                    pop[r, g] = max(pop[r, g] + rng.normal(0.0, config.mutation_scale), 0.0)
 
         fitness, norm = fitness_of(pop)
         gen_best = int(np.argmax(fitness))
