@@ -56,9 +56,11 @@ def _build_parser():
     train = sub.add_parser("train", help="train one method on a dataset, print test MSE")
     train.add_argument("--dataset", required=True,
                        help="CSV path, or task:<housing|abalone|redwine|waveform>")
-    train.add_argument("--target-col", default="target",
-                       help="target column name or 0-based index (CSV datasets)")
-    train.add_argument("--no-header", action="store_true", help="CSV has no header row")
+    train.add_argument("--target-col", default=None,
+                       help="target column name or 0-based index (CSV datasets; "
+                            "default: target)")
+    train.add_argument("--no-header", action="store_true",
+                       help="CSV has no header row (CSV datasets)")
     train.add_argument("--method", default="elm",
                        help=f"{' | '.join(METHODS)} (any case)")
     train.add_argument("--groups", type=int, default=EnsembleConfig.groups)
@@ -100,12 +102,15 @@ def _build_parser():
 
 
 def _load_csv_dataset(args):
-    return load_csv(args.dataset, parse_column(args.target_col), has_header=not args.no_header)
+    target = "target" if args.target_col is None else args.target_col
+    return load_csv(args.dataset, parse_column(target), has_header=not args.no_header)
 
 
 def _load_train_dataset(args):
     spec = args.dataset
     if spec.startswith("task:"):
+        if args.target_col is not None or args.no_header:
+            raise ValueError(f"--target-col and --no-header apply to CSV datasets, not {spec}")
         task = benchmark_task(spec.split(":", 1)[1])  # the table bench's `task = <name>` reads
         return task.dataset, task.split.n_train
     return _load_csv_dataset(args), None

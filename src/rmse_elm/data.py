@@ -63,10 +63,9 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """First n_train rows (after an optional seeded shuffle) go to train."""
+    """The first n_train rows, in file order, go to train."""
 
     n_train: int
-    shuffle_seed: int | None = None
 
     def __post_init__(self):
         if self.n_train < 1:
@@ -183,7 +182,8 @@ def fit_normalization(ds):
 
 
 def apply_normalization(ds, params):
-    Z = (ds.X - params.mean) / params.std
+    Z = ds.X - params.mean
+    Z /= params.std
     Z[:, params.constant] = 0.0
     return Dataset(X=Z, y=ds.y, feature_names=ds.feature_names, name=ds.name)
 
@@ -204,31 +204,22 @@ def blend_noise(ds, spec):
 
 
 def split(ds, spec):
-    """Deterministic train/test split: first n_train rows, rest test.
-
-    With shuffle_seed set, rows are permuted by that seed first;
-    otherwise file order is kept.
-    """
+    """Deterministic train/test split: the first n_train rows train, the rest test."""
     n = ds.n_samples
     if n < 2:
         raise ValueError(f"{ds.name}: a train/test split needs at least 2 rows, got {n}")
     if not 1 <= spec.n_train < n:
         raise ValueError(f"n_train must be in [1, {n - 1}], got {spec.n_train}")
-    if spec.shuffle_seed is None:
-        order = np.arange(n)
-    else:
-        order = np.random.default_rng(spec.shuffle_seed).permutation(n)
-    tr, te = order[: spec.n_train], order[spec.n_train :]
 
     def take(rows, suffix):
         return Dataset(
-            X=ds.X[rows],
-            y=ds.y[rows],
+            X=ds.X[rows].copy(),
+            y=ds.y[rows].copy(),
             feature_names=ds.feature_names,
             name=f"{ds.name}/{suffix}",
         )
 
-    return take(tr, "train"), take(te, "test")
+    return take(slice(spec.n_train), "train"), take(slice(spec.n_train, n), "test")
 
 
 def make_blended_split(ds, noise_spec, split_spec):

@@ -6,8 +6,11 @@ the minimum-norm least-squares solution beta = pinv(H) Y for the hidden
 layer output matrix H. The readout solves the normal equations
 H'H beta = H'Y when H is safely full column rank, and otherwise makes one
 LAPACK gelsd solve, which gives the minimum-norm solution on
-rank-deficient layers. Training is therefore a single linear solve, not
-an iterative fit. Hidden nodes and readouts are computed with numpy alone.
+rank-deficient layers. H'H and H'Y are summed over row blocks of H, so a
+fit's working memory beyond the model is O(block * L + L^2), not the
+n x L of H; only the gelsd fallback projects H whole. Training is
+therefore a single linear solve, not an iterative fit. Hidden nodes and
+readouts are computed with numpy alone.
 """
 
 from dataclasses import dataclass
@@ -19,29 +22,29 @@ class DimensionError(ValueError):
     """Raised for empty or incompatible matrix shapes."""
 
 
-def _linear_part(layer, X):
-    z = X @ layer.input_weights.T
-    z += layer.biases  # in place: one (n_samples, n_hidden) array per projection
-    return z
-
-
 def _sigmoid(layer, X):
-    z = _linear_part(layer, X)
-    # exp(-z) = inf for z < -709 gives the exact limit 0
+    z = X @ layer.input_weights.T  # the one (n_samples, n_hidden) array, updated in place
+    # -b - z rounds to exactly -(z + b), so the sign rides on the bias pass
+    np.subtract(-layer.biases, z, out=z)
+    # exp(-(z + b)) = inf below -709 gives the exact limit 0
     with np.errstate(over="ignore"):
-        np.exp(np.negative(z, out=z), out=z)
+        np.exp(z, out=z)
     z += 1.0
     return np.reciprocal(z, out=z)
 
 
 def _hardlim(layer, X):
-    return (_linear_part(layer, X) >= 0.0).astype(float)
+    z = X @ layer.input_weights.T
+    z += layer.biases
+    return (z >= 0.0).astype(float)
 
 
 def _squared_distances(X, centres):
     # one centre at a time: no (n, L, d) temporary, and no |x|^2 - 2x.c + |c|^2
-    # cancellation, so a row on a centre gives exactly 0
-    return np.stack([((X - c) ** 2).sum(axis=1) for c in centres], axis=1)
+    # cancellation, so a row on a centre gives exactly 0. An overflow gives inf,
+    # which the readout reports as a non-finite hidden layer output.
+    with np.errstate(over="ignore"):
+        return np.stack([((X - c) ** 2).sum(axis=1) for c in centres], axis=1)
 
 
 def _gaussian(layer, X):
@@ -201,24 +204,78 @@ def pseudoinverse(a):
 # readout's relative error then stays below about cond(H)^2 * eps = 2e-8.
 _GRAM_RCOND = 1e-8
 
+# H'H and H'Y are summed over row blocks of H of at most _BLOCK entries
+# (655 rows at 50 nodes), so a fit never holds its whole n x L hidden matrix.
+_BLOCK = 2**15
 
-def _readout(h, Y2):
-    """Minimum-norm least-squares solution of h @ beta = Y2.
 
-    With at least as many rows as columns and a well-conditioned Gram
-    matrix h'h, the solution is unique and comes from the normal
-    equations, which cost a fraction of an SVD. Every other h (fewer rows
-    than columns, rank-deficient or ill-conditioned) goes to gelsd with
-    `pseudoinverse()`'s cutoff.
+def _gram_blocks(layer, X, Y2):
+    """H'H and H'Y2, summed over row blocks of H = hidden_output(layer, X).
+
+    A single block computes exactly h.T @ h and h.T @ Y2.
     """
-    if h.shape[0] >= h.shape[1]:
-        g = h.T @ h
-        # a finite g implies a finite h (its diagonal sums the squares of h's
+    rows = max(1, _BLOCK // layer.n_hidden)
+    h = hidden_output(layer, X[:rows])
+    g, r = h.T @ h, h.T @ Y2[:rows]
+    for start in range(rows, X.shape[0], rows):
+        h = hidden_output(layer, X[start:start + rows])
+        g += h.T @ h
+        r += h.T @ Y2[start:start + rows]
+    return g, r
+
+
+def _certified_well_conditioned(g):
+    """True only if lambda_min(g) > _GRAM_RCOND * lambda_max(g), shown by one Cholesky.
+
+    g is a finite symmetric L x L matrix, and ||g||_inf >= lambda_max(g).
+    A Cholesky factorisation of g - mu I that succeeds shows that g - mu I
+    plus its rounding error E is positive definite, and to first order
+    (L + 2) eps trace(g) bounds ||E||, the rounding of the shift included.
+    With mu = _GRAM_RCOND ||g||_inf plus four times that bound, lambda_min(g)
+    exceeds _GRAM_RCOND * lambda_max(g) by more than eigvalsh's own
+    rounding. False means only "not certified".
+    """
+    size = g.shape[0]
+    mu = (_GRAM_RCOND * np.abs(g).sum(axis=1).max()
+          + 4 * (size + 2) * np.finfo(float).eps * np.trace(g))
+    shifted = g.copy()
+    shifted.flat[:: size + 1] -= mu
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _well_conditioned(g):
+    """The guard lambda_min(g) > _GRAM_RCOND * lambda_max(g) of a finite Gram matrix.
+
+    The Cholesky certificate settles the common case; only a Gram matrix
+    it cannot certify pays for an eigendecomposition.
+    """
+    if _certified_well_conditioned(g):
+        return True
+    lam = np.linalg.eigvalsh(g)
+    return lam[0] > _GRAM_RCOND * lam[-1]
+
+
+def _readout(layer, X, Y2):
+    """Minimum-norm least-squares solution of H(X) @ beta = Y2.
+
+    With at least as many rows as nodes and a well-conditioned Gram matrix
+    H'H, the solution is unique and comes from the normal equations,
+    accumulated over row blocks of H; they cost a fraction of an SVD. Every
+    other H (fewer rows than columns, rank-deficient, ill-conditioned or
+    non-finite) is projected whole, once more if the blocks were tried, and
+    goes to gelsd with `pseudoinverse()`'s cutoff.
+    """
+    if X.shape[0] >= layer.n_hidden:
+        g, r = _gram_blocks(layer, X, Y2)
+        # a finite g implies a finite H (its diagonal sums the squares of H's
         # columns), so only the gelsd path needs the n x L check
-        if np.all(np.isfinite(g)):
-            lam = np.linalg.eigvalsh(g)
-            if lam[0] > _GRAM_RCOND * lam[-1]:
-                return np.linalg.solve(g, h.T @ Y2)
+        if np.all(np.isfinite(g)) and _well_conditioned(g):
+            return np.linalg.solve(g, r)
+    h = hidden_output(layer, X)
     if not np.all(np.isfinite(h)):
         raise ValueError("train_elm: hidden layer output contains non-finite entries")
     return np.linalg.lstsq(h, Y2, rcond=np.finfo(float).eps * max(h.shape))[0]
@@ -230,9 +287,15 @@ def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None):
     The readout is the minimum-norm least-squares solution of H beta = Y,
     which `pseudoinverse(H) @ Y` also gives, computed without forming
     pinv(H). When H has at least as many rows as columns and is safely
-    full column rank (cond(H) below about 1e4, judged from the
-    eigenvalues of H'H), it is the guarded normal-equations solve
-    (H'H) beta = H'Y. Otherwise it is one LAPACK gelsd solve with
+    full column rank (lambda_min(H'H) > 1e-8 lambda_max(H'H), i.e.
+    cond(H) below about 1e4), it is the guarded normal-equations solve
+    (H'H) beta = H'Y. H'H and H'Y are then summed over row blocks of at
+    most `_BLOCK` entries of H (655 rows at 50 nodes), so the working
+    memory is O(block * L + L^2); a fit whose rows fit in one block forms
+    exactly H'H and H'Y of the whole H. The guard is certified by one
+    Cholesky factorisation of H'H - mu I, and only a Gram matrix that
+    fails it is judged from its eigenvalues. Otherwise the readout is one
+    LAPACK gelsd solve on the whole H, projected once more, with
     `pseudoinverse()`'s cutoff (singular values below
     eps * max(n, m) * s_max count as zero). No iteration is involved.
     Deterministic given (X, Y, n_hidden, activation, seed).
@@ -265,7 +328,7 @@ def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None):
     if not np.all(np.isfinite(Y2)):
         raise ValueError("train_elm: Y contains non-finite entries")
     layer = make_hidden_layer(X.shape[1], n_hidden, activation, seed)
-    beta = _readout(hidden_output(layer, X), Y2)
+    beta = _readout(layer, X, Y2)
     return ElmModel(
         hidden=layer,
         output_weights=beta,

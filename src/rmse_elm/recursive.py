@@ -84,8 +84,13 @@ class ElmEnsemble:
         return len(self.members)
 
     def predict(self, X):
-        preds = [predict(m, X) for m in self.members]
-        return np.mean(preds, axis=0)
+        # the additions and the division of np.mean(axis=0) over the stacked
+        # member predictions, without holding all of them at once
+        total = predict(self.members[0], X)
+        for m in self.members[1:]:
+            total += predict(m, X)
+        total /= len(self.members)
+        return total
 
 
 @dataclass(frozen=True)

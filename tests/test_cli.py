@@ -137,6 +137,30 @@ class TestTrain:
         model = train_elm(train.X, train.y, 50, "sigmoid", seed=11)
         assert printed == [f"test MSE: {mse(model.predict(test.X), test.y):.6g}"]
 
+    @pytest.mark.parametrize("flags", [["--target-col", "MEDV"], ["--target-col", "target"],
+                                       ["--no-header"]], ids=" ".join)
+    def test_task_dataset_rejects_csv_flags(self, flags, capsys):
+        code = run_cli(["train", "--dataset", "task:housing"] + flags)
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err.splitlines() == [
+            "error: --target-col and --no-header apply to CSV datasets, not task:housing"]
+        assert "test MSE" not in captured.out
+
+    def test_csv_target_column_defaults_to_target(self, csv_path, tmp_path, capsys):
+        runs = [["--target-col", "target"], [], ["--target-col", "3"]]
+        printed = []
+        for flags in runs:
+            assert run_cli(["train", "--dataset", csv_path, "--hidden", "8"] + flags) == EXIT_OK
+            printed.append([l for l in capsys.readouterr().out.splitlines()
+                            if l.startswith("test MSE:")])
+        assert printed[0] == printed[1] == printed[2] and len(printed[0]) == 1
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text("a,b,c,y\n" + "".join(open(csv_path).readlines()[1:]))
+        code = run_cli(["train", "--dataset", str(renamed), "--hidden", "8"])
+        assert code == EXIT_DATA
+        assert "no column named 'target'" in capsys.readouterr().err
+
     def test_missing_file_names_path(self, capsys):
         code = run_cli(["train", "--dataset", "/no/such/file.csv"])
         err = capsys.readouterr().err

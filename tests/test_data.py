@@ -167,14 +167,6 @@ class TestSplit:
         assert np.array_equal(train.X, ds.X[:1065])
         assert np.array_equal(test.y, ds.y[1065:])
 
-    def test_shuffle_deterministic(self):
-        ds = make_wine_task(seed=0)
-        a_train, a_test = split(ds, SplitSpec(n_train=1000, shuffle_seed=5))
-        b_train, b_test = split(ds, SplitSpec(n_train=1000, shuffle_seed=5))
-        assert np.array_equal(a_train.X, b_train.X)
-        assert np.array_equal(a_test.y, b_test.y)
-        assert not np.array_equal(a_train.X, ds.X[:1000])
-
     def test_out_of_range(self):
         ds = make_wine_task(seed=0)
         with pytest.raises(ValueError):
@@ -197,7 +189,7 @@ class TestMakeBlendedSplit:
     def test_no_noise_spec_splits_and_z_scores_every_column(self):
         # train without --noise: the same split and normalization, with no column blended in
         ds = make_housing_task(seed=0)
-        spec = SplitSpec(n_train=400, shuffle_seed=2)
+        spec = SplitSpec(n_train=400)
         train, test, params = make_blended_split(ds, None, spec)
         ref_train, ref_test = split(ds, spec)
         ref_params = fit_normalization(ref_train)

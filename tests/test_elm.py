@@ -314,6 +314,29 @@ class TestReadoutContract:
         assert np.all(beta == 0.0)
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 64 entries of H: every fit of more than a few rows spans several."""
+    monkeypatch.setattr(rmse_elm.elm, "_BLOCK", 64)
+
+
+def rerun(test, **strategies):
+    """The body of a Hypothesis test, as a new test of its own for a subclass."""
+    fresh = given(**strategies)(test.hypothesis.inner_test)
+    return settings(max_examples=150, deadline=None)(fresh)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestReadoutContractInRowBlocks(TestReadoutContract):
+    """The same contract when H'H and H'Y are summed over many row blocks."""
+
+    test_equals_pseudoinverse_solution = rerun(
+        TestReadoutContract.test_equals_pseudoinverse_solution, data=st.data())
+    test_solves_normal_equations = rerun(
+        TestReadoutContract.test_solves_normal_equations,
+        data=st.data(), activation=st.sampled_from(sorted(rmse_elm.elm.ACTIVATIONS)))
+
+
 def passes_gram_guard(h):
     """Whether the readout takes the normal equations for this H, given n >= L."""
     lam = np.linalg.eigvalsh(h.T @ h)
@@ -382,6 +405,107 @@ class TestReadoutPaths:
         X, y = rng.normal(size=(400, 13)), rng.normal(size=400)
         train_elm(X, y, 50, "sigmoid", seed=0)
         assert gelsd_calls == []
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestReadoutPathsInRowBlocks(TestReadoutPaths):
+    """The same paths over many row blocks; a refused layer is projected once more
+    and makes one gelsd call on the whole H."""
+
+    test_normal_equations_agree_with_gelsd = rerun(
+        TestReadoutPaths.test_normal_equations_agree_with_gelsd,
+        data=st.data(), activation=st.sampled_from(sorted(rmse_elm.elm.ACTIVATIONS)))
+
+
+class TestRowBlocks:
+    def test_one_block_is_exactly_the_whole_gram_matrix(self):
+        # the bh-rmse shape: 400 rows of 50 nodes fit in one block
+        rng = np.random.default_rng(8)
+        X, y = rng.normal(size=(400, 13)), rng.normal(size=400)
+        assert 400 * 50 <= rmse_elm.elm._BLOCK
+        h = hidden_output(make_hidden_layer(13, 50, "sigmoid", seed=0), X)
+        beta = train_elm(X, y, 50, "sigmoid", seed=0).output_weights
+        assert np.array_equal(beta, np.linalg.solve(h.T @ h, h.T @ y[:, None]))
+
+    @pytest.mark.parametrize("outputs", [1, 3])
+    @pytest.mark.parametrize("n", [16, 17, 33])  # rows, rows + 1, 2 rows + 1 at 4 nodes
+    def test_block_boundaries_agree_with_one_block(self, monkeypatch, n, outputs):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 3))
+        Y = rng.normal(size=n if outputs == 1 else (n, outputs))
+        whole = train_elm(X, Y, 4, "sigmoid", seed=1).output_weights
+        monkeypatch.setattr(rmse_elm.elm, "_BLOCK", 64)
+        shapes = []
+
+        def spy(layer, rows):
+            shapes.append(rows.shape)
+            return hidden_output(layer, rows)
+
+        monkeypatch.setattr(rmse_elm.elm, "hidden_output", spy)
+        blocked = train_elm(X, Y, 4, "sigmoid", seed=1).output_weights
+        assert shapes == [(16, 3)] * (n // 16) + [(n % 16, 3)] * (n % 16 > 0)
+        h = hidden_output(make_hidden_layer(3, 4, "sigmoid", seed=1), X)
+        assert passes_gram_guard(h)
+        Y2 = Y[:, None] if Y.ndim == 1 else Y
+        # the bound of TestReadoutPaths.test_normal_equations_agree_with_gelsd
+        eps = np.finfo(float).eps
+        scale = np.linalg.norm(whole) + np.linalg.norm(Y2) / np.linalg.norm(h, 2)
+        bound = 10 * max(h.shape) * np.linalg.cond(h) ** 2 * eps * scale
+        assert blocked.shape == whole.shape
+        assert np.linalg.norm(blocked - whole) <= bound
+
+
+def gram_with_spectrum(lam, seed):
+    """A symmetric matrix with eigenvalues lam, in a random basis (seed None: diagonal)."""
+    if seed is None:
+        return np.diag(lam)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(lam.size, lam.size)))
+    g = (q * lam) @ q.T
+    return (g + g.T) / 2
+
+
+class TestGramCertificate:
+    """A Cholesky of g - mu I certifies the guard; eigvalsh decides only what it cannot."""
+
+    RATIOS = [0.5e-8, 0.999e-8, 1.001e-8, 2e-8, 1e-6, 1e-3]
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    @pytest.mark.parametrize("size", [1, 2, 10, 50])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_never_passes_what_eigvalsh_refuses(self, seed, size, scale):
+        for ratio in self.RATIOS:
+            lam = scale * np.geomspace(1.0, ratio, size) if size > 1 else np.array([scale])
+            g = gram_with_spectrum(lam, seed)
+            computed = np.linalg.eigvalsh(g)
+            eig_passes = computed[0] > rmse_elm.elm._GRAM_RCOND * computed[-1]
+            if size > 1:
+                assert eig_passes == (ratio > 1e-8)  # the chosen spectrum is what eigvalsh sees
+            if rmse_elm.elm._certified_well_conditioned(g):
+                assert eig_passes
+            assert rmse_elm.elm._well_conditioned(g) == eig_passes
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_certifies_clear_cases(self, seed):
+        # not vacuous: a diagonal Gram matrix just above the ratio, a dense one well above
+        lam = np.geomspace(1.0, 1.001e-8, 50)
+        assert rmse_elm.elm._certified_well_conditioned(np.diag(lam))
+        lam = np.geomspace(1.0, 1e-6, 50)
+        assert rmse_elm.elm._certified_well_conditioned(gram_with_spectrum(lam, seed))
+
+    @pytest.mark.parametrize("g", [np.zeros((3, 3)), np.diag([1.0, 0.0]), np.diag([1.0, -1e-3])],
+                             ids=["zero", "singular", "indefinite"])
+    def test_refuses_singular_and_indefinite(self, g):
+        assert not rmse_elm.elm._certified_well_conditioned(g)
+        assert not rmse_elm.elm._well_conditioned(g)
+
+    def test_benchmark_shape_needs_no_eigendecomposition(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append(g.shape) or eigvalsh(g))
+        rng = np.random.default_rng(8)
+        X, y = rng.normal(size=(400, 13)), rng.normal(size=400)
+        train_elm(X, y, 50, "sigmoid", seed=0)
+        assert calls == []
 
 
 class TestPredict:
