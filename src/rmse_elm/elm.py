@@ -210,53 +210,21 @@ _BLOCK = 2**15
 
 
 def _gram_blocks(layer, X, Y2):
-    """H'H and H'Y2, summed over row blocks of H = hidden_output(layer, X).
+    """H'H, H'Y2 and, if one block holds every row, H = hidden_output(layer, X).
 
-    A single block computes exactly h.T @ h and h.T @ Y2.
+    H'H and H'Y2 are summed over row blocks of H; a single block computes
+    exactly h.T @ h and h.T @ Y2 and returns its h, else H comes back None.
     """
     rows = max(1, _BLOCK // layer.n_hidden)
     h = hidden_output(layer, X[:rows])
     g, r = h.T @ h, h.T @ Y2[:rows]
+    if X.shape[0] <= rows:
+        return g, r, h
     for start in range(rows, X.shape[0], rows):
         h = hidden_output(layer, X[start:start + rows])
         g += h.T @ h
         r += h.T @ Y2[start:start + rows]
-    return g, r
-
-
-def _certified_well_conditioned(g):
-    """True only if lambda_min(g) > _GRAM_RCOND * lambda_max(g), shown by one Cholesky.
-
-    g is a finite symmetric L x L matrix, and ||g||_inf >= lambda_max(g).
-    A Cholesky factorisation of g - mu I that succeeds shows that g - mu I
-    plus its rounding error E is positive definite, and to first order
-    (L + 2) eps trace(g) bounds ||E||, the rounding of the shift included.
-    With mu = _GRAM_RCOND ||g||_inf plus four times that bound, lambda_min(g)
-    exceeds _GRAM_RCOND * lambda_max(g) by more than eigvalsh's own
-    rounding. False means only "not certified".
-    """
-    size = g.shape[0]
-    mu = (_GRAM_RCOND * np.abs(g).sum(axis=1).max()
-          + 4 * (size + 2) * np.finfo(float).eps * np.trace(g))
-    shifted = g.copy()
-    shifted.flat[:: size + 1] -= mu
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _well_conditioned(g):
-    """The guard lambda_min(g) > _GRAM_RCOND * lambda_max(g) of a finite Gram matrix.
-
-    The Cholesky certificate settles the common case; only a Gram matrix
-    it cannot certify pays for an eigendecomposition.
-    """
-    if _certified_well_conditioned(g):
-        return True
-    lam = np.linalg.eigvalsh(g)
-    return lam[0] > _GRAM_RCOND * lam[-1]
+    return g, r, None
 
 
 def _readout(layer, X, Y2):
@@ -266,16 +234,20 @@ def _readout(layer, X, Y2):
     H'H, the solution is unique and comes from the normal equations,
     accumulated over row blocks of H; they cost a fraction of an SVD. Every
     other H (fewer rows than columns, rank-deficient, ill-conditioned or
-    non-finite) is projected whole, once more if the blocks were tried, and
-    goes to gelsd with `pseudoinverse()`'s cutoff.
+    non-finite) goes whole to gelsd with `pseudoinverse()`'s cutoff; when
+    the blocks were several, X is projected once more for it.
     """
+    h = None
     if X.shape[0] >= layer.n_hidden:
-        g, r = _gram_blocks(layer, X, Y2)
+        g, r, h = _gram_blocks(layer, X, Y2)
         # a finite g implies a finite H (its diagonal sums the squares of H's
         # columns), so only the gelsd path needs the n x L check
-        if np.all(np.isfinite(g)) and _well_conditioned(g):
-            return np.linalg.solve(g, r)
-    h = hidden_output(layer, X)
+        if np.all(np.isfinite(g)):
+            lam = np.linalg.eigvalsh(g)
+            if lam[0] > _GRAM_RCOND * lam[-1]:
+                return np.linalg.solve(g, r)
+    if h is None:
+        h = hidden_output(layer, X)
     if not np.all(np.isfinite(h)):
         raise ValueError("train_elm: hidden layer output contains non-finite entries")
     return np.linalg.lstsq(h, Y2, rcond=np.finfo(float).eps * max(h.shape))[0]
@@ -292,12 +264,11 @@ def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None):
     (H'H) beta = H'Y. H'H and H'Y are then summed over row blocks of at
     most `_BLOCK` entries of H (655 rows at 50 nodes), so the working
     memory is O(block * L + L^2); a fit whose rows fit in one block forms
-    exactly H'H and H'Y of the whole H. The guard is certified by one
-    Cholesky factorisation of H'H - mu I, and only a Gram matrix that
-    fails it is judged from its eigenvalues. Otherwise the readout is one
-    LAPACK gelsd solve on the whole H, projected once more, with
-    `pseudoinverse()`'s cutoff (singular values below
-    eps * max(n, m) * s_max count as zero). No iteration is involved.
+    exactly H'H and H'Y of the whole H. Otherwise the readout is one
+    LAPACK gelsd solve on the whole H with `pseudoinverse()`'s cutoff
+    (singular values below eps * max(n, m) * s_max count as zero); a
+    refused layer of more than one block pays one more projection of X
+    for it, and holds H whole. No iteration is involved.
     Deterministic given (X, Y, n_hidden, activation, seed).
 
     Parameters

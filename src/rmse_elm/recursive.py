@@ -84,13 +84,8 @@ class ElmEnsemble:
         return len(self.members)
 
     def predict(self, X):
-        # the additions and the division of np.mean(axis=0) over the stacked
-        # member predictions, without holding all of them at once
-        total = predict(self.members[0], X)
-        for m in self.members[1:]:
-            total += predict(m, X)
-        total /= len(self.members)
-        return total
+        preds = [predict(m, X) for m in self.members]
+        return np.mean(preds, axis=0)
 
 
 @dataclass(frozen=True)

@@ -412,6 +412,23 @@ class TestReadoutPathsInRowBlocks(TestReadoutPaths):
     """The same paths over many row blocks; a refused layer is projected once more
     and makes one gelsd call on the whole H."""
 
+    def test_refused_layer_of_several_blocks_is_projected_once_more(self, gelsd_calls,
+                                                                    monkeypatch):
+        # the rank-deficient layer of test_rank_deficient_hardlim_uses_gelsd,
+        # summed over 20 blocks of 2 rows
+        x = np.random.default_rng(2).uniform(-1, 1, size=40)
+        X = np.column_stack([x, x])
+        shapes = []
+
+        def spy(layer, rows):
+            shapes.append(rows.shape)
+            return hidden_output(layer, rows)
+
+        monkeypatch.setattr(rmse_elm.elm, "hidden_output", spy)
+        train_elm(X, x, 30, "hardlim", seed=4)
+        assert gelsd_calls == [(40, 30)]
+        assert shapes == [(2, 2)] * 20 + [(40, 2)]
+
     test_normal_equations_agree_with_gelsd = rerun(
         TestReadoutPaths.test_normal_equations_agree_with_gelsd,
         data=st.data(), activation=st.sampled_from(sorted(rmse_elm.elm.ACTIVATIONS)))
@@ -426,6 +443,24 @@ class TestRowBlocks:
         h = hidden_output(make_hidden_layer(13, 50, "sigmoid", seed=0), X)
         beta = train_elm(X, y, 50, "sigmoid", seed=0).output_weights
         assert np.array_equal(beta, np.linalg.solve(h.T @ h, h.T @ y[:, None]))
+
+    def test_refused_layer_in_one_block_is_projected_once(self, monkeypatch):
+        # the rank-deficient layer of test_rank_deficient_hardlim_uses_gelsd:
+        # gelsd reuses the block's H
+        x = np.random.default_rng(2).uniform(-1, 1, size=40)
+        X = np.column_stack([x, x])
+        h = hidden_output(make_hidden_layer(2, 30, "hardlim", seed=4), X)
+        shapes = []
+
+        def spy(layer, rows):
+            shapes.append(rows.shape)
+            return hidden_output(layer, rows)
+
+        monkeypatch.setattr(rmse_elm.elm, "hidden_output", spy)
+        beta = train_elm(X, x, 30, "hardlim", seed=4).output_weights
+        assert shapes == [(40, 2)]
+        rcond = np.finfo(float).eps * 40
+        assert np.array_equal(beta, np.linalg.lstsq(h, x[:, None], rcond=rcond)[0])
 
     @pytest.mark.parametrize("outputs", [1, 3])
     @pytest.mark.parametrize("n", [16, 17, 33])  # rows, rows + 1, 2 rows + 1 at 4 nodes
@@ -453,59 +488,6 @@ class TestRowBlocks:
         bound = 10 * max(h.shape) * np.linalg.cond(h) ** 2 * eps * scale
         assert blocked.shape == whole.shape
         assert np.linalg.norm(blocked - whole) <= bound
-
-
-def gram_with_spectrum(lam, seed):
-    """A symmetric matrix with eigenvalues lam, in a random basis (seed None: diagonal)."""
-    if seed is None:
-        return np.diag(lam)
-    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(lam.size, lam.size)))
-    g = (q * lam) @ q.T
-    return (g + g.T) / 2
-
-
-class TestGramCertificate:
-    """A Cholesky of g - mu I certifies the guard; eigvalsh decides only what it cannot."""
-
-    RATIOS = [0.5e-8, 0.999e-8, 1.001e-8, 2e-8, 1e-6, 1e-3]
-
-    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
-    @pytest.mark.parametrize("size", [1, 2, 10, 50])
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
-    def test_never_passes_what_eigvalsh_refuses(self, seed, size, scale):
-        for ratio in self.RATIOS:
-            lam = scale * np.geomspace(1.0, ratio, size) if size > 1 else np.array([scale])
-            g = gram_with_spectrum(lam, seed)
-            computed = np.linalg.eigvalsh(g)
-            eig_passes = computed[0] > rmse_elm.elm._GRAM_RCOND * computed[-1]
-            if size > 1:
-                assert eig_passes == (ratio > 1e-8)  # the chosen spectrum is what eigvalsh sees
-            if rmse_elm.elm._certified_well_conditioned(g):
-                assert eig_passes
-            assert rmse_elm.elm._well_conditioned(g) == eig_passes
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_certifies_clear_cases(self, seed):
-        # not vacuous: a diagonal Gram matrix just above the ratio, a dense one well above
-        lam = np.geomspace(1.0, 1.001e-8, 50)
-        assert rmse_elm.elm._certified_well_conditioned(np.diag(lam))
-        lam = np.geomspace(1.0, 1e-6, 50)
-        assert rmse_elm.elm._certified_well_conditioned(gram_with_spectrum(lam, seed))
-
-    @pytest.mark.parametrize("g", [np.zeros((3, 3)), np.diag([1.0, 0.0]), np.diag([1.0, -1e-3])],
-                             ids=["zero", "singular", "indefinite"])
-    def test_refuses_singular_and_indefinite(self, g):
-        assert not rmse_elm.elm._certified_well_conditioned(g)
-        assert not rmse_elm.elm._well_conditioned(g)
-
-    def test_benchmark_shape_needs_no_eigendecomposition(self, monkeypatch):
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append(g.shape) or eigvalsh(g))
-        rng = np.random.default_rng(8)
-        X, y = rng.normal(size=(400, 13)), rng.normal(size=400)
-        train_elm(X, y, 50, "sigmoid", seed=0)
-        assert calls == []
 
 
 class TestPredict:
