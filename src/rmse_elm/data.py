@@ -104,6 +104,8 @@ def load_csv(path, target_column, has_header=True, categorical=None, name=None):
         if not rows:
             raise DataError(f"{path}: no data rows below the header")
     n_cols = len(rows[0])
+    if header is not None and len(header) != n_cols:
+        raise DataError(f"{path}: header has {len(header)} columns, row 1 has {n_cols}")
     names = header if header is not None else [f"col{i}" for i in range(n_cols)]
 
     def column_index(key):
@@ -203,23 +205,33 @@ def blend_noise(ds, spec):
     return Dataset(X=X, y=ds.y, feature_names=names, name=ds.name)
 
 
-def split(ds, spec):
-    """Deterministic train/test split: the first n_train rows train, the rest test."""
+def _split(ds, spec, copy):
+    """`split`'s checks, then (train, test) with copied targets and X rows that
+    are copies (`copy`) or row slices of a C-ordered ds.X, laid out as copies."""
     n = ds.n_samples
     if n < 2:
         raise ValueError(f"{ds.name}: a train/test split needs at least 2 rows, got {n}")
     if not 1 <= spec.n_train < n:
         raise ValueError(f"n_train must be in [1, {n - 1}], got {spec.n_train}")
+    X = ds.X if copy else np.ascontiguousarray(ds.X)
 
     def take(rows, suffix):
         return Dataset(
-            X=ds.X[rows].copy(),
+            X=X[rows].copy() if copy else X[rows],
             y=ds.y[rows].copy(),
             feature_names=ds.feature_names,
             name=f"{ds.name}/{suffix}",
         )
 
     return take(slice(spec.n_train), "train"), take(slice(spec.n_train, n), "test")
+
+
+def split(ds, spec):
+    """Deterministic train/test split: the first n_train rows train, the rest test.
+
+    Both parts are copies, so they never alias the caller's arrays.
+    """
+    return _split(ds, spec, copy=True)
 
 
 def make_blended_split(ds, noise_spec, split_spec):
@@ -230,11 +242,14 @@ def make_blended_split(ds, noise_spec, split_spec):
     The appended noise columns stay raw, keeping the deliberate variance
     spread that makes them distinguishable from the real features. A
     `noise_spec` of None blends no columns: split, then z-score them all.
+    The statistics are fitted and applied on row slices of the blended
+    table, so the table is never copied before its normalized parts are
+    made; every value equals `split` followed by `apply_normalization`.
 
     Returns (train, test, params); params is the identity on the noise columns.
     """
     blended = ds if noise_spec is None else blend_noise(ds, noise_spec)
-    train, test = split(blended, split_spec)
+    train, test = _split(blended, split_spec, copy=False)
     params = fit_normalization(train)
     d = ds.n_features
     params.mean[d:] = 0.0

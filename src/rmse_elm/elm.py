@@ -4,13 +4,16 @@ An ELM is a one-hidden-layer feedforward network whose hidden parameters
 are drawn at random and never tuned; only the linear readout is solved:
 the minimum-norm least-squares solution beta = pinv(H) Y for the hidden
 layer output matrix H. The readout solves the normal equations
-H'H beta = H'Y when H is safely full column rank, and otherwise makes one
-LAPACK gelsd solve, which gives the minimum-norm solution on
+H'H beta = H'Y when a Cholesky factorisation certifies that H'H is safely
+positive definite (never looser than cond(H'H) < 1e8), and otherwise
+makes one LAPACK gelsd solve, which gives the minimum-norm solution on
 rank-deficient layers. H'H and H'Y are summed over row blocks of H, so a
 fit's working memory beyond the model is O(block * L + L^2), not the
-n x L of H; only the gelsd fallback projects H whole. Training is
-therefore a single linear solve, not an iterative fit. Hidden nodes and
-readouts are computed with numpy alone.
+n x L of H; only the gelsd fallback projects H whole. `train_elm` can
+also return the model's outputs on its own training rows, from the H the
+readout already holds when it has one. Training is therefore a single
+linear solve, not an iterative fit. Hidden nodes and readouts are
+computed with numpy alone.
 """
 
 from dataclasses import dataclass
@@ -199,8 +202,10 @@ def pseudoinverse(a):
     return (vt.T * inv_s) @ u.T
 
 
-# Solving the normal equations squares cond(H), so they are used only when
-# lambda_min(H'H) > _GRAM_RCOND * lambda_max(H'H), i.e. cond(H) < 1e4: the
+# Solving the normal equations squares cond(H), so they are used only when a
+# Cholesky factorisation of H'H - _GRAM_RCOND * trace(H'H) * I succeeds, i.e.
+# lambda_min(H'H) > _GRAM_RCOND * trace(H'H) >= _GRAM_RCOND * lambda_max(H'H).
+# The guard is never looser than cond(H'H) < 1e8, cond(H) < 1e4: the
 # readout's relative error then stays below about cond(H)^2 * eps = 2e-8.
 _GRAM_RCOND = 1e-8
 
@@ -227,40 +232,53 @@ def _gram_blocks(layer, X, Y2):
     return g, r, None
 
 
-def _readout(layer, X, Y2):
-    """Minimum-norm least-squares solution of H(X) @ beta = Y2.
+def _safely_positive_definite(g):
+    """Whether lambda_min(g) > _GRAM_RCOND * trace(g), certified by one Cholesky
+    factorisation of the shifted Gram matrix; it costs a fraction of eigvalsh."""
+    shifted = g - (_GRAM_RCOND * np.trace(g)) * np.eye(g.shape[0])
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
-    With at least as many rows as nodes and a well-conditioned Gram matrix
-    H'H, the solution is unique and comes from the normal equations,
-    accumulated over row blocks of H; they cost a fraction of an SVD. Every
-    other H (fewer rows than columns, rank-deficient, ill-conditioned or
-    non-finite) goes whole to gelsd with `pseudoinverse()`'s cutoff; when
-    the blocks were several, X is projected once more for it.
+
+def _readout(layer, X, Y2):
+    """Minimum-norm least-squares solution of H(X) @ beta = Y2, and H if held.
+
+    With at least as many rows as nodes and a Gram matrix H'H that passes
+    the Cholesky guard, the solution is unique and comes from the normal
+    equations, accumulated over row blocks of H; they cost a fraction of an
+    SVD. Every other H (fewer rows than columns, rank-deficient,
+    ill-conditioned or non-finite) goes whole to gelsd with
+    `pseudoinverse()`'s cutoff; when the blocks were several, X is
+    projected once more for it. Returns (beta, H), where H is the whole
+    hidden output if the readout formed it (one block, or gelsd) and None
+    otherwise.
     """
     h = None
     if X.shape[0] >= layer.n_hidden:
         g, r, h = _gram_blocks(layer, X, Y2)
         # a finite g implies a finite H (its diagonal sums the squares of H's
         # columns), so only the gelsd path needs the n x L check
-        if np.all(np.isfinite(g)):
-            lam = np.linalg.eigvalsh(g)
-            if lam[0] > _GRAM_RCOND * lam[-1]:
-                return np.linalg.solve(g, r)
+        if np.all(np.isfinite(g)) and _safely_positive_definite(g):
+            return np.linalg.solve(g, r), h
     if h is None:
         h = hidden_output(layer, X)
     if not np.all(np.isfinite(h)):
         raise ValueError("train_elm: hidden layer output contains non-finite entries")
-    return np.linalg.lstsq(h, Y2, rcond=np.finfo(float).eps * max(h.shape))[0]
+    return np.linalg.lstsq(h, Y2, rcond=np.finfo(float).eps * max(h.shape))[0], h
 
 
-def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None):
+def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None, *, fitted=None):
     """Train an ELM: draw the hidden layer, then solve the readout.
 
     The readout is the minimum-norm least-squares solution of H beta = Y,
     which `pseudoinverse(H) @ Y` also gives, computed without forming
-    pinv(H). When H has at least as many rows as columns and is safely
-    full column rank (lambda_min(H'H) > 1e-8 lambda_max(H'H), i.e.
-    cond(H) below about 1e4), it is the guarded normal-equations solve
+    pinv(H). When H has at least as many rows as columns and a Cholesky
+    factorisation of H'H - 1e-8 trace(H'H) I succeeds, so that
+    lambda_min(H'H) > 1e-8 trace(H'H) >= 1e-8 lambda_max(H'H) (never looser
+    than cond(H) below about 1e4), it is the guarded normal-equations solve
     (H'H) beta = H'Y. H'H and H'Y are then summed over row blocks of at
     most `_BLOCK` entries of H (655 rows at 50 nodes), so the working
     memory is O(block * L + L^2); a fit whose rows fit in one block forms
@@ -279,6 +297,10 @@ def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None):
         Hidden node count.
     activation : str
     seed : int, SeedSequence, Generator or None
+    fitted : array of Y's shape, optional
+        Receives the model's outputs on X, bit for bit `predict(model, X)`:
+        computed from the H the readout already holds (one block, or a
+        gelsd layer), otherwise from one more whole projection of X.
 
     Returns
     -------
@@ -292,6 +314,8 @@ def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None):
     Y2 = Y[:, None] if squeeze else Y
     if Y2.ndim != 2 or X.shape[0] != Y2.shape[0]:
         raise DimensionError("X and Y must have the same number of rows")
+    if fitted is not None and (not isinstance(fitted, np.ndarray) or fitted.shape != Y.shape):
+        raise DimensionError(f"fitted must be an array of Y's shape {Y.shape}")
     if X.shape[0] < 1:
         raise DimensionError("training set is empty")
     if not np.all(np.isfinite(X)):
@@ -299,7 +323,11 @@ def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None):
     if not np.all(np.isfinite(Y2)):
         raise ValueError("train_elm: Y contains non-finite entries")
     layer = make_hidden_layer(X.shape[1], n_hidden, activation, seed)
-    beta = _readout(layer, X, Y2)
+    beta, h = _readout(layer, X, Y2)
+    if fitted is not None:
+        # the product predict() forms; filled block by block it would differ in the last bits
+        out = (hidden_output(layer, X) if h is None else h) @ beta
+        fitted[...] = out[:, 0] if squeeze else out
     return ElmModel(
         hidden=layer,
         output_weights=beta,

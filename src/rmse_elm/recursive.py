@@ -84,8 +84,14 @@ class ElmEnsemble:
         return len(self.members)
 
     def predict(self, X):
-        preds = [predict(m, X) for m in self.members]
-        return np.mean(preds, axis=0)
+        # a running sum in member order, divided by M: what np.mean over the
+        # stacked member predictions computes whenever it sums across members
+        # one by one (any output of more than one entry), without holding all M
+        total = predict(self.members[0], X)
+        for m in self.members[1:]:
+            total += predict(m, X)
+        total /= len(self.members)
+        return total
 
 
 @dataclass(frozen=True)
@@ -124,18 +130,25 @@ def _estimation_split(X, y, validation_fraction, master_seed):
 
 
 def _train_group(X_fit, y_fit, X_est, n_models, config, group):
+    """Train a group's members and their predictions on the estimation rows.
+
+    Estimating on the fit rows, each member's predictions come from its own
+    fit (`train_elm(..., fitted=)`); only a hold-out is projected anew.
+    """
     models = []
     preds = []
     for i in range(n_models):
+        fitted = np.empty(y_fit.shape) if X_est is X_fit else None
         m = train_elm(
             X_fit,
             y_fit,
             config.n_hidden,
             config.activation,
             seed=member_seed(config.seed, group, i),
+            fitted=fitted,
         )
         models.append(m)
-        preds.append(np.ravel(predict(m, X_est)))
+        preds.append(np.ravel(predict(m, X_est) if fitted is None else fitted))
     return models, preds
 
 

@@ -424,3 +424,78 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "test MSE" in proc.stdout
+
+
+GOOD_CSV = "a,b,target\n" + "".join(f"{i},{i % 3},{0.5 * i}\n" for i in range(12))
+GOOD_INI = """[experiment]
+methods = elm
+runs = 1
+out_dir = {dir}/reports
+
+[noise:g1]
+variances = 1
+
+[dataset:syn]
+path = {dir}/good.csv
+n_train = 9
+"""
+TRUNCATED_RECORD = "ELM,syn,g2,1,1."
+
+
+def _csv_row(name, text, expected):
+    return pytest.param({"t.csv": text}, ["train", "--dataset", "{dir}/t.csv", "--hidden", "3"],
+                        EXIT_DATA, "data error: {dir}/t.csv: " + expected, id=name)
+
+
+def _ini_row(name, old, new, expected):
+    return pytest.param({"b.ini": GOOD_INI.replace(old, new, 1)}, ["bench", "--config", "{dir}/b.ini"],
+                        EXIT_CONFIG, "error: {dir}/b.ini: " + expected, id=name)
+
+
+def _records_row(name, text, expected):
+    return pytest.param({"r.csv": text}, ["report", "--records", "{dir}/r.csv", "--out", "{dir}/rep"],
+                        EXIT_CONFIG, "error: {dir}/r.csv" + expected, id=name)
+
+
+@pytest.mark.parametrize("files, argv, code, message", [
+    pytest.param({}, ["train", "--dataset", "{dir}/absent.csv"], EXIT_DATA,
+                 "data error: dataset file not found: {dir}/absent.csv", id="csv-missing"),
+    _csv_row("csv-ragged-short-row", "a,b,target\n1,2,3\n4,5\n", "row 2 has 2 columns, expected 3"),
+    _csv_row("csv-ragged-wide-rows", "a,b,target\n1,2,3,4\n5,6,7,8\n",
+             "header has 3 columns, row 1 has 4"),
+    _csv_row("csv-unparsable", "a,b,target\n1,2,3\n4,x,6\n",
+             "row 2, column 'b': cannot parse 'x' as a number"),
+    _csv_row("csv-nan", "a,b,target\n1,2,3\n4,nan,6\n", "row 2, column 'b': non-finite value"),
+    _csv_row("csv-overflow", "a,b,target\n1,2,3\n4,5,1e999\n",
+             "row 2, column 'target': non-finite value"),
+    _ini_row("ini-unknown-key", "runs = 1\n", "runs = 1\nrun = 2\n",
+             "[experiment] has unknown keys: run"),
+    _ini_row("ini-bad-value", "runs = 1\n", "runs = one\n", "[experiment] runs = 'one'"),
+    _ini_row("ini-duplicate-key", "runs = 1\n", "runs = 1\nruns = 2\n",
+             "While reading from 'b.ini' [line 4]: option 'runs' in section 'experiment' "
+             "already exists"),
+    _records_row("records-truncated-row", RECORDS_HEADER + GOOD_RECORD + TRUNCATED_RECORD,
+                 ", line 3: expected 7 fields, got 5"),
+    _records_row("records-truncated-header", RECORDS_HEADER[:30], ": not a run-record file"),
+    pytest.param({"b.ini": GOOD_INI}, ["bench", "--config", "{dir}/b.ini", "--out", "{dir}/file/rep"],
+                 EXIT_CONFIG, "error: [Errno 20] Not a directory: '{dir}/file/rep'",
+                 id="bench-out-unwritable"),
+    pytest.param({}, ["blend", "--dataset", "{dir}/good.csv", "--noise", "1",
+                      "--out", "{dir}/file/b.csv"],
+                 EXIT_CONFIG, "error: [Errno 17] File exists: '{dir}/file'", id="blend-out-unwritable"),
+    pytest.param({"r.csv": RECORDS_HEADER + GOOD_RECORD},
+                 ["report", "--records", "{dir}/r.csv", "--out", "{dir}/file/rep"],
+                 EXIT_CONFIG, "error: [Errno 20] Not a directory: '{dir}/file/rep'",
+                 id="report-out-unwritable"),
+])
+def test_malformed_input_exits_with_one_line(tmp_path, capsys, files, argv, code, message):
+    # every row: the documented exit code, one stderr line and no traceback
+    (tmp_path / "good.csv").write_text(GOOD_CSV)
+    (tmp_path / "file").write_text("a regular file, so no directory can be made under it\n")
+    for name, text in files.items():
+        (tmp_path / name).write_text(text.format(dir=tmp_path))
+    assert run_cli([arg.format(dir=tmp_path) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(dir=tmp_path))
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,13 @@ class TestLoadCsv:
     def test_ragged_row_reported(self, tmp_path):
         p = write(tmp_path, "a,b\n1,2\n3\n")
         with pytest.raises(DataError, match="row 2"):
+            load_csv(p, "a")
+
+    @pytest.mark.parametrize("text", ["a,b\n1,2,3\n4,5,6\n", "a,b,c,d\n1,2,3\n4,5,6\n"],
+                             ids=["wider-rows", "wider-header"])
+    def test_header_width_must_match_the_rows(self, tmp_path, text):
+        p = write(tmp_path, text)
+        with pytest.raises(DataError, match=r"header has \d columns, row 1 has 3"):
             load_csv(p, "a")
 
     def test_missing_target_column(self, tmp_path):
@@ -199,6 +208,61 @@ class TestMakeBlendedSplit:
             assert got.feature_names == ds.feature_names
         for name in ("mean", "std", "constant"):
             assert np.array_equal(getattr(params, name), getattr(ref_params, name))
+
+    @pytest.mark.parametrize("make, n_train, noise", [
+        (make_housing_task, 400, None),
+        (make_housing_task, 400, (2.0, 1.0, 0.5)),
+        (make_abalone_task, 2000, (1.0, 0.1)),
+    ])
+    def test_equals_split_then_normalization(self, make, n_train, noise):
+        ds = make(seed=0)
+        spec = SplitSpec(n_train=n_train)
+        noise = None if noise is None else NoiseSpec(noise, seed=3)
+        train, test, params = make_blended_split(ds, noise, spec)
+        blended = ds if noise is None else blend_noise(ds, noise)
+        ref_train, ref_test = split(blended, spec)
+        ref_params = fit_normalization(ref_train)
+        ref_params.mean[ds.n_features:] = 0.0
+        ref_params.std[ds.n_features:] = 1.0
+        ref_params.constant[ds.n_features:] = False
+        for got, want in ((train, apply_normalization(ref_train, ref_params)),
+                          (test, apply_normalization(ref_test, ref_params))):
+            assert np.array_equal(got.X, want.X) and np.array_equal(got.y, want.y)
+            assert (got.feature_names, got.name) == (want.feature_names, want.name)
+        for name in ("mean", "std", "constant"):
+            assert np.array_equal(getattr(params, name), getattr(ref_params, name))
+
+    def test_parts_do_not_alias_the_table(self):
+        ds = make_housing_task(seed=0)
+        before = ds.X.copy(), ds.y.copy()
+        train, test, _ = make_blended_split(ds, None, SplitSpec(n_train=400))
+        for part in (train, test):
+            part.X[:] = 0.0
+            part.y[:] = 0.0
+        assert np.array_equal(ds.X, before[0]) and np.array_equal(ds.y, before[1])
+
+    def test_holds_the_table_fewer_times_than_split(self):
+        # split's copies of the blended rows are never made: on the abalone
+        # stand-in the peak falls from about 1.6 MB to 1.1 MB
+        ds = make_abalone_task(seed=0)
+        noise = NoiseSpec((2, 1, 0.5, 0.1, 0.005, 0.001, 0.0005), seed=101)
+        spec = SplitSpec(n_train=2000)
+
+        def through_split():
+            blended = blend_noise(ds, noise)
+            train, test = split(blended, spec)
+            params = fit_normalization(train)
+            return apply_normalization(train, params), apply_normalization(test, params)
+
+        peaks = []
+        for run in (lambda: make_blended_split(ds, noise, spec), through_split):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.8 * peaks[1]
 
     def test_fully_deterministic(self):
         ds = make_wine_task(seed=0)

@@ -1,8 +1,10 @@
+import contextlib
 import subprocess
 import sys
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -338,9 +340,34 @@ class TestReadoutContractInRowBlocks(TestReadoutContract):
 
 
 def passes_gram_guard(h):
-    """Whether the readout takes the normal equations for this H, given n >= L."""
+    """Whether the readout takes the normal equations for this H, given n >= L:
+    H'H - _GRAM_RCOND * trace(H'H) * I has a Cholesky factor."""
+    g = h.T @ h
+    try:
+        np.linalg.cholesky(g - rmse_elm.elm._GRAM_RCOND * np.trace(g) * np.eye(len(g)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def passes_eigenvalue_guard(h):
+    """The guard before the Cholesky certificate: lambda_min > 1e-8 lambda_max of H'H."""
     lam = np.linalg.eigvalsh(h.T @ h)
     return lam[0] > rmse_elm.elm._GRAM_RCOND * lam[-1]
+
+
+@contextlib.contextmanager
+def counting_lstsq():
+    """Record the shape of H at every gelsd call made inside the block."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    with mock.patch.object(np.linalg, "lstsq", spy):
+        yield calls
 
 
 class TestReadoutPaths:
@@ -365,17 +392,21 @@ class TestReadoutPaths:
         bound = 10 * max(h.shape) * np.linalg.cond(h) ** 2 * eps * scale
         assert np.linalg.norm(beta - expected) <= bound
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), activation=st.sampled_from(sorted(rmse_elm.elm.ACTIVATIONS)))
+    def test_normal_equation_layers_pass_the_eigenvalue_test(self, data, activation):
+        # trace(H'H) >= lambda_max(H'H): the Cholesky guard is never looser than before
+        X, Y, n_hidden, _, seed = degenerate_problem(data, tall=True)
+        with counting_lstsq() as calls:
+            train_elm(X, Y, n_hidden, activation, seed=seed)
+        if not calls:
+            h = hidden_output(make_hidden_layer(X.shape[1], n_hidden, activation, seed), X)
+            assert passes_eigenvalue_guard(h)
+
     @pytest.fixture
-    def gelsd_calls(self, monkeypatch):
-        calls = []
-        lstsq = np.linalg.lstsq
-
-        def spy(*args, **kwargs):
-            calls.append(args[0].shape)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", spy)
-        return calls
+    def gelsd_calls(self):
+        with counting_lstsq() as calls:
+            yield calls
 
     def test_fewer_rows_than_nodes_use_gelsd(self, gelsd_calls):
         X = np.random.default_rng(1).normal(size=(10, 3))
@@ -406,6 +437,42 @@ class TestReadoutPaths:
         train_elm(X, y, 50, "sigmoid", seed=0)
         assert gelsd_calls == []
 
+    def test_two_equal_top_singular_values_near_the_bound_use_gelsd(self, gelsd_calls,
+                                                                     monkeypatch):
+        # cond(H'H) = 5e7 passed the eigenvalue guard; with two equal top singular
+        # values trace(H'H) = 2.25 lambda_max, so lambda_min = 0.89e-8 trace(H'H)
+        rng = np.random.default_rng(4)
+        u = np.linalg.qr(rng.normal(size=(60, 4)))[0]
+        v = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        h = (u * [1.0, 1.0, 0.5, np.sqrt(2e-8)]) @ v.T
+        assert np.linalg.cond(h.T @ h) == pytest.approx(5e7, rel=1e-4)
+        assert passes_eigenvalue_guard(h) and not passes_gram_guard(h)
+        # an identity node: H is X itself
+        monkeypatch.setattr(rmse_elm.elm, "hidden_output", lambda layer, rows: rows.copy())
+        y = rng.normal(size=60)
+        beta = train_elm(h, y, 4, seed=0).output_weights
+        assert gelsd_calls == [(60, 4)]
+        rcond = np.finfo(float).eps * 60
+        assert np.array_equal(beta, np.linalg.lstsq(h, y[:, None], rcond=rcond)[0])
+
+    @pytest.mark.parametrize("n, d, n_hidden, activation, gelsd", [
+        (400, 13, 50, "sigmoid", False),  # normal equations
+        (10, 3, 20, "sigmoid", True),  # fewer rows than nodes
+        (40, 2, 30, "hardlim", True),  # rank-deficient, refused by the guard
+        (400, 5, 50, "gaussian", True),  # ill-conditioned, refused by the guard
+    ])
+    def test_no_eigenvalue_decomposition(self, gelsd_calls, monkeypatch,
+                                         n, d, n_hidden, activation, gelsd):
+        def refuse(*args, **kwargs):
+            raise AssertionError("train_elm called eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        x = np.random.default_rng(2).uniform(-1, 1, size=(n, d))
+        if activation == "hardlim":
+            x[:, 1] = x[:, 0]
+        train_elm(x, x[:, 0], n_hidden, activation, seed=0)
+        assert bool(gelsd_calls) == gelsd
+
 
 @pytest.mark.usefixtures("small_blocks")
 class TestReadoutPathsInRowBlocks(TestReadoutPaths):
@@ -431,6 +498,9 @@ class TestReadoutPathsInRowBlocks(TestReadoutPaths):
 
     test_normal_equations_agree_with_gelsd = rerun(
         TestReadoutPaths.test_normal_equations_agree_with_gelsd,
+        data=st.data(), activation=st.sampled_from(sorted(rmse_elm.elm.ACTIVATIONS)))
+    test_normal_equation_layers_pass_the_eigenvalue_test = rerun(
+        TestReadoutPaths.test_normal_equation_layers_pass_the_eigenvalue_test,
         data=st.data(), activation=st.sampled_from(sorted(rmse_elm.elm.ACTIVATIONS)))
 
 
@@ -488,6 +558,58 @@ class TestRowBlocks:
         bound = 10 * max(h.shape) * np.linalg.cond(h) ** 2 * eps * scale
         assert blocked.shape == whole.shape
         assert np.linalg.norm(blocked - whole) <= bound
+
+
+class TestFittedOutputs:
+    """`train_elm(..., fitted=)` receives exactly predict(model, X)."""
+
+    # (rows, inputs, nodes, identical rows, gelsd expected): normal equations, a
+    # rank-one layer refused by the guard, and fewer rows than nodes
+    PATHS = {
+        "normal-equations": (120, 3, 8, False, False),
+        "refused-rank-one": (120, 3, 8, True, True),
+        "fewer-rows": (6, 3, 8, False, True),
+    }
+
+    @pytest.mark.parametrize("blocks", ["one", "several"])
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("outputs", [None, 2])
+    @pytest.mark.parametrize("activation", sorted(rmse_elm.elm.ACTIVATIONS))
+    def test_equals_predict_bit_for_bit(self, monkeypatch, activation, outputs, path, blocks):
+        n, d, n_hidden, identical, gelsd = self.PATHS[path]
+        rng = np.random.default_rng(7)
+        X = rng.uniform(-1, 1, size=(n, d))
+        if identical:
+            X[:] = X[0]
+        Y = rng.normal(size=n if outputs is None else (n, outputs))
+        if blocks == "several":
+            monkeypatch.setattr(rmse_elm.elm, "_BLOCK", 64)  # 8 rows of 8 nodes
+        projected = []
+
+        def spy(layer, rows):
+            projected.append(rows.shape[0])
+            return hidden_output(layer, rows)
+
+        monkeypatch.setattr(rmse_elm.elm, "hidden_output", spy)
+        fitted = np.full(Y.shape, np.nan)
+        with counting_lstsq() as calls:
+            model = train_elm(X, Y, n_hidden, activation, seed=0, fitted=fitted)
+        assert bool(calls) == gelsd
+        if blocks == "several" and n >= n_hidden:
+            # the blocks, then one whole projection (for gelsd or for fitted)
+            assert projected == [8] * (n // 8) + [n]
+        else:
+            assert projected == [n]  # the readout's own H
+        expected = predict(model, X)
+        assert fitted.shape == expected.shape
+        assert np.array_equal(fitted, expected)
+
+    @pytest.mark.parametrize("fitted", [np.empty((20, 1)), np.empty(19), np.empty((20, 2)),
+                                        [0.0] * 20], ids=["20x1", "19", "20x2", "list"])
+    def test_not_an_array_of_y_shape_rejected(self, fitted):
+        X = np.random.default_rng(0).normal(size=(20, 3))
+        with pytest.raises(DimensionError, match="fitted"):
+            train_elm(X, X[:, 0], 5, seed=0, fitted=fitted)
 
 
 class TestPredict:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rmse_elm.elm
 import rmse_elm.recursive as recursive
 from rmse_elm.elm import predict, train_elm
 from rmse_elm.bench import mse
@@ -104,6 +105,29 @@ class TestTrainRmseElm:
         ens = train_rmse_elm(X, y, small_config(validation_fraction=0.25))
         assert np.isfinite(ens.predict(X)).all()
 
+    @pytest.mark.parametrize("fraction, rows", [(0.0, [80]), (0.25, [60, 20])])
+    def test_members_project_their_fit_rows_once(self, task, monkeypatch, fraction, rows):
+        # one block holds every fit row, so a member's predictions on them come
+        # from its readout's H; a hold-out of 20 rows is still projected for them
+        X, y = task
+        projected = []
+        hidden_output = rmse_elm.elm.hidden_output
+
+        def spy(layer, part):
+            projected.append(part.shape[0])
+            return hidden_output(layer, part)
+
+        monkeypatch.setattr(rmse_elm.elm, "hidden_output", spy)
+        cfg = small_config(validation_fraction=fraction)
+        train_rmse_elm(X, y, cfg)
+        assert projected == rows * (cfg.groups * cfg.group_size)
+
+    def test_group_predictions_on_fit_rows_are_the_members_predict(self, task):
+        X, y = task
+        models, preds = recursive._train_group(X, y, X, 4, small_config(), 0)
+        for m, p in zip(models, preds):
+            assert np.array_equal(p, predict(m, X))
+
 
 class TestEGasen:
     def test_single_group_matches_gasen(self, task):
@@ -140,6 +164,17 @@ class TestSimpleEnsemble:
         ens = train_simple_ensemble(X, y, n_learners=5, n_hidden=6, seed=2)
         member_preds = [predict(m, X) for m in ens.members]
         assert np.array_equal(ens.predict(X), np.mean(member_preds, axis=0))
+
+    @pytest.mark.parametrize("outputs", [None, 3])
+    def test_prediction_is_member_mean_bit_for_bit(self, task, outputs):
+        # more members than numpy's eight partial sums, and 1-D and 2-D outputs
+        X, y = task
+        Y = y if outputs is None else np.column_stack([y, -2.0 * y, np.sin(y)])
+        members = tuple(train_elm(X, Y, 6, seed=s) for s in range(12))
+        ens = ElmEnsemble(members=members, provenance=tuple((0, i) for i in range(12)))
+        expected = np.mean([predict(m, X) for m in members], axis=0)
+        assert ens.predict(X).shape == expected.shape
+        assert np.array_equal(ens.predict(X), expected)
 
     def test_single_learner_is_plain_elm(self, task):
         X, y = task
