@@ -206,20 +206,40 @@ def summarize_records(records):
     return cells
 
 
+def make_report(records, keys, errors, master_seed):
+    """The one ExperimentReport of `records`, which `bench` writes and `report` rebuilds.
+
+    Cells come from summarize_records. The tables' datasets, noise ids and
+    methods are those of `keys`, (dataset, noise_id, method) triples, in
+    order of first appearance.
+    """
+    return ExperimentReport(
+        records=tuple(records),
+        cells=summarize_records(records),
+        errors=errors,
+        master_seed=master_seed,
+        methods=tuple(dict.fromkeys(method for _, _, method in keys)),
+        dataset_ids=tuple(dict.fromkeys(ds_id for ds_id, _, _ in keys)),
+        noise_ids=tuple(dict.fromkeys(noise_id for _, noise_id, _ in keys)),
+    )
+
+
 def run_experiment(cfg):
     """Execute the full matrix and aggregate a report.
 
     Cells run independently (in `jobs` processes when jobs > 1); results
     are identical regardless of parallelism because every run's seed is
-    derived from (master seed, dataset, noise, method, run). A failing
-    cell is recorded as an error without aborting the rest.
+    derived from (master seed, dataset, noise, method, run), and records
+    are kept in matrix order: dataset, noise, method, run, as configured.
+    A failing cell is recorded as an error without aborting the rest.
     """
-    tasks = [
-        (cfg, ds_id, noise_id, method)
-        for ds_id in cfg.datasets
+    keys = [
+        (ds_id, noise_id, method)
+        for ds_id in tuple(cfg.datasets) + tuple(cfg.dataset_errors)
         for noise_id in cfg.noise_specs
         for method in cfg.methods
     ]
+    tasks = [(cfg,) + key for key in keys if key[0] in cfg.datasets]
     if cfg.jobs > 1 and len(tasks) > 1:
         # imported here: concurrent.futures.process costs ~15 ms and 1.3 MB at import
         from concurrent.futures import ProcessPoolExecutor
@@ -229,26 +249,12 @@ def run_experiment(cfg):
     else:
         results = [_cell_task(t) for t in tasks]
 
-    records = []
-    errors = {}
-    for key, recs, err in results:
-        records.extend(recs)
-        if err is not None:
-            errors[key] = err
-    for ds_id, message in cfg.dataset_errors.items():
-        for noise_id in cfg.noise_specs:
-            for method in cfg.methods:
-                errors[(ds_id, noise_id, method)] = f"dataset load failed: {message}"
-    records.sort(key=lambda r: (r.dataset, r.noise_id, r.method, r.run_index))
-    return ExperimentReport(
-        records=tuple(records),
-        cells=summarize_records(records),
-        errors=errors,
-        master_seed=cfg.master_seed,
-        methods=tuple(cfg.methods),
-        dataset_ids=tuple(cfg.datasets) + tuple(cfg.dataset_errors),
-        noise_ids=tuple(cfg.noise_specs),
-    )
+    records = [rec for _, recs, _ in results for rec in recs]
+    errors = {key: err for key, _, err in results if err is not None}
+    for key in keys:
+        if key[0] in cfg.dataset_errors:
+            errors[key] = f"dataset load failed: {cfg.dataset_errors[key[0]]}"
+    return make_report(records, keys, errors, cfg.master_seed)
 
 
 # ---------------------------------------------------------------- reports
@@ -290,34 +296,25 @@ def read_records(path):
     return out
 
 
-def _metric_table(report, metric):
-    lines = [["dataset", "noise"] + list(report.methods)]
-    for ds_id in report.dataset_ids:
-        for noise_id in report.noise_ids:
-            row = [ds_id, noise_id]
-            for method in report.methods:
-                stats = report.cells.get((method, ds_id, noise_id))
-                row.append("" if stats is None else repr(getattr(stats, metric)))
-            lines.append(row)
-    return lines
-
-
-def _comparison_table(report, metric, ours="RMSE-ELM"):
+def _table(report, metric, ours=None):
+    """A row per (dataset, noise) and a column per method: each cell's `metric`,
+    or with `ours` given, each other method's comparison_pct against `ours`,
+    empty where either side is missing or not finite, or the other is not positive."""
     others = [m for m in report.methods if m != ours]
     lines = [["dataset", "noise"] + others]
     for ds_id in report.dataset_ids:
         for noise_id in report.noise_ids:
-            our_stats = report.cells.get((ours, ds_id, noise_id))
+            value = {m: getattr(report.cells[m, ds_id, noise_id], metric)
+                     for m in report.methods if (m, ds_id, noise_id) in report.cells}
             row = [ds_id, noise_id]
             for method in others:
-                stats = report.cells.get((method, ds_id, noise_id))
-                value = ""
-                if stats is not None and our_stats is not None:
-                    other_val = getattr(stats, metric)
-                    our_val = getattr(our_stats, metric)
-                    if np.isfinite(other_val) and np.isfinite(our_val) and other_val > 0:
-                        value = f"{comparison_pct(other_val, our_val):.4f}"
-                row.append(value)
+                v, base = value.get(method), value.get(ours)
+                if ours is None:
+                    row.append("" if v is None else repr(v))
+                elif v is not None and base is not None and np.isfinite([v, base]).all() and v > 0:
+                    row.append(f"{comparison_pct(v, base):.4f}")
+                else:
+                    row.append("")
             lines.append(row)
     return lines
 
@@ -332,12 +329,12 @@ def write_report(report, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_records(report.records, out / "runrecords.csv")
-    _write_table(_metric_table(report, "mean_mse"), out / "mse.csv")
-    _write_table(_metric_table(report, "std_mse"), out / "std.csv")
-    _write_table(_metric_table(report, "mean_cc_s"), out / "cc.csv")
+    _write_table(_table(report, "mean_mse"), out / "mse.csv")
+    _write_table(_table(report, "std_mse"), out / "std.csv")
+    _write_table(_table(report, "mean_cc_s"), out / "cc.csv")
     if "RMSE-ELM" in report.methods:
-        _write_table(_comparison_table(report, "mean_mse"), out / "mse_comparison.csv")
-        _write_table(_comparison_table(report, "std_mse"), out / "std_comparison.csv")
+        _write_table(_table(report, "mean_mse", ours="RMSE-ELM"), out / "mse_comparison.csv")
+        _write_table(_table(report, "std_mse", ours="RMSE-ELM"), out / "std_comparison.csv")
 
     lines = [
         "benchmark summary",

@@ -8,6 +8,7 @@ be reproduced from its output.
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -16,14 +17,13 @@ from .bench import (
     canonical_method,
     fit,
     load_experiment_config,
+    make_report,
     mse,
     parse_column,
     parse_list,
     read_records,
     run_experiment,
-    summarize_records,
     write_report,
-    ExperimentReport,
 )
 from .data import (
     DataError,
@@ -46,8 +46,16 @@ EXIT_NUMERIC = 4
 DEFAULT_SEED = 20240501  # fixed so bare invocations reproduce
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse under the one-line error contract: a flag it rejects raises
+    ValueError, which `main` prints as one `error:` line with exit 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rmse-elm",
         description="Extreme learning machine ensembles and the blended-data benchmark.",
     )
@@ -162,6 +170,10 @@ def _cmd_bench(args):
     if args.out is not None:
         overrides["out_dir"] = args.out
     cfg = load_experiment_config(args.config, overrides=overrides)
+    try:  # before any cell runs, so a bad path costs no training
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot write the report to {cfg.out_dir}: {exc.strerror}") from None
     print(f"master seed: {cfg.master_seed}")
     if cfg.jobs > 1:
         print("note: jobs > 1; wall-time (CC) numbers are not authoritative")
@@ -197,19 +209,8 @@ def _cmd_report(args):
         raise DataError(f"{args.records}: contains no run records")
     seed = args.seed if args.seed is not None else -1
     print(f"master seed: {seed if seed >= 0 else 'unknown (not stored in records)'}")
-    methods = tuple(dict.fromkeys(r.method for r in records))
-    dataset_ids = tuple(dict.fromkeys(r.dataset for r in records))
-    noise_ids = tuple(dict.fromkeys(r.noise_id for r in records))
-    report = ExperimentReport(
-        records=tuple(records),
-        cells=summarize_records(records),
-        errors={},
-        master_seed=seed,
-        methods=methods,
-        dataset_ids=dataset_ids,
-        noise_ids=noise_ids,
-    )
-    out = write_report(report, args.out)
+    keys = [(r.dataset, r.noise_id, r.method) for r in records]
+    out = write_report(make_report(records, keys, {}, seed), args.out)
     print(f"report written to {out}")
     return EXIT_OK
 
@@ -223,9 +224,8 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -7,7 +7,7 @@ noise spec, split spec) triple pins the train/test matrices exactly.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -205,23 +205,19 @@ def blend_noise(ds, spec):
     return Dataset(X=X, y=ds.y, feature_names=names, name=ds.name)
 
 
-def _split(ds, spec, copy):
-    """`split`'s checks, then (train, test) with copied targets and X rows that
-    are copies (`copy`) or row slices of a C-ordered ds.X, laid out as copies."""
+def _split(ds, spec):
+    """`split`'s checks, then (train, test) with copied targets and X rows
+    that are row slices of a C-ordered ds.X."""
     n = ds.n_samples
     if n < 2:
         raise ValueError(f"{ds.name}: a train/test split needs at least 2 rows, got {n}")
     if not 1 <= spec.n_train < n:
         raise ValueError(f"n_train must be in [1, {n - 1}], got {spec.n_train}")
-    X = ds.X if copy else np.ascontiguousarray(ds.X)
+    X = np.ascontiguousarray(ds.X)
 
     def take(rows, suffix):
-        return Dataset(
-            X=X[rows].copy() if copy else X[rows],
-            y=ds.y[rows].copy(),
-            feature_names=ds.feature_names,
-            name=f"{ds.name}/{suffix}",
-        )
+        return Dataset(X=X[rows], y=ds.y[rows].copy(), feature_names=ds.feature_names,
+                       name=f"{ds.name}/{suffix}")
 
     return take(slice(spec.n_train), "train"), take(slice(spec.n_train, n), "test")
 
@@ -231,7 +227,7 @@ def split(ds, spec):
 
     Both parts are copies, so they never alias the caller's arrays.
     """
-    return _split(ds, spec, copy=True)
+    return tuple(replace(part, X=part.X.copy()) for part in _split(ds, spec))
 
 
 def make_blended_split(ds, noise_spec, split_spec):
@@ -249,7 +245,7 @@ def make_blended_split(ds, noise_spec, split_spec):
     Returns (train, test, params); params is the identity on the noise columns.
     """
     blended = ds if noise_spec is None else blend_noise(ds, noise_spec)
-    train, test = _split(blended, split_spec, copy=False)
+    train, test = _split(blended, split_spec)
     params = fit_normalization(train)
     d = ds.n_features
     params.mean[d:] = 0.0

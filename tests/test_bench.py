@@ -181,6 +181,22 @@ class TestRunExperiment:
         )
         assert [r.test_mse for r in serial.records] == [r.test_mse for r in parallel.records]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_records_and_axes_keep_matrix_order(self, jobs):
+        # config order that does not sort: records and tables follow the matrix
+        ds = make_synthetic_regression(n_samples=70, n_features=3, seed=0, noise_std=0.2)
+        cfg = tiny_config(
+            runs=2, methods=("SimpleEnsemble", "ELM"), jobs=jobs,
+            datasets={"zz": (ds, SplitSpec(n_train=50)), "aa": (ds, SplitSpec(n_train=40))},
+            noise_specs={"n2": NoiseSpec((1.0, 0.1), seed=5), "m1": NoiseSpec((0.5,), seed=6)},
+        )
+        report = run_experiment(cfg)
+        assert (report.dataset_ids, report.noise_ids, report.methods) == (
+            ("zz", "aa"), ("n2", "m1"), ("SimpleEnsemble", "ELM"))
+        assert [(r.dataset, r.noise_id, r.method, r.run_index) for r in report.records] == [
+            (d, n, m, run) for d in ("zz", "aa") for n in ("n2", "m1")
+            for m in ("SimpleEnsemble", "ELM") for run in (0, 1)]
+
 
 class TestRecordsAndReport:
     def test_records_round_trip(self, tmp_path):
@@ -336,6 +352,11 @@ n_train = 10
         assert ("ELM", "syn", "g2") in report.cells
         out = write_report(report, tmp_path / "rep_broken")
         assert "FAILED" in (out / "summary.txt").read_text()
+        # the broken dataset keeps its rows in the tables, after the loaded ones
+        rows = (out / "mse.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in rows] == [["dataset", "noise"], ["syn", "g2"],
+                                                         ["broken", "g2"]]
+        assert rows[2] == "broken,g2,,"
 
 
 # a [noise] and a [dataset] section, with which any [experiment] loads

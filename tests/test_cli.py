@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import rmse_elm.cli as cli
-from rmse_elm.bench import load_experiment_config, mse
+import rmse_elm.bench as bench
+from rmse_elm.bench import load_experiment_config, mse, read_records
 from rmse_elm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from rmse_elm.data import (
     NoiseSpec,
@@ -114,10 +115,9 @@ class TestTrain:
         assert code == EXIT_CONFIG
         assert "a train/test split needs at least 2 rows, got 1" in err
 
-    def test_jobs_flag_removed(self, csv_path):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["train", "--dataset", csv_path, "--jobs", "2"])
-        assert exc.value.code == 2
+    def test_jobs_flag_removed(self, csv_path, capsys):
+        assert run_cli(["train", "--dataset", csv_path, "--jobs", "2"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: rmse-elm: unrecognized arguments: --jobs 2\n"
 
     def test_synthetic_task_reference(self, capsys):
         code = run_cli(["train", "--dataset", "task:waveform", "--hidden", "8",
@@ -171,10 +171,15 @@ class TestTrain:
         code = run_cli(["train", "--dataset", csv_path, "--method", "mlp"])
         assert code == EXIT_CONFIG
 
-    def test_unknown_flag_rejected(self, csv_path):
+    def test_unknown_flag_rejected(self, csv_path, capsys):
+        assert run_cli(["train", "--dataset", csv_path, "--frobnicate"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: rmse-elm: unrecognized arguments: --frobnicate\n"
+
+    def test_help_is_unchanged(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            run_cli(["train", "--dataset", csv_path, "--frobnicate"])
-        assert exc.value.code == 2
+            run_cli(["train", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rmse-elm train [-h] --dataset DATASET")
 
 
 class TestBlend:
@@ -200,11 +205,14 @@ class TestBlend:
         assert header.count(",") == 3 + 2  # 3 features + 2 noise + target
 
 
+REPORT_TABLES = ("mse.csv", "std.csv", "cc.csv", "mse_comparison.csv", "std_comparison.csv")
+
+
 class TestBenchAndReport:
-    def write_config(self, tmp_path, csv_path):
+    def write_config(self, tmp_path, csv_path, methods="elm, rmse", extra_datasets=()):
         text = f"""
 [experiment]
-methods = elm, rmse
+methods = {methods}
 runs = 2
 seed = 5
 out_dir = {tmp_path / "reports"}
@@ -228,25 +236,36 @@ path = {csv_path}
 target = target
 n_train = 60
 """
+        for ident in extra_datasets:
+            text += f"\n[dataset:{ident}]\npath = {csv_path}\nn_train = 50\n"
         p = tmp_path / "bench.ini"
         p.write_text(text)
         return p
 
-    def test_bench_then_report(self, csv_path, tmp_path, capsys):
-        cfg = self.write_config(tmp_path, csv_path)
+    @pytest.mark.parametrize("methods, extra_datasets, cells", [
+        ("elm, rmse", (), [("syn", "ELM"), ("syn", "RMSE-ELM")]),
+        # config order that does not sort: report must follow it, not the alphabet
+        ("rmse, elm", ("abc",),
+         [("syn", "RMSE-ELM"), ("syn", "ELM"), ("abc", "RMSE-ELM"), ("abc", "ELM")]),
+    ], ids=["sorted", "unsorted"])
+    def test_bench_then_report(self, csv_path, tmp_path, capsys, methods, extra_datasets, cells):
+        cfg = self.write_config(tmp_path, csv_path, methods, extra_datasets)
         code = run_cli(["bench", "--config", str(cfg)])
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "master seed: 5" in out
         reports = tmp_path / "reports"
         assert (reports / "summary.txt").exists()
+        # records list the cells in matrix order, each cell's runs in turn
+        records = read_records(reports / "runrecords.csv")
+        assert [(r.dataset, r.noise_id, r.method, r.run_index) for r in records] == [
+            (ds_id, "g2", method, run) for ds_id, method in cells for run in (0, 1)]
 
         code = run_cli(["report", "--records", str(reports / "runrecords.csv"),
                         "--out", str(tmp_path / "rebuilt")])
         assert code == EXIT_OK
-        rebuilt = (tmp_path / "rebuilt" / "mse.csv").read_text()
-        original = (reports / "mse.csv").read_text()
-        assert rebuilt == original
+        for name in REPORT_TABLES:
+            assert (tmp_path / "rebuilt" / name).read_bytes() == (reports / name).read_bytes(), name
 
     @pytest.mark.parametrize("setting, message, section", [
         ("lambda1 = 2", "thresholds must lie in [0, 1]", "ensemble"),
@@ -458,6 +477,21 @@ def _records_row(name, text, expected):
 
 
 @pytest.mark.parametrize("files, argv, code, message", [
+    # flags argparse itself rejects
+    pytest.param({}, ["train", "--dataset", "{dir}/good.csv", "--hidden", "abc"], EXIT_CONFIG,
+                 "error: rmse-elm train: argument --hidden: invalid int value: 'abc'",
+                 id="flag-bad-int"),
+    pytest.param({}, ["train"], EXIT_CONFIG,
+                 "error: rmse-elm train: the following arguments are required: --dataset",
+                 id="flag-missing-required"),
+    pytest.param({}, ["bench", "--config", "{dir}/b.ini", "--frobnicate"], EXIT_CONFIG,
+                 "error: rmse-elm: unrecognized arguments: --frobnicate", id="flag-unknown"),
+    pytest.param({}, [], EXIT_CONFIG,
+                 "error: rmse-elm: the following arguments are required: command",
+                 id="command-missing"),
+    pytest.param({}, ["frobnicate"], EXIT_CONFIG,
+                 "error: rmse-elm: argument command: invalid choice: 'frobnicate'",
+                 id="command-unknown"),
     pytest.param({}, ["train", "--dataset", "{dir}/absent.csv"], EXIT_DATA,
                  "data error: dataset file not found: {dir}/absent.csv", id="csv-missing"),
     _csv_row("csv-ragged-short-row", "a,b,target\n1,2,3\n4,5\n", "row 2 has 2 columns, expected 3"),
@@ -478,8 +512,12 @@ def _records_row(name, text, expected):
                  ", line 3: expected 7 fields, got 5"),
     _records_row("records-truncated-header", RECORDS_HEADER[:30], ": not a run-record file"),
     pytest.param({"b.ini": GOOD_INI}, ["bench", "--config", "{dir}/b.ini", "--out", "{dir}/file/rep"],
-                 EXIT_CONFIG, "error: [Errno 20] Not a directory: '{dir}/file/rep'",
+                 EXIT_CONFIG, "error: cannot write the report to {dir}/file/rep: Not a directory",
                  id="bench-out-unwritable"),
+    pytest.param({"b.ini": GOOD_INI.replace("{dir}/reports", "{dir}/file")},
+                 ["bench", "--config", "{dir}/b.ini"],
+                 EXIT_CONFIG, "error: cannot write the report to {dir}/file: File exists",
+                 id="bench-out-dir-is-a-file"),
     pytest.param({}, ["blend", "--dataset", "{dir}/good.csv", "--noise", "1",
                       "--out", "{dir}/file/b.csv"],
                  EXIT_CONFIG, "error: [Errno 17] File exists: '{dir}/file'", id="blend-out-unwritable"),
@@ -488,14 +526,21 @@ def _records_row(name, text, expected):
                  EXIT_CONFIG, "error: [Errno 20] Not a directory: '{dir}/file/rep'",
                  id="report-out-unwritable"),
 ])
-def test_malformed_input_exits_with_one_line(tmp_path, capsys, files, argv, code, message):
-    # every row: the documented exit code, one stderr line and no traceback
+def test_malformed_input_exits_with_one_line(tmp_path, capsys, monkeypatch,
+                                            files, argv, code, message):
+    # every row: the documented exit code, one stderr line, no traceback,
+    # and no trainer called: each input fails before any training
     (tmp_path / "good.csv").write_text(GOOD_CSV)
     (tmp_path / "file").write_text("a regular file, so no directory can be made under it\n")
     for name, text in files.items():
         (tmp_path / name).write_text(text.format(dir=tmp_path))
+    trained = []
+    for name in ("train_elm", "train_simple_ensemble", "train_gasen_elm", "train_e_gasen",
+                 "train_rmse_elm"):
+        monkeypatch.setattr(bench, name, lambda *args, name=name, **kwargs: trained.append(name))
     assert run_cli([arg.format(dir=tmp_path) for arg in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith(message.format(dir=tmp_path))
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+    assert trained == []

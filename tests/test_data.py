@@ -181,6 +181,19 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(ds, SplitSpec(n_train=ds.n_samples))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_parts_are_copies(self, order):
+        ds = make_housing_task(seed=0)
+        ds = Dataset(np.asarray(ds.X, order=order), ds.y, ds.feature_names, ds.name)
+        before = ds.X.copy(), ds.y.copy()
+        parts = split(ds, SplitSpec(n_train=400))
+        assert [(p.name, p.X.flags.c_contiguous) for p in parts] == [
+            (f"{ds.name}/train", True), (f"{ds.name}/test", True)]
+        for part in parts:
+            part.X[:] = 0.0
+            part.y[:] = 0.0
+        assert np.array_equal(ds.X, before[0]) and np.array_equal(ds.y, before[1])
+
 
 class TestMakeBlendedSplit:
     def test_original_features_normalized_noise_kept_raw(self):
