@@ -140,7 +140,11 @@ class ExperimentConfig:
             raise ValueError("runs must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
-        object.__setattr__(self, "methods", tuple(canonical_method(m) for m in self.methods))
+        methods = tuple(canonical_method(m) for m in self.methods)
+        twice = [m for i, m in enumerate(methods) if m in methods[:i]]
+        if twice:  # its cells would run twice and fold into one cell of repeated runs
+            raise ValueError(f"methods lists {twice[0]} twice")
+        object.__setattr__(self, "methods", methods)
 
 
 def _run_seed(master_seed, dataset_id, noise_id, method, run_index):
@@ -442,7 +446,7 @@ def _read_section(path, section, values):
     return out
 
 
-def load_experiment_config(path, overrides=None):
+def load_experiment_config(path):
     """Build an ExperimentConfig from a plain-text INI file.
 
     `_CONFIG_KEYS` lists each section's keys with the field or argument
@@ -451,8 +455,9 @@ def load_experiment_config(path, overrides=None):
     either a built-in `task` (housing, abalone, redwine, waveform; real
     files in data_dir take precedence) with its generator `seed`, or a
     CSV `path` with its `target` column; `n_train` sets the split and
-    is required for a `path`. A key left out keeps the default of the
-    dataclass or function it feeds.
+    is required for a `path`. A relative `data_dir` or `path` is taken
+    from the config file's directory. A key left out keeps the default
+    of the dataclass or function it feeds.
 
     An unknown section or key fails the load, so a misspelt or retired
     setting cannot quietly fall back to its default; so does a `path` or
@@ -460,8 +465,7 @@ def load_experiment_config(path, overrides=None):
     that does not parse, naming its file, section and key. The [ensemble]
     and [ga] keys build the one EnsembleConfig every method reads, which
     validates them here, and an `n_train` outside [1, rows - 1] fails
-    too: a bad setting fails the load, not every cell. `overrides` may
-    replace runs, seed, jobs, out_dir.
+    too: a bad setting fails the load, not every cell.
     """
     path = Path(path)
     if not path.exists():
@@ -473,16 +477,12 @@ def load_experiment_config(path, overrides=None):
             cp.read_file(f, source=path.name)
     except configparser.Error as exc:
         raise ValueError(f"{path}: {' '.join(str(exc).split())}") from None
-    sections = {}
-    for section in cp.sections():
-        values = dict(cp[section])
-        if section == "experiment":
-            values.update((key, str(value)) for key, value in (overrides or {}).items())
-        sections[section] = _read_section(path, section, values)
+    sections = {section: _read_section(path, section, dict(cp[section]))
+                for section in cp.sections()}
     if "experiment" not in sections:
         raise ValueError(f"{path}: missing [experiment] section")
     exp = sections["experiment"]
-    data_dir = {"data_dir": exp.pop("data_dir")} if "data_dir" in exp else {}
+    data_dir = {"data_dir": path.parent / exp.pop("data_dir")} if "data_dir" in exp else {}
     ga = GaConfig(**sections.get("ga", {}))
     ensemble = EnsembleConfig(**sections.get("ensemble", {}), ga=ga)
 
@@ -512,7 +512,8 @@ def load_experiment_config(path, overrides=None):
                     ds = task.dataset
                     n_train = values.get("n_train", task.split.n_train)
                 else:
-                    ds = load_csv(values["path"], values.get("target", "target"), name=ident)
+                    ds = load_csv(path.parent / values["path"], values.get("target", "target"),
+                                  name=ident)
                     n_train = values["n_train"]
             except DataError as exc:
                 # a broken dataset loses its cells, not the whole matrix

@@ -8,6 +8,7 @@ be reproduced from its output.
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -160,16 +161,9 @@ def _cmd_train(args):
 
 
 def _cmd_bench(args):
-    overrides = {}
-    if args.runs is not None:
-        overrides["runs"] = args.runs
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    cfg = load_experiment_config(args.config, overrides=overrides)
+    flags = {"runs": args.runs, "master_seed": args.seed, "jobs": args.jobs, "out_dir": args.out}
+    cfg = replace(load_experiment_config(args.config),
+                  **{name: value for name, value in flags.items() if value is not None})
     try:  # before any cell runs, so a bad path costs no training
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -204,18 +204,12 @@ class BenchmarkTask:
 
 _SEX_CODES = {"M": 1.0, "F": -1.0, "I": 0.0}
 
-# file name, candidate target columns, categorical-spec variants, generator, train rows
+# file name, target column names, sex column names, generator, train rows
 _TASKS = {
-    "bh": ("boston_housing.csv", ("MEDV", "medv", "target"), (None,), make_housing_task, 400),
-    "aba": (
-        "abalone.csv",
-        ("Rings", "rings", "target"),
-        ({"Sex": _SEX_CODES}, {"sex": _SEX_CODES}, None),
-        make_abalone_task,
-        2000,
-    ),
-    "rw": ("winequality_red.csv", ("quality", "target"), (None,), make_wine_task, 1065),
-    "wav": ("waveform.csv", ("class", "target"), (None,), make_waveform, 3000),
+    "bh": ("boston_housing.csv", ("MEDV", "medv", "target"), (), make_housing_task, 400),
+    "aba": ("abalone.csv", ("Rings", "rings", "target"), ("Sex", "sex"), make_abalone_task, 2000),
+    "rw": ("winequality_red.csv", ("quality", "target"), (), make_wine_task, 1065),
+    "wav": ("waveform.csv", ("class", "target"), (), make_waveform, 3000),
 }
 
 _ALIASES = {
@@ -234,43 +228,28 @@ def _csv_head(path):
     return head + [[]] * (2 - len(head))
 
 
-def _layout_fits(header, first, target, categorical):
-    """Whether the header has the layout's columns and the first row its codes."""
-    if target not in header:
-        return False
-    for column, codes in (categorical or {}).items():
-        if column not in header:
-            return False
-        i = header.index(column)
-        if i < len(first) and first[i] not in codes:
-            return False
-    return True
-
-
 def benchmark_task(key, data_dir="data", seed=0):
     """Resolve one of the four named benchmark tasks.
 
     Loads `<data_dir>/<file>` when present (see data/README.md for the
     expected columns); otherwise generates the stand-in task with `seed`.
-    The file is parsed only with the column layouts its header row and
-    first data row allow, so a well-formed file is read once.
+    The file's header and first data row fix its layout: the target is
+    the first of the task's target names the header has, and a sex
+    column is decoded only when its first cell is an M/F/I code, so the
+    file is parsed once.
     """
     canon = _ALIASES.get(str(key).strip().lower())
     if canon is None:
         raise ValueError(f"unknown benchmark task {key!r}; choose from {sorted(set(_ALIASES))}")
-    fname, target_candidates, categorical_variants, maker, n_train = _TASKS[canon]
+    fname, targets, sex_columns, maker, n_train = _TASKS[canon]
     path = Path(data_dir) / fname
-    if path.exists():
-        header, first = _csv_head(path)
-        last_error = f"no column named {' or '.join(target_candidates)} in the header"
-        for target in target_candidates:
-            for categorical in categorical_variants:
-                if not _layout_fits(header, first, target, categorical):
-                    continue
-                try:
-                    ds = load_csv(path, target, has_header=True, categorical=categorical)
-                    return BenchmarkTask(ds, SplitSpec(n_train=n_train), source=f"file:{path}")
-                except DataError as exc:
-                    last_error = exc
-        raise DataError(f"{path}: could not load with any known column layout: {last_error}")
-    return BenchmarkTask(maker(seed=seed), SplitSpec(n_train=n_train), source="generated")
+    if not path.exists():
+        return BenchmarkTask(maker(seed=seed), SplitSpec(n_train=n_train), source="generated")
+    header, first = _csv_head(path)
+    target = next((name for name in targets if name in header), None)
+    if target is None:
+        raise DataError(f"{path}: no column named {' or '.join(targets)} in the header")
+    first_cells = dict(zip(header, first))
+    sex = [name for name in sex_columns if first_cells.get(name) in _SEX_CODES][:1]
+    ds = load_csv(path, target, categorical={name: _SEX_CODES for name in sex})
+    return BenchmarkTask(ds, SplitSpec(n_train=n_train), source=f"file:{path}")

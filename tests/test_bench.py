@@ -1,7 +1,7 @@
 import time
 
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from rmse_elm.bench import (
 from rmse_elm.data import NoiseSpec, SplitSpec, save_csv
 from rmse_elm.recursive import EnsembleConfig, train_simple_ensemble
 from rmse_elm.selective import GaConfig
-from rmse_elm.synth import make_synthetic_regression
+from rmse_elm.synth import make_housing_task, make_synthetic_regression
 
 
 class TestMse:
@@ -292,12 +292,6 @@ n_train = 40
         assert not report.errors
         assert len(report.records) == 4
 
-    def test_overrides(self, tmp_path):
-        cfg = load_experiment_config(
-            self.write_config(tmp_path), overrides={"runs": 1, "seed": 7, "out_dir": "x"}
-        )
-        assert (cfg.runs, cfg.master_seed, cfg.out_dir) == (1, 7, "x")
-
     def test_unknown_section_fails_the_load(self, tmp_path):
         cfg_path = self.write_config(tmp_path)
         cfg_path.write_text(cfg_path.read_text().replace("[ga]", "[genetic]"))
@@ -440,7 +434,27 @@ class TestConfigTable:
         p = tmp_path / "bench.ini"
         p.write_text(f"[experiment]\n{experiment}\n" + CORE_SECTIONS + dataset + "\n")
         load_experiment_config(p)
+        if "data_dir" in passed:  # taken from the config file's directory
+            passed = {**passed, "data_dir": tmp_path / passed["data_dir"]}
         assert calls == [("waveform", passed)]
+
+    def test_relative_paths_follow_the_config_file(self, tmp_path, monkeypatch):
+        config_dir, elsewhere = tmp_path / "configs", tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        housing = make_housing_task(seed=0)
+        y = housing.y.copy()
+        y[0] += 1.0  # so the file's table is told apart from the generator's
+        save_csv(replace(housing, y=y), config_dir / "data" / "boston_housing.csv")
+        save_csv(make_synthetic_regression(n_samples=60, n_features=3, seed=0),
+                 config_dir / "syn.csv")
+        p = config_dir / "bench.ini"
+        p.write_text("[experiment]\ndata_dir = data\n[noise:g1]\nvariances = 0.5\n"
+                     "[dataset:BH]\ntask = housing\n[dataset:syn]\npath = syn.csv\nn_train = 40\n")
+        monkeypatch.chdir(elsewhere)
+        cfg = load_experiment_config(Path("..") / "configs" / "bench.ini")
+        assert not cfg.dataset_errors
+        assert np.array_equal(cfg.datasets["BH"][0].y, y)
+        assert cfg.datasets["syn"][0].n_samples == 60
 
 
 class TestCanonicalMethod:

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -410,6 +411,22 @@ n_train = 60
         assert code == EXIT_OK
         assert "master seed: 99" in out
 
+    def test_flags_match_a_config_with_their_values(self, csv_path, tmp_path, capsys):
+        # --runs, --seed, --jobs and --out replace the loaded file's values
+        cfg = self.write_config(tmp_path, csv_path)
+        assert run_cli(["bench", "--config", str(cfg), "--runs", "1", "--seed", "7",
+                        "--jobs", "1", "--out", str(tmp_path / "flags")]) == EXIT_OK
+        text = cfg.read_text().replace("runs = 2", "runs = 1").replace("seed = 5", "seed = 7")
+        cfg.write_text(text.replace(str(tmp_path / "reports"), str(tmp_path / "file")))
+        assert run_cli(["bench", "--config", str(cfg)]) == EXIT_OK
+
+        def records(name):
+            return [replace(r, wall_time_s=0.0)
+                    for r in read_records(tmp_path / name / "runrecords.csv")]
+
+        assert len(records("flags")) == 2
+        assert records("flags") == records("file")
+
 
 RECORDS_HEADER = "method,dataset,noise_id,run_index,test_mse,wall_time_s,seed\n"
 GOOD_RECORD = "ELM,syn,g2,0,1.5,0.01,7\n"
@@ -508,6 +525,10 @@ def _records_row(name, text, expected):
     _ini_row("ini-duplicate-key", "runs = 1\n", "runs = 1\nruns = 2\n",
              "While reading from 'b.ini' [line 4]: option 'runs' in section 'experiment' "
              "already exists"),
+    # two spellings of one method would run its cells twice
+    pytest.param({"b.ini": GOOD_INI.replace("methods = elm\n", "methods = elm, ELM\n")},
+                 ["bench", "--config", "{dir}/b.ini"], EXIT_CONFIG,
+                 "error: methods lists ELM twice", id="ini-duplicate-method"),
     _records_row("records-truncated-row", RECORDS_HEADER + GOOD_RECORD + TRUNCATED_RECORD,
                  ", line 3: expected 7 fields, got 5"),
     _records_row("records-truncated-header", RECORDS_HEADER[:30], ": not a run-record file"),

@@ -370,12 +370,22 @@ class TestSynthTasks:
         assert np.array_equal(task.dataset.X, ds.X)
         assert np.array_equal(task.dataset.y, ds.y)
 
-    def test_benchmark_task_parses_categorical_layout_once(self, tmp_path, load_calls):
-        write(tmp_path, "Sex,Length,Rings\nM,0.4,9\nI,0.2,4\nF,0.5,12\n", "abalone.csv")
+    @pytest.mark.parametrize("header", ["Sex,Length,Rings", "sex,length,rings"],
+                             ids=["Sex", "sex"])
+    def test_benchmark_task_parses_categorical_layout_once(self, tmp_path, load_calls, header):
+        write(tmp_path, f"{header}\nM,0.4,9\nI,0.2,4\nF,0.5,12\n", "abalone.csv")
         task = benchmark_task("abalone", data_dir=tmp_path)
         assert len(load_calls) == 1
         assert task.dataset.X[:, 0].tolist() == [1.0, 0.0, -1.0]
         assert task.dataset.y.tolist() == [9.0, 4.0, 12.0]
+
+    def test_benchmark_task_bad_category_after_the_first_row(self, tmp_path, load_calls):
+        # the first cell fixes the layout; a later bad code is load_csv's error, after one parse
+        write(tmp_path, "Sex,Length,Rings\nM,0.4,9\nX,0.2,4\n", "abalone.csv")
+        with pytest.raises(DataError, match=r"abalone.csv: row 2, column 'Sex': "
+                                            r"unknown category 'X'"):
+            benchmark_task("abalone", data_dir=tmp_path)
+        assert len(load_calls) == 1
 
     def test_benchmark_task_unknown_layout_names_file(self, tmp_path, load_calls):
         path = write(tmp_path, "a,b\n1,2\n3,4\n", "winequality_red.csv")
