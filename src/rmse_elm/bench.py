@@ -446,6 +446,14 @@ def _read_section(path, section, values):
     return out
 
 
+def _build(path, section, make, *args, **kwargs):
+    """make(*args, **kwargs), with a ValueError's message naming the file and section."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: [{section}] {exc}") from None
+
+
 def load_experiment_config(path):
     """Build an ExperimentConfig from a plain-text INI file.
 
@@ -465,7 +473,9 @@ def load_experiment_config(path):
     that does not parse, naming its file, section and key. The [ensemble]
     and [ga] keys build the one EnsembleConfig every method reads, which
     validates them here, and an `n_train` outside [1, rows - 1] fails
-    too: a bad setting fails the load, not every cell.
+    too: a bad setting fails the load, not every cell. A value that the
+    config it feeds rejects (`runs = 0`, `lambda1 = 2`) fails with that
+    config's message, prefixed with the file and section.
     """
     path = Path(path)
     if not path.exists():
@@ -483,8 +493,8 @@ def load_experiment_config(path):
         raise ValueError(f"{path}: missing [experiment] section")
     exp = sections["experiment"]
     data_dir = {"data_dir": path.parent / exp.pop("data_dir")} if "data_dir" in exp else {}
-    ga = GaConfig(**sections.get("ga", {}))
-    ensemble = EnsembleConfig(**sections.get("ensemble", {}), ga=ga)
+    ga = _build(path, "ga", GaConfig, **sections.get("ga", {}))
+    ensemble = _build(path, "ensemble", EnsembleConfig, **sections.get("ensemble", {}), ga=ga)
 
     noise_specs = {}
     datasets = {}
@@ -494,7 +504,7 @@ def load_experiment_config(path):
         if kind == "noise":
             if "variances" not in values:
                 raise ValueError(f"{path}: [{section}] needs variances")
-            noise_specs[ident] = NoiseSpec(**values)
+            noise_specs[ident] = _build(path, section, NoiseSpec, **values)
         elif kind == "dataset":
             if "task" not in values and "path" not in values:
                 raise ValueError(f"{path}: [{section}] needs task or path")
@@ -508,7 +518,7 @@ def load_experiment_config(path):
             try:
                 if "task" in values:
                     seed = {"seed": values["seed"]} if "seed" in values else {}
-                    task = benchmark_task(values["task"], **data_dir, **seed)
+                    task = _build(path, section, benchmark_task, values["task"], **data_dir, **seed)
                     ds = task.dataset
                     n_train = values.get("n_train", task.split.n_train)
                 else:
@@ -530,7 +540,8 @@ def load_experiment_config(path):
         raise ValueError(f"{path}: no [dataset:<id>] sections")
     if not noise_specs:
         raise ValueError(f"{path}: no [noise:<id>] sections")
-    return ExperimentConfig(
+    return _build(
+        path, "experiment", ExperimentConfig,
         datasets=datasets,
         noise_specs=noise_specs,
         ensemble=ensemble,

@@ -7,10 +7,12 @@ layer output matrix H. The readout solves the normal equations
 H'H beta = H'Y when a Cholesky factorisation certifies that H'H is safely
 positive definite (never looser than cond(H'H) < 1e8), and otherwise
 makes one LAPACK gelsd solve, which gives the minimum-norm solution on
-rank-deficient layers. H'H and H'Y are summed over row blocks of H, so a
-fit's working memory beyond the model is O(block * L + L^2), not the
-n x L of H; only the gelsd fallback projects H whole. `train_elm` can
-also return the model's outputs on its own training rows, from the H the
+rank-deficient layers. H'H and H'Y are summed over row blocks of H, one
+block alive at a time, and every node kind builds its block in one array,
+so a fit on the normal-equations path holds one block of H plus O(L^2)
+beyond the model, not the n x L of H. The gelsd fallback holds H whole,
+and so does `train_elm(..., fitted=)` on a fit of several blocks: it
+returns the model's outputs on its own training rows, from the H the
 readout already holds when it has one. Training is therefore a single
 linear solve, not an iterative fit. Hidden nodes and readouts are
 computed with numpy alone.
@@ -39,26 +41,37 @@ def _sigmoid(layer, X):
 def _hardlim(layer, X):
     z = X @ layer.input_weights.T
     z += layer.biases
-    return (z >= 0.0).astype(float)
+    # the 0/1 output overwrites the projection it is read from
+    return np.greater_equal(z, 0.0, out=z)
 
 
 def _squared_distances(X, centres):
     # one centre at a time: no (n, L, d) temporary, and no |x|^2 - 2x.c + |c|^2
     # cancellation, so a row on a centre gives exactly 0. An overflow gives inf,
-    # which the readout reports as a non-finite hidden layer output.
+    # which the readout reports as a non-finite hidden layer output. Each column
+    # goes straight into the one (n_samples, n_hidden) array through one reused
+    # (n_samples, n_inputs) difference buffer.
+    sq = np.empty((X.shape[0], centres.shape[0]))
+    diff = np.empty_like(X)
     with np.errstate(over="ignore"):
-        return np.stack([((X - c) ** 2).sum(axis=1) for c in centres], axis=1)
+        for t, c in enumerate(centres):
+            np.subtract(X, c, out=diff)
+            np.square(diff, out=diff)
+            np.sum(diff, axis=1, out=sq[:, t])
+    return sq
 
 
 def _gaussian(layer, X):
     # RBF node: rows of input_weights act as centres, biases as widths
     sq = _squared_distances(X, layer.input_weights)
-    return np.exp(-(layer.biases**2) * sq)
+    sq *= -(layer.biases**2)
+    return np.exp(sq, out=sq)
 
 
 def _multiquadric(layer, X):
     sq = _squared_distances(X, layer.input_weights)
-    return np.sqrt(sq + layer.biases**2)
+    sq += layer.biases**2
+    return np.sqrt(sq, out=sq)
 
 
 ACTIVATIONS = {
@@ -210,7 +223,8 @@ def pseudoinverse(a):
 _GRAM_RCOND = 1e-8
 
 # H'H and H'Y are summed over row blocks of H of at most _BLOCK entries
-# (655 rows at 50 nodes), so a fit never holds its whole n x L hidden matrix.
+# (655 rows at 50 nodes), one block at a time, so a fit on the normal-equations
+# path never holds its whole n x L hidden matrix.
 _BLOCK = 2**15
 
 
@@ -226,6 +240,7 @@ def _gram_blocks(layer, X, Y2):
     if X.shape[0] <= rows:
         return g, r, h
     for start in range(rows, X.shape[0], rows):
+        del h  # free the last block before the next one is projected
         h = hidden_output(layer, X[start:start + rows])
         g += h.T @ h
         r += h.T @ Y2[start:start + rows]
@@ -235,7 +250,8 @@ def _gram_blocks(layer, X, Y2):
 def _safely_positive_definite(g):
     """Whether lambda_min(g) > _GRAM_RCOND * trace(g), certified by one Cholesky
     factorisation of the shifted Gram matrix; it costs a fraction of eigvalsh."""
-    shifted = g - (_GRAM_RCOND * np.trace(g)) * np.eye(g.shape[0])
+    shifted = g.copy()
+    shifted.flat[::g.shape[0] + 1] -= _GRAM_RCOND * np.trace(g)
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -280,13 +296,15 @@ def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None, *, fitted=None):
     lambda_min(H'H) > 1e-8 trace(H'H) >= 1e-8 lambda_max(H'H) (never looser
     than cond(H) below about 1e4), it is the guarded normal-equations solve
     (H'H) beta = H'Y. H'H and H'Y are then summed over row blocks of at
-    most `_BLOCK` entries of H (655 rows at 50 nodes), so the working
-    memory is O(block * L + L^2); a fit whose rows fit in one block forms
-    exactly H'H and H'Y of the whole H. Otherwise the readout is one
-    LAPACK gelsd solve on the whole H with `pseudoinverse()`'s cutoff
-    (singular values below eps * max(n, m) * s_max count as zero); a
-    refused layer of more than one block pays one more projection of X
-    for it, and holds H whole. No iteration is involved.
+    most `_BLOCK` entries of H (655 rows at 50 nodes), and each block is
+    freed before the next is projected, so the working memory is one
+    block of H plus O(L^2) (the distance nodes add one block of X rows);
+    a fit whose rows fit in one block forms exactly H'H and H'Y of the
+    whole H. Otherwise the readout is one LAPACK gelsd solve on the whole
+    H with `pseudoinverse()`'s cutoff (singular values below
+    eps * max(n, m) * s_max count as zero); a refused layer of more than
+    one block pays one more projection of X for it, and holds H whole.
+    No iteration is involved.
     Deterministic given (X, Y, n_hidden, activation, seed).
 
     Parameters
@@ -300,7 +318,8 @@ def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None, *, fitted=None):
     fitted : array of Y's shape, optional
         Receives the model's outputs on X, bit for bit `predict(model, X)`:
         computed from the H the readout already holds (one block, or a
-        gelsd layer), otherwise from one more whole projection of X.
+        gelsd layer), otherwise from one more whole projection of X, which
+        then holds H whole.
 
     Returns
     -------

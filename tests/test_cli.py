@@ -269,8 +269,10 @@ n_train = 60
             assert (tmp_path / "rebuilt" / name).read_bytes() == (reports / name).read_bytes(), name
 
     @pytest.mark.parametrize("setting, message, section", [
-        ("lambda1 = 2", "thresholds must lie in [0, 1]", "ensemble"),
-        ("activation = relu", "unknown activation 'relu'", "ensemble"),
+        pytest.param("lambda1 = 2", "{cfg}: [ensemble] thresholds must lie in [0, 1]", "ensemble",
+                     id="lambda1 = 2-thresholds must lie in [0, 1]-ensemble"),
+        pytest.param("activation = relu", "{cfg}: [ensemble] unknown activation 'relu'", "ensemble",
+                     id="activation = relu-unknown activation 'relu'-ensemble"),
         # a retired or misspelt key must not quietly fall back to its default
         ("resample_noise = true", "{cfg}: [experiment] has unknown keys: resample_noise",
          "experiment"),
@@ -526,9 +528,23 @@ def _records_row(name, text, expected):
              "While reading from 'b.ini' [line 4]: option 'runs' in section 'experiment' "
              "already exists"),
     # two spellings of one method would run its cells twice
-    pytest.param({"b.ini": GOOD_INI.replace("methods = elm\n", "methods = elm, ELM\n")},
-                 ["bench", "--config", "{dir}/b.ini"], EXIT_CONFIG,
-                 "error: methods lists ELM twice", id="ini-duplicate-method"),
+    _ini_row("ini-duplicate-method", "methods = elm\n", "methods = elm, ELM\n",
+             "[experiment] methods lists ELM twice"),
+    # values that parse but that the config they feed rejects
+    _ini_row("ini-runs-zero", "runs = 1\n", "runs = 0\n", "[experiment] runs must be positive"),
+    _ini_row("ini-unknown-method", "methods = elm\n", "methods = xgboost\n",
+             "[experiment] unknown method 'xgboost'"),
+    _ini_row("ini-bad-ensemble", "n_train = 9\n", "n_train = 9\n[ensemble]\nlambda1 = 2\n",
+             "[ensemble] thresholds must lie in [0, 1]"),
+    _ini_row("ini-bad-ga", "n_train = 9\n", "n_train = 9\n[ga]\npopulation = 0\n",
+             "[ga] population_size and generations must be positive"),
+    _ini_row("ini-bad-noise", "variances = 1\n", "variances = -1\n",
+             "[noise:g1] variances must be non-empty and positive"),
+    _ini_row("ini-unknown-task", "path = {dir}/good.csv\n", "task = frobnicate\n",
+             "[dataset:syn] unknown benchmark task 'frobnicate'"),
+    # the same check on a flag names no file
+    pytest.param({"b.ini": GOOD_INI}, ["bench", "--config", "{dir}/b.ini", "--runs", "0"],
+                 EXIT_CONFIG, "error: runs must be positive\n", id="flag-runs-zero"),
     _records_row("records-truncated-row", RECORDS_HEADER + GOOD_RECORD + TRUNCATED_RECORD,
                  ", line 3: expected 7 fields, got 5"),
     _records_row("records-truncated-header", RECORDS_HEADER[:30], ": not a run-record file"),

@@ -2,6 +2,7 @@ import contextlib
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -322,10 +323,10 @@ def small_blocks(monkeypatch):
     monkeypatch.setattr(rmse_elm.elm, "_BLOCK", 64)
 
 
-def rerun(test, **strategies):
+def rerun(test, max_examples=150, **strategies):
     """The body of a Hypothesis test, as a new test of its own for a subclass."""
     fresh = given(**strategies)(test.hypothesis.inner_test)
-    return settings(max_examples=150, deadline=None)(fresh)
+    return settings(max_examples=max_examples, deadline=None)(fresh)
 
 
 @pytest.mark.usefixtures("small_blocks")
@@ -558,6 +559,95 @@ class TestRowBlocks:
         bound = 10 * max(h.shape) * np.linalg.cond(h) ** 2 * eps * scale
         assert blocked.shape == whole.shape
         assert np.linalg.norm(blocked - whole) <= bound
+
+
+def reference_hidden_output(layer, X):
+    """H from each node kind's plain expression, every step in a fresh array."""
+    w, b = layer.input_weights, layer.biases
+    with np.errstate(over="ignore"):
+        if layer.activation == "sigmoid":
+            return 1.0 / (1.0 + np.exp(-b - X @ w.T))
+        if layer.activation == "hardlim":
+            return (X @ w.T + b >= 0.0).astype(float)
+        sq = np.stack([((X - c) ** 2).sum(axis=1) for c in w], axis=1)
+        if layer.activation == "gaussian":
+            return np.exp(-(b**2) * sq)
+        return np.sqrt(sq + b**2)
+
+
+class TestDegenerateInputs:
+    """Degenerate tables (constant or duplicate columns, one feature, identical
+    rows, fewer rows than nodes) through every node kind."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), activation=st.sampled_from(sorted(rmse_elm.elm.ACTIVATIONS)))
+    def test_finite_deterministic_and_equal_to_the_plain_kernels(self, data, activation):
+        X, Y, n_hidden, _, seed = degenerate_problem(data)
+        layer = make_hidden_layer(X.shape[1], n_hidden, activation, seed)
+        h = hidden_output(layer, X)
+        assert np.array_equal(h, reference_hidden_output(layer, X))
+        assert np.array_equal(h, hidden_output(layer, X))
+        beta = train_elm(X, Y, n_hidden, activation, seed=seed).output_weights
+        assert beta.shape == (n_hidden, 1 if Y.ndim == 1 else Y.shape[1])
+        assert np.all(np.isfinite(beta))
+        assert np.array_equal(beta, train_elm(X, Y, n_hidden, activation, seed=seed).output_weights)
+
+    @pytest.mark.parametrize("activation", sorted(rmse_elm.elm.ACTIVATIONS))
+    def test_overflowing_input_equals_the_plain_kernels(self, activation):
+        # the input of TestTrainElm.test_non_finite_hidden_output_rejected
+        X = np.full((6, 2), 1e200)
+        layer = make_hidden_layer(2, 4, activation, seed=0)
+        assert np.array_equal(hidden_output(layer, X), reference_hidden_output(layer, X))
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestDegenerateInputsInRowBlocks(TestDegenerateInputs):
+    """The same properties when the readout sums H'H and H'Y over many row blocks."""
+
+    test_finite_deterministic_and_equal_to_the_plain_kernels = rerun(
+        TestDegenerateInputs.test_finite_deterministic_and_equal_to_the_plain_kernels, 40,
+        data=st.data(), activation=st.sampled_from(sorted(rmse_elm.elm.ACTIVATIONS)))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes numpy and Python allocate during fn(*args, **kwargs)."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    """A fit holds one row block of H at a time, and every node kind builds
+    its block in one array: at most one block of H, one block of X rows (the
+    distance kernels' difference buffer) and 128 KiB for the L x L matrices
+    and numpy's ufunc buffers."""
+
+    L = 50
+    ROWS = rmse_elm.elm._BLOCK // L
+
+    def bound(self, n_inputs):
+        return rmse_elm.elm._BLOCK * 8 + self.ROWS * n_inputs * 8 + 128 * 1024
+
+    # gaussian layers over 31 inputs fail the Cholesky guard and go to gelsd,
+    # which holds H whole
+    @pytest.mark.parametrize("activation", ["hardlim", "multiquadric", "sigmoid"])
+    def test_fit_of_several_blocks_holds_one(self, activation):
+        X = np.random.default_rng(0).normal(size=(3000, 31))
+        y = X[:, 0] + 0.1
+        with counting_lstsq() as calls:
+            train_elm(X, y, self.L, activation, seed=0)
+        assert calls == []  # the normal equations, over 5 blocks
+        assert traced_peak(train_elm, X, y, self.L, activation, seed=0) <= self.bound(31)
+
+    @pytest.mark.parametrize("activation", sorted(rmse_elm.elm.ACTIVATIONS))
+    def test_projection_of_one_block_builds_one_array(self, activation):
+        # few inputs, so a second n x L array cannot hide in the X-block allowance
+        X = np.random.default_rng(0).normal(size=(self.ROWS, 3))
+        layer = make_hidden_layer(3, self.L, activation, seed=0)
+        assert traced_peak(hidden_output, layer, X) <= self.bound(3)
 
 
 class TestFittedOutputs:
