@@ -7,6 +7,7 @@ noise spec, split spec) triple pins the train/test matrices exactly.
 """
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -148,7 +149,7 @@ def load_csv(path, target_column, has_header=True, categorical=None, name=None):
                     f"{path}: row {r + 1}, column {names[c]!r}: "
                     f"cannot parse {cell!r} as a number"
                 ) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise DataError(
                     f"{path}: row {r + 1}, column {names[c]!r}: non-finite value"
                 )

@@ -6,6 +6,12 @@ pooled. Layer 2 applies selective ensembling once more to the pool and
 averages the final survivors. The flat baselines share the same kernels:
 a plain simple-average ensemble, a one-layer selective ensemble, and the
 variant whose second layer is a plain average of the pooled survivors.
+
+A group's non-survivors are freed as soon as its survivors join the pool,
+so a layer-1 fit holds the pool, one group (its members and their
+predictions on the estimation rows) and one member's readout working set
+(see `train_elm`); a hold-out adds its fit-row and estimation-row copies
+of X.
 """
 
 from dataclasses import dataclass, field, replace
@@ -160,6 +166,13 @@ def _select(preds, y_est, config, stream, group, threshold):
 
 
 def _layer_one(X, y, config):
+    """Train each group, select within it and pool the survivors.
+
+    Only the pool outlives a group: its other members and their
+    estimation-row predictions are released before the next group trains.
+    Returns (y_est, pool models, pool predictions, pool provenance,
+    per-group survivor counts).
+    """
     X_fit, y_fit, X_est, y_est = _estimation_split(
         X, y, config.validation_fraction, config.seed
     )
@@ -176,6 +189,7 @@ def _layer_one(X, y, config):
             pool_models.append(models[i])
             pool_preds.append(preds[i])
             pool_prov.append((g, int(i)))
+        del models, preds  # free the non-survivors before the next group trains
     return y_est, pool_models, pool_preds, pool_prov, counts
 
 

@@ -51,6 +51,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"row 2.*'b'.*oops"):
             load_csv(p, "a")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_reports_location(self, tmp_path, cell):
+        p = write(tmp_path, f"a,b,c\n1,2,3\n4,5,6\n7,{cell},9\n")
+        with pytest.raises(DataError, match=r"row 3, column 'b': non-finite value"):
+            load_csv(p, "a")
+
     def test_ragged_row_reported(self, tmp_path):
         p = write(tmp_path, "a,b\n1,2\n3\n")
         with pytest.raises(DataError, match="row 2"):

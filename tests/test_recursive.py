@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -156,6 +159,58 @@ class TestGasenElm:
         ens = train_gasen_elm(X, y, small_config(group_size=8, seed=4))
         assert 1 <= ens.n_members <= 8
         assert set(ens.provenance) <= {(0, i) for i in range(8)}
+
+
+class TestWorkingSet:
+    """Layer 1 holds the pool and one group: a group's non-survivors are
+    freed once its survivors are in the pool, before the next group trains."""
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.25])
+    @pytest.mark.parametrize("train", [train_rmse_elm, train_e_gasen])
+    def test_the_next_group_starts_with_only_the_survivors_alive(
+        self, monkeypatch, train, fraction
+    ):
+        ds = make_synthetic_regression(n_samples=120, n_features=4, seed=1, noise_std=0.2)
+        cfg = small_config(groups=3, group_size=8, n_hidden=10, validation_fraction=fraction)
+        trained = {}  # (group, index) -> weak reference to the member
+        alive = []  # live members of group g when group g + 1's first one trains
+
+        def spy(*args, seed, **kwargs):
+            _, group, index = seed.spawn_key
+            if group > 0 and index == 0:
+                previous = (trained[(group - 1, i)] for i in range(cfg.group_size))
+                alive.append(sum(ref() is not None for ref in previous))
+            model = train_elm(*args, seed=seed, **kwargs)
+            trained[(group, index)] = weakref.ref(model)
+            return model
+
+        monkeypatch.setattr(recursive, "train_elm", spy)
+        ens = train(ds.X, ds.y, cfg)
+        assert alive == list(ens.group_survivor_counts[:-1])
+        assert sum(alive) < len(alive) * cfg.group_size  # some member was dropped
+
+    def test_fit_peak_is_pool_one_group_and_one_readout(self):
+        # bh-rmse's shape at the default config: while the last group trains,
+        # the fit holds the earlier groups' survivors, the group's members with
+        # their estimation-row predictions, and one member's readout (H, and
+        # H'H with its shifted copy and Cholesky factor); 128 KiB covers the
+        # Python objects and numpy's ufunc buffers
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(400, 20))
+        y = X[:, 0] + np.sin(X[:, 1]) + 0.1 * rng.normal(size=400)
+        cfg = EnsembleConfig()
+        tracemalloc.start()
+        try:
+            ens = train_rmse_elm(X, y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, L = X.shape[0], cfg.n_hidden
+        m = ens.members[0]
+        member = (m.hidden.input_weights.nbytes + m.hidden.biases.nbytes
+                  + m.output_weights.nbytes + n * 8)
+        held = sum(ens.group_survivor_counts[:-1]) + cfg.group_size
+        assert peak <= held * member + (n * L + 3 * L * L) * 8 + 128 * 1024
 
 
 class TestSimpleEnsemble:
