@@ -39,7 +39,7 @@ ds = make_synthetic_regression(n_samples=300, n_features=4, seed=1, noise_std=0.
 X_train, y_train = ds.X[:200], ds.y[:200]
 X_test, y_test = ds.X[200:], ds.y[200:]
 
-for activation in ("sigmoid", "gaussian", "multiquadric", "hardlim"):
+for activation in ("sigmoid", "gaussian", "multiquadric"):
     t0 = time.perf_counter()
     model = train_elm(X_train, y_train, n_hidden=50, activation=activation, seed=7)
     wall = time.perf_counter() - t0
@@ -47,12 +47,14 @@ for activation in ("sigmoid", "gaussian", "multiquadric", "hardlim"):
     print(f"{activation:>12}: test MSE {test_mse:.4f}  (trained in {wall * 1e3:.1f} ms)")
 
 # --- the readout is the pseudoinverse solution, without forming pinv(H) --
-# a hardlim H holds exact 0/1 entries, so its rank is exact and the two
-# solves can only differ by rounding
-model = train_elm(X_train, y_train, n_hidden=50, activation="hardlim", seed=7)
-h = hidden_output(model.hidden, X_train)
-gap = np.linalg.norm(model.output_weights[:, 0] - pseudoinverse(h) @ y_train)
-print(f"\n|beta - pinv(H) y| / |beta| for a hardlim readout: "
+# 40 rows repeated from 5 distinct ones give a 30-node sigmoid H of exact
+# rank 5: the guard refuses it, gelsd solves it, and the two readouts can
+# only differ by rounding
+rows = np.arange(40) % 5
+model = train_elm(X_train[rows], y_train[rows], n_hidden=30, activation="sigmoid", seed=7)
+h = hidden_output(model.hidden, X_train[rows])
+gap = np.linalg.norm(model.output_weights[:, 0] - pseudoinverse(h) @ y_train[rows])
+print(f"\n|beta - pinv(H) y| / |beta| for a rank-{np.linalg.matrix_rank(h)} sigmoid readout: "
       f"{gap / np.linalg.norm(model.output_weights):.1e}")
 
 # --- with as many hidden nodes as samples, the fit interpolates -----------

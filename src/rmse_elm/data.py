@@ -265,10 +265,10 @@ def save_csv(ds, path, manifest=None):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + ["target"])
-        for i in range(ds.n_samples):
-            writer.writerow([repr(float(v)) for v in ds.X[i]] + [repr(float(ds.y[i]))])
+        csv.writer(fh).writerow(list(ds.feature_names) + ["target"])
+        # the rows csv.writer would write: a float's repr never needs quoting
+        fh.writelines(",".join(map(repr, row)) + "\r\n"
+                      for row in np.column_stack([ds.X, ds.y]).tolist())
     if manifest is not None:
         lines = [f"dataset: {ds.name}", f"rows: {ds.n_samples}", f"features: {ds.n_features}"]
         lines += [f"{k}: {v}" for k, v in manifest.items()]

@@ -38,13 +38,6 @@ def _sigmoid(layer, X):
     return np.reciprocal(z, out=z)
 
 
-def _hardlim(layer, X):
-    z = X @ layer.input_weights.T
-    z += layer.biases
-    # the 0/1 output overwrites the projection it is read from
-    return np.greater_equal(z, 0.0, out=z)
-
-
 def _squared_distances(X, centres):
     # one centre at a time: no (n, L, d) temporary, and no |x|^2 - 2x.c + |c|^2
     # cancellation, so a row on a centre gives exactly 0. An overflow gives inf,
@@ -76,7 +69,6 @@ def _multiquadric(layer, X):
 
 ACTIVATIONS = {
     "sigmoid": _sigmoid,
-    "hardlim": _hardlim,
     "gaussian": _gaussian,
     "multiquadric": _multiquadric,
 }
@@ -84,8 +76,6 @@ ACTIVATIONS = {
 
 def _canonical_activation(name):
     key = str(name).strip().lower().replace("-", "").replace("_", "")
-    aliases = {"hardlimit": "hardlim", "logistic": "sigmoid"}
-    key = aliases.get(key, key)
     if key not in ACTIVATIONS:
         raise ValueError(
             f"unknown activation {name!r}; choose one of {sorted(ACTIVATIONS)}"
@@ -163,7 +153,8 @@ def make_hidden_layer(n_inputs, n_hidden, activation="sigmoid", seed=None):
     n_hidden : int
         Number of hidden nodes, >= 1.
     activation : str
-        'sigmoid', 'hardlim', 'gaussian' or 'multiquadric'.
+        'sigmoid', 'gaussian' or 'multiquadric'; case, '-' and '_' are
+        ignored.
     seed : int, SeedSequence, Generator or None
         Seed for the random stream. None draws fresh entropy.
     """
@@ -178,8 +169,8 @@ def make_hidden_layer(n_inputs, n_hidden, activation="sigmoid", seed=None):
 def hidden_output(layer, X):
     """Hidden layer output matrix: entry (i, t) is node t applied to row i.
 
-    Shape (n_samples, n_hidden). Sigmoid and hardlim nodes act on the
-    affine projection w_t . x + b_t; gaussian and multiquadric nodes act
+    Shape (n_samples, n_hidden). Sigmoid nodes act on the affine
+    projection w_t . x + b_t; gaussian and multiquadric nodes act
     on the distance between x and the node's weight row, with the bias
     reinterpreted as a width.
     """

@@ -74,23 +74,13 @@ class OptimalWeights:
 
     Minimizing w' C w subject only to sum(w) = 1 gives
     w_k proportional to the k-th row sum of C^-1; nothing forces the
-    components into [0, 1], so `raw` may leave the simplex. `in_simplex`
-    flags whether it did, and `simplex()` returns a clipped-and-
-    renormalized EnsembleWeights for downstream use.
+    components into [0, 1], so `raw` may leave the simplex, and
+    `in_simplex` flags whether it did. Off the simplex, `raw` is not the
+    optimum over nonnegative weights; `ga_evolve` searches that.
     """
 
     raw: np.ndarray
     in_simplex: bool
-
-    def simplex(self):
-        w = np.clip(self.raw, 0.0, None)
-        total = float(w.sum())
-        if total <= 0.0:
-            raise DegenerateEnsembleError(
-                "optimal weights are entirely non-positive; cannot project"
-            )
-        w = w / total
-        return EnsembleWeights(np.clip(w, 0.0, 1.0))
 
 
 @dataclass(frozen=True)

@@ -273,6 +273,11 @@ n_train = 60
                      id="lambda1 = 2-thresholds must lie in [0, 1]-ensemble"),
         pytest.param("activation = relu", "{cfg}: [ensemble] unknown activation 'relu'", "ensemble",
                      id="activation = relu-unknown activation 'relu'-ensemble"),
+        # a node kind that was deleted
+        pytest.param("activation = hardlim",
+                     "{cfg}: [ensemble] unknown activation 'hardlim'; "
+                     "choose one of ['gaussian', 'multiquadric', 'sigmoid']", "ensemble",
+                     id="activation = hardlim-unknown activation 'hardlim'-ensemble"),
         # a retired or misspelt key must not quietly fall back to its default
         ("resample_noise = true", "{cfg}: [experiment] has unknown keys: resample_noise",
          "experiment"),
@@ -511,6 +516,11 @@ def _records_row(name, text, expected):
     pytest.param({}, ["frobnicate"], EXIT_CONFIG,
                  "error: rmse-elm: argument command: invalid choice: 'frobnicate'",
                  id="command-unknown"),
+    # a value the config it feeds rejects: the deleted hardlim node kind
+    pytest.param({}, ["train", "--dataset", "{dir}/good.csv", "--activation", "hardlim"],
+                 EXIT_CONFIG, "error: unknown activation 'hardlim'; "
+                 "choose one of ['gaussian', 'multiquadric', 'sigmoid']\n",
+                 id="flag-activation-hardlim"),
     pytest.param({}, ["train", "--dataset", "{dir}/absent.csv"], EXIT_DATA,
                  "data error: dataset file not found: {dir}/absent.csv", id="csv-missing"),
     _csv_row("csv-ragged-short-row", "a,b,target\n1,2,3\n4,5\n", "row 2 has 2 columns, expected 3"),

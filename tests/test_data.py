@@ -1,3 +1,5 @@
+import csv
+import io
 import tracemalloc
 
 import numpy as np
@@ -301,6 +303,22 @@ class TestSaveCsv:
         back = load_csv(path, "target")
         assert np.array_equal(back.X, ds.X)
         assert np.array_equal(back.y, ds.y)
+
+    def test_bytes_match_a_csv_writer_of_float_reprs(self, tmp_path):
+        # the per-cell csv.writer form: a quoted header cell, repr of every float
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(7, 3)) * [1.0, 1e-300, 1e300]
+        X[0] = [-0.0, 0.1, 5.0]
+        y = np.r_[1.0 / 3.0, rng.normal(size=6)]
+        ds = Dataset(X, y, ("a,b", 'say "x"', "c"), "t")
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(list(ds.feature_names) + ["target"])
+        for i in range(ds.n_samples):
+            writer.writerow([repr(float(v)) for v in ds.X[i]] + [repr(float(ds.y[i]))])
+        path = save_csv(ds, tmp_path / "out.csv")
+        assert path.read_bytes() == expected.getvalue().encode()
+        assert path.read_bytes().startswith(b'"a,b","say ""x""",c,target\r\n-0.0,0.1,5.0,')
 
     def test_manifest_sidecar(self, tmp_path):
         ds = make_waveform(n_samples=10, seed=0)

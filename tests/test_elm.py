@@ -64,6 +64,18 @@ class TestMakeHiddenLayer:
         with pytest.raises(ValueError, match="activation"):
             make_hidden_layer(2, 2, "relu6", seed=0)
 
+    @pytest.mark.parametrize("name", ["hardlim", "hardlimit", "logistic"])
+    def test_removed_names_are_unknown(self, name):
+        with pytest.raises(ValueError, match=rf"unknown activation '{name}'; choose one of "
+                                             r"\['gaussian', 'multiquadric', 'sigmoid'\]"):
+            make_hidden_layer(2, 3, name, seed=0)
+
+    @pytest.mark.parametrize("name, kind", [("Sigmoid", "sigmoid"), (" GAUSSIAN ", "gaussian"),
+                                            ("multi-quadric", "multiquadric"),
+                                            ("multi_Quadric", "multiquadric")])
+    def test_case_dash_and_underscore_are_folded(self, name, kind):
+        assert make_hidden_layer(2, 3, name, seed=0).activation == kind
+
 
 class TestHiddenOutput:
     def test_sigmoid_at_zero_is_half(self):
@@ -78,11 +90,6 @@ class TestHiddenOutput:
             warnings.simplefilter("error")
             out = hidden_output(layer, np.array([[-800.0], [800.0]]))
         assert out.ravel().tolist() == [0.0, 1.0]
-
-    def test_hardlim_sign_cases(self):
-        layer = HiddenLayer(np.array([[1.0]]), np.array([-0.3]), "hardlim")
-        out = hidden_output(layer, np.array([[0.0], [0.3], [1.0]]))
-        assert out.ravel().tolist() == [0.0, 1.0, 1.0]
 
     def test_gaussian_at_centre_is_one(self):
         centre = np.array([[0.4, -0.2, 0.9]])
@@ -219,10 +226,10 @@ class TestTrainElm:
         with pytest.raises(ValueError, match="non-finite"):
             train_elm(X, y, 5, seed=0)
 
-    @pytest.mark.parametrize("activation", ["sigmoid", "hardlim", "gaussian", "multiquadric"])
+    @pytest.mark.parametrize("activation", ["sigmoid", "gaussian", "multiquadric"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_inputs_rejected(self, activation, bad):
-        # one inf leaves a sigmoid or hardlim H finite (0 or 1), so X is checked too
+        # one inf leaves a sigmoid H finite (0 or 1), so X is checked too
         X = np.random.default_rng(5).normal(size=(20, 3))
         X[7, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
@@ -269,11 +276,19 @@ def degenerate_problem(data, tall=False):
     return X, Y, n_hidden, kind, data.draw(st.integers(0, 2**31), label="layer seed")
 
 
+def repeated_rows(n=40, d=2, distinct=5):
+    """n rows repeated from `distinct` Uniform(-1, 1) rows: a sigmoid layer of
+    more nodes than that has rank exactly `distinct`."""
+    x = np.random.default_rng(2).uniform(-1, 1, size=(distinct, d))
+    return x[np.arange(n) % distinct]
+
+
 class TestReadoutContract:
     """The gelsd readout is the minimum-norm least-squares solution pinv(H) @ Y.
 
-    Elementwise equality is asserted where H's rank is exact: hard-limit
-    layers (0/1 entries) and identical rows (rank 1). A smooth layer over
+    Elementwise equality is asserted where H's rank is exact: sigmoid
+    layers over rows repeated from fewer distinct rows than nodes, and
+    identical rows (rank 1) for every node kind. A smooth layer over
     near-duplicate inputs has singular values all the way down to the
     cutoff, and two SVDs may place one of them on different sides of it;
     there the solution is checked by the normal equations instead.
@@ -283,9 +298,15 @@ class TestReadoutContract:
     @given(data=st.data())
     def test_equals_pseudoinverse_solution(self, data):
         X, Y, n_hidden, kind, seed = degenerate_problem(data)
-        activation = "hardlim"
+        activation = "sigmoid"
         if kind == "identical rows":
             activation = data.draw(st.sampled_from(sorted(rmse_elm.elm.ACTIVATIONS)))
+        else:
+            # fewer distinct rows than nodes (or one node): rank exactly `distinct`.
+            # At 3 the solves agree to about 1e-11; at 5 a sigmoid H's smallest
+            # kept singular value can fall low enough that they differ by 3e-9
+            distinct = data.draw(st.integers(1, max(1, min(3, n_hidden - 1))), label="distinct")
+            X = X[np.arange(X.shape[0]) % distinct]
         beta = train_elm(X, Y, n_hidden, activation, seed=seed).output_weights
         h = hidden_output(make_hidden_layer(X.shape[1], n_hidden, activation, seed), X)
         expected = pseudoinverse(h) @ (Y[:, None] if Y.ndim == 1 else Y)
@@ -306,13 +327,14 @@ class TestReadoutContract:
         assert np.linalg.norm(h.T @ (h @ beta - Y2)) <= bound
 
     def test_all_zero_hidden_output_gives_zero_readout(self):
-        # every node's weight is positive, so inputs far below zero switch all off
+        # every node's weight is positive, so inputs far below zero switch all
+        # sigmoids off: exp(-(w x + b)) overflows to inf and each output is exactly 0
         seed = next(s for s in range(1000)
-                    if np.all(make_hidden_layer(1, 4, "hardlim", s).input_weights > 0.1))
-        X = np.full((9, 1), -20.0)
-        assert np.all(hidden_output(make_hidden_layer(1, 4, "hardlim", seed), X) == 0.0)
+                    if np.all(make_hidden_layer(1, 4, "sigmoid", s).input_weights > 0.1))
+        X = np.full((9, 1), -1e4)
+        assert np.all(hidden_output(make_hidden_layer(1, 4, "sigmoid", seed), X) == 0.0)
         Y = np.random.default_rng(0).normal(size=(9, 2))
-        beta = train_elm(X, Y, 4, "hardlim", seed=seed).output_weights
+        beta = train_elm(X, Y, 4, "sigmoid", seed=seed).output_weights
         assert beta.shape == (4, 2)
         assert np.all(beta == 0.0)
 
@@ -414,14 +436,15 @@ class TestReadoutPaths:
         train_elm(X, np.ones(10), 20, "sigmoid", seed=0)
         assert gelsd_calls == [(10, 20)]
 
-    def test_rank_deficient_hardlim_uses_gelsd(self, gelsd_calls):
-        # one input repeated: every node is a step along that one direction
-        x = np.random.default_rng(2).uniform(-1, 1, size=40)
-        X = np.column_stack([x, x])
-        h = hidden_output(make_hidden_layer(2, 30, "hardlim", seed=4), X)
-        assert np.linalg.matrix_rank(h) < 30
-        train_elm(X, x, 30, "hardlim", seed=4)
+    def test_rank_deficient_sigmoid_uses_gelsd(self, gelsd_calls):
+        # 40 rows repeated from 5: H has 5 distinct rows, so rank 5 < 30 nodes
+        X = repeated_rows()
+        h = hidden_output(make_hidden_layer(2, 30, "sigmoid", seed=4), X)
+        assert np.linalg.matrix_rank(h) == 5
+        beta = train_elm(X, X[:, 0], 30, "sigmoid", seed=4).output_weights
         assert gelsd_calls == [(40, 30)]
+        expected = pseudoinverse(h) @ X[:, :1]
+        assert np.linalg.norm(beta - expected) <= 1e-12 * np.linalg.norm(beta)
 
     def test_ill_conditioned_gaussian_uses_gelsd(self, gelsd_calls):
         # wide RBF nodes over few inputs overlap almost entirely
@@ -459,7 +482,7 @@ class TestReadoutPaths:
     @pytest.mark.parametrize("n, d, n_hidden, activation, gelsd", [
         (400, 13, 50, "sigmoid", False),  # normal equations
         (10, 3, 20, "sigmoid", True),  # fewer rows than nodes
-        (40, 2, 30, "hardlim", True),  # rank-deficient, refused by the guard
+        (40, 2, 30, "sigmoid", True),  # 40 rows repeated from 5: rank 5, refused by the guard
         (400, 5, 50, "gaussian", True),  # ill-conditioned, refused by the guard
     ])
     def test_no_eigenvalue_decomposition(self, gelsd_calls, monkeypatch,
@@ -469,8 +492,8 @@ class TestReadoutPaths:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         x = np.random.default_rng(2).uniform(-1, 1, size=(n, d))
-        if activation == "hardlim":
-            x[:, 1] = x[:, 0]
+        if (n, n_hidden) == (40, 30):
+            x = repeated_rows(n, d)
         train_elm(x, x[:, 0], n_hidden, activation, seed=0)
         assert bool(gelsd_calls) == gelsd
 
@@ -482,10 +505,9 @@ class TestReadoutPathsInRowBlocks(TestReadoutPaths):
 
     def test_refused_layer_of_several_blocks_is_projected_once_more(self, gelsd_calls,
                                                                     monkeypatch):
-        # the rank-deficient layer of test_rank_deficient_hardlim_uses_gelsd,
+        # the rank-deficient layer of test_rank_deficient_sigmoid_uses_gelsd,
         # summed over 20 blocks of 2 rows
-        x = np.random.default_rng(2).uniform(-1, 1, size=40)
-        X = np.column_stack([x, x])
+        X = repeated_rows()
         shapes = []
 
         def spy(layer, rows):
@@ -493,7 +515,7 @@ class TestReadoutPathsInRowBlocks(TestReadoutPaths):
             return hidden_output(layer, rows)
 
         monkeypatch.setattr(rmse_elm.elm, "hidden_output", spy)
-        train_elm(X, x, 30, "hardlim", seed=4)
+        train_elm(X, X[:, 0], 30, "sigmoid", seed=4)
         assert gelsd_calls == [(40, 30)]
         assert shapes == [(2, 2)] * 20 + [(40, 2)]
 
@@ -516,11 +538,10 @@ class TestRowBlocks:
         assert np.array_equal(beta, np.linalg.solve(h.T @ h, h.T @ y[:, None]))
 
     def test_refused_layer_in_one_block_is_projected_once(self, monkeypatch):
-        # the rank-deficient layer of test_rank_deficient_hardlim_uses_gelsd:
+        # the rank-deficient layer of test_rank_deficient_sigmoid_uses_gelsd:
         # gelsd reuses the block's H
-        x = np.random.default_rng(2).uniform(-1, 1, size=40)
-        X = np.column_stack([x, x])
-        h = hidden_output(make_hidden_layer(2, 30, "hardlim", seed=4), X)
+        X = repeated_rows()
+        h = hidden_output(make_hidden_layer(2, 30, "sigmoid", seed=4), X)
         shapes = []
 
         def spy(layer, rows):
@@ -528,10 +549,10 @@ class TestRowBlocks:
             return hidden_output(layer, rows)
 
         monkeypatch.setattr(rmse_elm.elm, "hidden_output", spy)
-        beta = train_elm(X, x, 30, "hardlim", seed=4).output_weights
+        beta = train_elm(X, X[:, 0], 30, "sigmoid", seed=4).output_weights
         assert shapes == [(40, 2)]
         rcond = np.finfo(float).eps * 40
-        assert np.array_equal(beta, np.linalg.lstsq(h, x[:, None], rcond=rcond)[0])
+        assert np.array_equal(beta, np.linalg.lstsq(h, X[:, :1], rcond=rcond)[0])
 
     @pytest.mark.parametrize("outputs", [1, 3])
     @pytest.mark.parametrize("n", [16, 17, 33])  # rows, rows + 1, 2 rows + 1 at 4 nodes
@@ -567,8 +588,6 @@ def reference_hidden_output(layer, X):
     with np.errstate(over="ignore"):
         if layer.activation == "sigmoid":
             return 1.0 / (1.0 + np.exp(-b - X @ w.T))
-        if layer.activation == "hardlim":
-            return (X @ w.T + b >= 0.0).astype(float)
         sq = np.stack([((X - c) ** 2).sum(axis=1) for c in w], axis=1)
         if layer.activation == "gaussian":
             return np.exp(-(b**2) * sq)
@@ -633,7 +652,7 @@ class TestWorkingMemory:
 
     # gaussian layers over 31 inputs fail the Cholesky guard and go to gelsd,
     # which holds H whole
-    @pytest.mark.parametrize("activation", ["hardlim", "multiquadric", "sigmoid"])
+    @pytest.mark.parametrize("activation", ["multiquadric", "sigmoid"])
     def test_fit_of_several_blocks_holds_one(self, activation):
         X = np.random.default_rng(0).normal(size=(3000, 31))
         y = X[:, 0] + 0.1
@@ -730,7 +749,7 @@ def test_no_scipy_import():
     code = (
         "import sys, numpy as np, rmse_elm, rmse_elm.cli\n"
         "X = np.random.default_rng(0).normal(size=(40, 3))\n"
-        "for activation in ('sigmoid', 'hardlim', 'gaussian', 'multiquadric'):\n"
+        "for activation in ('sigmoid', 'gaussian', 'multiquadric'):\n"
         "    rmse_elm.elm.train_elm(X, X[:, 0], 8, activation, seed=0)\n"
         "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
     )

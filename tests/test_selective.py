@@ -156,14 +156,12 @@ class TestOptimalWeights:
         assert res.in_simplex
         assert np.allclose(res.raw, [0.8, 0.2], atol=1e-12)
 
-    def test_out_of_simplex_flagged_and_projected(self):
+    def test_out_of_simplex_flagged(self):
         # hand-solved: inv([[1, .9], [.9, .85]]) row sums -> raw (-1, 2)
         corr = CorrelationMatrix(np.array([[1.0, 0.9], [0.9, 0.85]]), n_samples=10)
         res = optimal_weights(corr)
         assert not res.in_simplex
         assert np.allclose(res.raw, [-1.0, 2.0], atol=1e-9)
-        proj = res.simplex()
-        assert np.allclose(proj.w, [0.0, 1.0], atol=1e-12)
 
     def test_interior_solution_beats_simplex_grid(self):
         rng = np.random.default_rng(4)
@@ -175,7 +173,7 @@ class TestOptimalWeights:
             if not res.in_simplex:
                 continue
             found += 1
-            best = ensemble_error(res.simplex(), corr)
+            best = ensemble_error(res.raw, corr)
             grid_vals = np.einsum("ni,ij,nj->n", grid, corr.c, grid)
             assert best <= grid_vals.min() + 1e-12
 
