@@ -126,6 +126,13 @@ def _load_train_dataset(args):
 
 
 def _cmd_train(args):
+    # a bad method or setting fails here, before any data is read
+    method = canonical_method(args.method)
+    config = EnsembleConfig(
+        groups=args.groups, group_size=args.group_size,
+        n_hidden=args.hidden, activation=args.activation,
+        threshold1=args.threshold, seed=args.seed,
+    )
     print(f"master seed: {args.seed}")
     ds, default_n_train = _load_train_dataset(args)
     n_train = args.n_train if args.n_train is not None else default_n_train
@@ -136,12 +143,6 @@ def _cmd_train(args):
         noise = NoiseSpec(variances=parse_list(",".join(args.noise)), seed=args.noise_seed)
     train_ds, test_ds, _ = make_blended_split(ds, noise, SplitSpec(n_train=n_train))
 
-    method = canonical_method(args.method)
-    config = EnsembleConfig(
-        groups=args.groups, group_size=args.group_size,
-        n_hidden=args.hidden, activation=args.activation,
-        threshold1=args.threshold, seed=args.seed,
-    )
     t0 = time.perf_counter()
     fitted = fit(method, train_ds.X, train_ds.y, config)
     wall = time.perf_counter() - t0

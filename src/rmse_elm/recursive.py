@@ -7,18 +7,22 @@ averages the final survivors. The flat baselines share the same kernels:
 a plain simple-average ensemble, a one-layer selective ensemble, and the
 variant whose second layer is a plain average of the pooled survivors.
 
-A group's non-survivors are freed as soon as its survivors join the pool,
-so a layer-1 fit holds the pool, one group (its members and their
-predictions on the estimation rows) and one member's readout working set
-(see `train_elm`); a hold-out adds its fit-row and estimation-row copies
-of X.
+A selective fit keeps each member it has not yet chosen as its readout
+and its predictions on the estimation rows, not as an `ElmModel`: the
+hidden layer is a pure function of the member's seed, so it is dropped
+as soon as `train_elm` returns and redrawn only for the members a trainer
+returns. A group's non-survivors are freed as soon as its survivors join
+the pool, so a layer-1 fit holds the pool's and one group's readouts and
+predictions and one member's readout working set (see `train_elm`); the
+returned members add their layers, and a hold-out adds its fit-row and
+estimation-row copies of X.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .elm import _canonical_activation, predict, train_elm
+from .elm import ElmModel, _canonical_activation, make_hidden_layer, predict, train_elm
 from .selective import GaConfig, correlation_matrix, ga_evolve, select_by_threshold
 
 # spawn-key streams so every random draw in a training run has its own
@@ -136,12 +140,15 @@ def _estimation_split(X, y, validation_fraction, master_seed):
 
 
 def _train_group(X_fit, y_fit, X_est, n_models, config, group):
-    """Train a group's members and their predictions on the estimation rows.
+    """Train a group's members; keep each one's readout and estimation-row predictions.
 
-    Estimating on the fit rows, each member's predictions come from its own
-    fit (`train_elm(..., fitted=)`); only a hold-out is projected anew.
+    A member is kept as (output_weights, squeeze_output) and its model,
+    hidden layer included, is dropped before the next member trains;
+    `_rebuild` redraws the layer of a member a trainer returns. Estimating
+    on the fit rows, each member's predictions come from its own fit
+    (`train_elm(..., fitted=)`); only a hold-out is projected anew.
     """
-    models = []
+    readouts = []
     preds = []
     for i in range(n_models):
         fitted = np.empty(y_fit.shape) if X_est is X_fit else None
@@ -153,9 +160,28 @@ def _train_group(X_fit, y_fit, X_est, n_models, config, group):
             seed=member_seed(config.seed, group, i),
             fitted=fitted,
         )
-        models.append(m)
+        readouts.append((m.output_weights, m.squeeze_output))
         preds.append(np.ravel(predict(m, X_est) if fitted is None else fitted))
-    return models, preds
+        del m  # the layer goes with the model
+    return readouts, preds
+
+
+def _rebuild(X, config, readouts, provenance):
+    """The members `_train_group` trained at `provenance`, from their kept readouts.
+
+    Each layer is redrawn with the call `train_elm` made, so a rebuilt
+    member equals the trained one bit for bit.
+    """
+    n_inputs = np.shape(X)[1]
+    return tuple(
+        ElmModel(
+            make_hidden_layer(n_inputs, config.n_hidden, config.activation,
+                              member_seed(config.seed, g, i)),
+            beta,
+            squeeze,
+        )
+        for (beta, squeeze), (g, i) in zip(readouts, provenance)
+    )
 
 
 def _select(preds, y_est, config, stream, group, threshold):
@@ -168,10 +194,10 @@ def _select(preds, y_est, config, stream, group, threshold):
 def _layer_one(X, y, config):
     """Train each group, select within it and pool the survivors.
 
-    Only the pool outlives a group: its other members and their
+    Only the pool outlives a group: its other members' readouts and
     estimation-row predictions are released before the next group trains.
-    Returns (y_est, pool models, pool predictions, pool provenance,
-    per-group survivor counts).
+    Returns (y_est, pool readouts, pool predictions, pool provenance,
+    per-group survivor counts); `_rebuild` turns readouts into members.
     """
     X_fit, y_fit, X_est, y_est = _estimation_split(
         X, y, config.validation_fraction, config.seed
@@ -179,18 +205,18 @@ def _layer_one(X, y, config):
     threshold1 = (
         config.threshold1 if config.threshold1 is not None else 1.0 / config.group_size
     )
-    pool_models, pool_preds, pool_prov = [], [], []
+    pool_readouts, pool_preds, pool_prov = [], [], []
     counts = []
     for g in range(config.groups):
-        models, preds = _train_group(X_fit, y_fit, X_est, config.group_size, config, g)
+        readouts, preds = _train_group(X_fit, y_fit, X_est, config.group_size, config, g)
         chosen = _select(preds, y_est, config, _GROUP_GA, g, threshold1)
         counts.append(int(chosen.size))
         for i in chosen:
-            pool_models.append(models[i])
+            pool_readouts.append(readouts[i])
             pool_preds.append(preds[i])
             pool_prov.append((g, int(i)))
-        del models, preds  # free the non-survivors before the next group trains
-    return y_est, pool_models, pool_preds, pool_prov, counts
+        del readouts, preds  # free the non-survivors before the next group trains
+    return y_est, pool_readouts, pool_preds, pool_prov, counts
 
 
 def train_rmse_elm(X, y, config=None):
@@ -204,13 +230,14 @@ def train_rmse_elm(X, y, config=None):
     """
     if config is None:
         config = EnsembleConfig()
-    y_est, pool_models, pool_preds, pool_prov, counts = _layer_one(X, y, config)
-    threshold2 = config.threshold2 if config.threshold2 is not None else 1.0 / len(pool_models)
+    y_est, pool_readouts, pool_preds, pool_prov, counts = _layer_one(X, y, config)
+    threshold2 = config.threshold2 if config.threshold2 is not None else 1.0 / len(pool_prov)
     chosen = _select(pool_preds, y_est, config, _POOL_GA, 0, threshold2)
+    provenance = [pool_prov[i] for i in chosen]
 
     return RmseElmEnsemble(
-        members=tuple(pool_models[i] for i in chosen),
-        provenance=tuple(pool_prov[i] for i in chosen),
+        members=_rebuild(X, config, [pool_readouts[i] for i in chosen], provenance),
+        provenance=provenance,
         pool_provenance=tuple(pool_prov),
         group_survivor_counts=tuple(counts),
     )
@@ -224,9 +251,9 @@ def train_e_gasen(X, y, config=None):
     """
     if config is None:
         config = EnsembleConfig()
-    _, pool_models, _, pool_prov, counts = _layer_one(X, y, config)
+    _, pool_readouts, _, pool_prov, counts = _layer_one(X, y, config)
     return RmseElmEnsemble(
-        members=tuple(pool_models),
+        members=_rebuild(X, config, pool_readouts, pool_prov),
         provenance=tuple(pool_prov),
         pool_provenance=tuple(pool_prov),
         group_survivor_counts=tuple(counts),
@@ -242,8 +269,8 @@ def train_gasen_elm(X, y, config=None):
     """
     if config is None:
         config = EnsembleConfig()
-    _, pool_models, _, pool_prov, _ = _layer_one(X, y, replace(config, groups=1))
-    return ElmEnsemble(members=tuple(pool_models), provenance=tuple(pool_prov))
+    _, readouts, _, provenance, _ = _layer_one(X, y, replace(config, groups=1))
+    return ElmEnsemble(members=_rebuild(X, config, readouts, provenance), provenance=provenance)
 
 
 def train_simple_ensemble(X, y, n_learners=20, n_hidden=50, activation="sigmoid", seed=0):

@@ -521,6 +521,14 @@ def _records_row(name, text, expected):
                  EXIT_CONFIG, "error: unknown activation 'hardlim'; "
                  "choose one of ['gaussian', 'multiquadric', 'sigmoid']\n",
                  id="flag-activation-hardlim"),
+    # settings the config rejects fail before the table is generated or read
+    pytest.param({}, ["train", "--dataset", "task:housing", "--activation", "relu"],
+                 EXIT_CONFIG, "error: unknown activation 'relu'; "
+                 "choose one of ['gaussian', 'multiquadric', 'sigmoid']\n",
+                 id="flag-activation-unknown"),
+    pytest.param({}, ["train", "--dataset", "task:housing", "--groups", "0"], EXIT_CONFIG,
+                 "error: groups, group_size and n_hidden must be positive\n",
+                 id="flag-groups-zero"),
     pytest.param({}, ["train", "--dataset", "{dir}/absent.csv"], EXIT_DATA,
                  "data error: dataset file not found: {dir}/absent.csv", id="csv-missing"),
     _csv_row("csv-ragged-short-row", "a,b,target\n1,2,3\n4,5\n", "row 2 has 2 columns, expected 3"),
@@ -573,10 +581,11 @@ def _records_row(name, text, expected):
                  EXIT_CONFIG, "error: [Errno 20] Not a directory: '{dir}/file/rep'",
                  id="report-out-unwritable"),
 ])
-def test_malformed_input_exits_with_one_line(tmp_path, capsys, monkeypatch,
+def test_malformed_input_exits_with_one_line(tmp_path, capsys, monkeypatch, request,
                                             files, argv, code, message):
     # every row: the documented exit code, one stderr line, no traceback,
-    # and no trainer called: each input fails before any training
+    # and no trainer called: each input fails before any training. A flag or
+    # command row fails before the command does any work, so stdout is empty.
     (tmp_path / "good.csv").write_text(GOOD_CSV)
     (tmp_path / "file").write_text("a regular file, so no directory can be made under it\n")
     for name, text in files.items():
@@ -586,7 +595,9 @@ def test_malformed_input_exits_with_one_line(tmp_path, capsys, monkeypatch,
                  "train_rmse_elm"):
         monkeypatch.setattr(bench, name, lambda *args, name=name, **kwargs: trained.append(name))
     assert run_cli([arg.format(dir=tmp_path) for arg in argv]) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    if request.node.callspec.id.startswith(("flag-", "command-")):
+        assert out == ""
     assert err.startswith(message.format(dir=tmp_path))
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rmse_elm.elm
 import rmse_elm.recursive as recursive
@@ -126,10 +128,15 @@ class TestTrainRmseElm:
         assert projected == rows * (cfg.groups * cfg.group_size)
 
     def test_group_predictions_on_fit_rows_are_the_members_predict(self, task):
+        # a group keeps readouts, not models: the member rebuilt from a readout
+        # predicts bit for bit what selection saw, on the fit rows or a hold-out
         X, y = task
-        models, preds = recursive._train_group(X, y, X, 4, small_config(), 0)
-        for m, p in zip(models, preds):
-            assert np.array_equal(p, predict(m, X))
+        cfg = small_config()
+        for X_est in (X, X[:20]):
+            readouts, preds = recursive._train_group(X, y, X_est, 4, cfg, 1)
+            members = recursive._rebuild(X, cfg, readouts, [(1, i) for i in range(4)])
+            for m, p in zip(members, preds):
+                assert np.array_equal(p, predict(m, X_est))
 
 
 class TestEGasen:
@@ -161,40 +168,132 @@ class TestGasenElm:
         assert set(ens.provenance) <= {(0, i) for i in range(8)}
 
 
+SELECTIVE = [train_rmse_elm, train_e_gasen, train_gasen_elm]
+
+
+class TestRebuiltMembers:
+    """A selective fit returns members rebuilt from their seeds and readouts:
+    each equals the ELM `train_elm` trains on the fit rows at its seed."""
+
+    @pytest.mark.parametrize("column", [False, True], ids=["1d", "n1"])
+    @pytest.mark.parametrize("fraction", [0.0, 0.25])
+    @pytest.mark.parametrize("train", SELECTIVE)
+    def test_member_is_the_elm_trained_at_its_seed(self, task, train, fraction, column):
+        X, y = task
+        y = y[:, None] if column else y
+        cfg = small_config(validation_fraction=fraction)
+        X_fit, y_fit, _, _ = recursive._estimation_split(X, y, fraction, cfg.seed)
+        ens = train(X, y, cfg)
+        for m, (g, i) in zip(ens.members, ens.provenance):
+            solo = train_elm(X_fit, y_fit, cfg.n_hidden, cfg.activation,
+                             seed=member_seed(cfg.seed, g, i))
+            assert np.array_equal(m.hidden.input_weights, solo.hidden.input_weights)
+            assert np.array_equal(m.hidden.biases, solo.hidden.biases)
+            assert np.array_equal(m.output_weights, solo.output_weights)
+            assert m.squeeze_output is solo.squeeze_output is not column
+            assert predict(m, X).shape == y.shape
+        assert ens.predict(X).shape == y.shape
+
+
+def degenerate_columns(rng, n, kinds):
+    """One column per kind: random, constant, or a copy of the first column."""
+    first = rng.normal(size=n)
+    cols = {"random": lambda: rng.normal(size=n), "constant": lambda: np.full(n, 0.7),
+            "duplicate": lambda: first}
+    return np.column_stack([first] + [cols[k]() for k in kinds])
+
+
+class TestDegenerateInputs:
+    """Fewer rows than nodes (the readout and the fit-row predictions come
+    from gelsd's H), constant and duplicate columns, one-member groups."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        train=st.sampled_from(SELECTIVE),
+        n=st.integers(2, 12),
+        kinds=st.lists(st.sampled_from(["random", "constant", "duplicate"]), max_size=3),
+        n_hidden=st.integers(1, 16),
+        group_size=st.integers(1, 3),
+        fraction=st.sampled_from([0.0, 0.25]),
+        activation=st.sampled_from(sorted(rmse_elm.elm.ACTIVATIONS)),
+        column=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_fit_is_finite_deterministic_and_rebuilt_exactly(
+        self, train, n, kinds, n_hidden, group_size, fraction, activation, column, seed
+    ):
+        rng = np.random.default_rng(seed)
+        X = degenerate_columns(rng, n, kinds)
+        y = rng.normal(size=(n, 1) if column else n)
+        cfg = small_config(groups=2, group_size=group_size, n_hidden=n_hidden,
+                           activation=activation, validation_fraction=fraction, seed=seed)
+        seen = {}  # (group, index) -> the estimation rows and the predictions selection saw
+        train_group = recursive._train_group
+
+        def spy(X_fit, y_fit, X_est, n_models, config, group):
+            readouts, preds = train_group(X_fit, y_fit, X_est, n_models, config, group)
+            seen.update({(group, i): (X_est, p) for i, p in enumerate(preds)})
+            return readouts, preds
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recursive, "_train_group", spy)
+            ens = train(X, y, cfg)
+        again = train(X, y, cfg)
+        out = ens.predict(X)
+        assert out.shape == y.shape and np.isfinite(out).all()
+        assert np.array_equal(out, again.predict(X))
+        assert ens.provenance == again.provenance
+        assert set(ens.provenance) <= set(getattr(ens, "pool_provenance", ens.provenance))
+        assert set(ens.provenance) <= set(seen)
+        for m, prov in zip(ens.members, ens.provenance):
+            X_est, p = seen[prov]
+            assert np.array_equal(np.ravel(predict(m, X_est)), p)
+
+
 class TestWorkingSet:
-    """Layer 1 holds the pool and one group: a group's non-survivors are
-    freed once its survivors are in the pool, before the next group trains."""
+    """A selective fit keeps a member as its readout and estimation-row
+    predictions: no trained model outlives its own `train_elm` call, and a
+    group's non-survivors are freed once its survivors are in the pool."""
 
     @pytest.mark.parametrize("fraction", [0.0, 0.25])
-    @pytest.mark.parametrize("train", [train_rmse_elm, train_e_gasen])
-    def test_the_next_group_starts_with_only_the_survivors_alive(
+    @pytest.mark.parametrize("train", SELECTIVE)
+    def test_no_trained_member_is_alive_when_the_next_one_trains(
         self, monkeypatch, train, fraction
     ):
         ds = make_synthetic_regression(n_samples=120, n_features=4, seed=1, noise_std=0.2)
         cfg = small_config(groups=3, group_size=8, n_hidden=10, validation_fraction=fraction)
-        trained = {}  # (group, index) -> weak reference to the member
-        alive = []  # live members of group g when group g + 1's first one trains
+        models = []  # weak references to every model train_elm returned
+        readouts = {}  # (group, index) -> weak reference to the member's readout
+        models_alive, readouts_alive = [], []
 
         def spy(*args, seed, **kwargs):
             _, group, index = seed.spawn_key
+            models_alive.append(sum(ref() is not None for ref in models))
             if group > 0 and index == 0:
-                previous = (trained[(group - 1, i)] for i in range(cfg.group_size))
-                alive.append(sum(ref() is not None for ref in previous))
+                previous = (readouts[(group - 1, i)] for i in range(cfg.group_size))
+                readouts_alive.append(sum(ref() is not None for ref in previous))
             model = train_elm(*args, seed=seed, **kwargs)
-            trained[(group, index)] = weakref.ref(model)
+            models.append(weakref.ref(model))
+            readouts[(group, index)] = weakref.ref(model.output_weights)
             return model
 
         monkeypatch.setattr(recursive, "train_elm", spy)
         ens = train(ds.X, ds.y, cfg)
-        assert alive == list(ens.group_survivor_counts[:-1])
-        assert sum(alive) < len(alive) * cfg.group_size  # some member was dropped
+        groups = 1 if train is train_gasen_elm else cfg.groups  # GASEN-ELM is one group
+        assert models_alive == [0] * (groups * cfg.group_size)
+        assert all(ref() is None for ref in models)  # the ensemble holds rebuilt members
+        counts = list(getattr(ens, "group_survivor_counts", ()))
+        assert readouts_alive == counts[:-1]
+        if readouts_alive:  # GASEN-ELM has no second group
+            assert sum(readouts_alive) < len(readouts_alive) * cfg.group_size  # some were dropped
 
     def test_fit_peak_is_pool_one_group_and_one_readout(self):
         # bh-rmse's shape at the default config: while the last group trains,
-        # the fit holds the earlier groups' survivors, the group's members with
-        # their estimation-row predictions, and one member's readout (H, and
-        # H'H with its shifted copy and Cholesky factor); 128 KiB covers the
-        # Python objects and numpy's ufunc buffers
+        # the fit holds the earlier groups' survivors and the group's members,
+        # each as its readout and estimation-row predictions, and one member's
+        # readout working set (H, and H'H with its shifted copy and Cholesky
+        # factor); the members it returns add their rebuilt layers. 128 KiB
+        # covers the Python objects and numpy's ufunc buffers
         rng = np.random.default_rng(0)
         X = rng.normal(size=(400, 20))
         y = X[:, 0] + np.sin(X[:, 1]) + 0.1 * rng.normal(size=400)
@@ -207,10 +306,10 @@ class TestWorkingSet:
             tracemalloc.stop()
         n, L = X.shape[0], cfg.n_hidden
         m = ens.members[0]
-        member = (m.hidden.input_weights.nbytes + m.hidden.biases.nbytes
-                  + m.output_weights.nbytes + n * 8)
+        kept = m.output_weights.nbytes + n * 8
+        layer = m.hidden.input_weights.nbytes + m.hidden.biases.nbytes
         held = sum(ens.group_survivor_counts[:-1]) + cfg.group_size
-        assert peak <= held * member + (n * L + 3 * L * L) * 8 + 128 * 1024
+        assert peak <= held * kept + ens.n_members * layer + (n * L + 3 * L * L) * 8 + 128 * 1024
 
 
 class TestSimpleEnsemble:
