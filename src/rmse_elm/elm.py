@@ -120,7 +120,8 @@ class ElmModel:
 
     `output_weights` has shape (n_hidden, n_outputs). `squeeze_output`
     records whether the model was trained on 1-D targets, in which case
-    predictions are returned 1-D as well.
+    predictions are returned 1-D as well. The layer may be dropped and
+    redrawn in place (`drop_hidden_layer`); the readout never changes.
     """
 
     hidden: HiddenLayer
@@ -343,6 +344,26 @@ def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None, *, fitted=None):
         output_weights=beta,
         squeeze_output=squeeze,
     )
+
+
+def drop_hidden_layer(model):
+    """Free `model`'s hidden layer in place and keep its readout.
+
+    For a caller that holds many trained models and returns few: a layer
+    drawn from an int or SeedSequence seed is a pure function of it, and
+    `redraw_hidden_layer` gives it back bit for bit. The model cannot
+    predict in between.
+    """
+    object.__setattr__(model, "hidden", None)
+
+
+def redraw_hidden_layer(model, n_inputs, activation, seed):
+    """Give `model` back the layer `train_elm` drew for it over `n_inputs` inputs.
+
+    `activation` and `seed` are the ones `train_elm` was given.
+    """
+    layer = make_hidden_layer(n_inputs, model.output_weights.shape[0], activation, seed)
+    object.__setattr__(model, "hidden", layer)
 
 
 def predict(model, X):

@@ -8,21 +8,21 @@ a plain simple-average ensemble, a one-layer selective ensemble, and the
 variant whose second layer is a plain average of the pooled survivors.
 
 A selective fit keeps each member it has not yet chosen as its readout
-and its predictions on the estimation rows, not as an `ElmModel`: the
-hidden layer is a pure function of the member's seed, so it is dropped
-as soon as `train_elm` returns and redrawn only for the members a trainer
-returns. A group's non-survivors are freed as soon as its survivors join
-the pool, so a layer-1 fit holds the pool's and one group's readouts and
-predictions and one member's readout working set (see `train_elm`); the
-returned members add their layers, and a hold-out adds its fit-row and
-estimation-row copies of X.
+and its predictions on the estimation rows: the hidden layer is a pure
+function of the member's seed, so it is dropped as soon as the member's
+predictions are taken and redrawn only for the members a trainer returns,
+which are the very models `train_elm` made. A group's non-survivors are
+freed as soon as its survivors join the pool, so a layer-1 fit holds the
+pool's and one group's readouts and predictions and one member's readout
+working set (see `train_elm`); the returned members add their layers, and
+a hold-out adds its fit-row and estimation-row copies of X.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .elm import ElmModel, _canonical_activation, make_hidden_layer, predict, train_elm
+from .elm import _canonical_activation, drop_hidden_layer, predict, redraw_hidden_layer, train_elm
 from .selective import GaConfig, correlation_matrix, ga_evolve, select_by_threshold
 
 # spawn-key streams so every random draw in a training run has its own
@@ -140,15 +140,15 @@ def _estimation_split(X, y, validation_fraction, master_seed):
 
 
 def _train_group(X_fit, y_fit, X_est, n_models, config, group):
-    """Train a group's members; keep each one's readout and estimation-row predictions.
+    """Train a group's members and their predictions on the estimation rows.
 
-    A member is kept as (output_weights, squeeze_output) and its model,
-    hidden layer included, is dropped before the next member trains;
-    `_rebuild` redraws the layer of a member a trainer returns. Estimating
-    on the fit rows, each member's predictions come from its own fit
+    Each member's hidden layer is dropped as soon as its predictions are
+    taken, so the group holds readouts, not layers; `_redraw` gives the
+    members a trainer returns their layers back. Estimating on the fit
+    rows, each member's predictions come from its own fit
     (`train_elm(..., fitted=)`); only a hold-out is projected anew.
     """
-    readouts = []
+    models = []
     preds = []
     for i in range(n_models):
         fitted = np.empty(y_fit.shape) if X_est is X_fit else None
@@ -160,28 +160,17 @@ def _train_group(X_fit, y_fit, X_est, n_models, config, group):
             seed=member_seed(config.seed, group, i),
             fitted=fitted,
         )
-        readouts.append((m.output_weights, m.squeeze_output))
         preds.append(np.ravel(predict(m, X_est) if fitted is None else fitted))
-        del m  # the layer goes with the model
-    return readouts, preds
+        drop_hidden_layer(m)
+        models.append(m)
+    return models, preds
 
 
-def _rebuild(X, config, readouts, provenance):
-    """The members `_train_group` trained at `provenance`, from their kept readouts.
-
-    Each layer is redrawn with the call `train_elm` made, so a rebuilt
-    member equals the trained one bit for bit.
-    """
-    n_inputs = np.shape(X)[1]
-    return tuple(
-        ElmModel(
-            make_hidden_layer(n_inputs, config.n_hidden, config.activation,
-                              member_seed(config.seed, g, i)),
-            beta,
-            squeeze,
-        )
-        for (beta, squeeze), (g, i) in zip(readouts, provenance)
-    )
+def _redraw(X, config, models, provenance):
+    """The members `_train_group` trained at `provenance`, each with its layer redrawn."""
+    for m, (g, i) in zip(models, provenance):
+        redraw_hidden_layer(m, np.shape(X)[1], config.activation, member_seed(config.seed, g, i))
+    return tuple(models)
 
 
 def _select(preds, y_est, config, stream, group, threshold):
@@ -194,10 +183,11 @@ def _select(preds, y_est, config, stream, group, threshold):
 def _layer_one(X, y, config):
     """Train each group, select within it and pool the survivors.
 
-    Only the pool outlives a group: its other members' readouts and
+    Only the pool outlives a group: its other members and their
     estimation-row predictions are released before the next group trains.
-    Returns (y_est, pool readouts, pool predictions, pool provenance,
-    per-group survivor counts); `_rebuild` turns readouts into members.
+    Returns (y_est, pool models without their layers, pool predictions,
+    pool provenance, per-group survivor counts); `_redraw` gives the
+    models a trainer returns their layers back.
     """
     X_fit, y_fit, X_est, y_est = _estimation_split(
         X, y, config.validation_fraction, config.seed
@@ -205,18 +195,18 @@ def _layer_one(X, y, config):
     threshold1 = (
         config.threshold1 if config.threshold1 is not None else 1.0 / config.group_size
     )
-    pool_readouts, pool_preds, pool_prov = [], [], []
+    pool_models, pool_preds, pool_prov = [], [], []
     counts = []
     for g in range(config.groups):
-        readouts, preds = _train_group(X_fit, y_fit, X_est, config.group_size, config, g)
+        models, preds = _train_group(X_fit, y_fit, X_est, config.group_size, config, g)
         chosen = _select(preds, y_est, config, _GROUP_GA, g, threshold1)
         counts.append(int(chosen.size))
         for i in chosen:
-            pool_readouts.append(readouts[i])
+            pool_models.append(models[i])
             pool_preds.append(preds[i])
             pool_prov.append((g, int(i)))
-        del readouts, preds  # free the non-survivors before the next group trains
-    return y_est, pool_readouts, pool_preds, pool_prov, counts
+        del models, preds  # free the non-survivors before the next group trains
+    return y_est, pool_models, pool_preds, pool_prov, counts
 
 
 def train_rmse_elm(X, y, config=None):
@@ -230,13 +220,13 @@ def train_rmse_elm(X, y, config=None):
     """
     if config is None:
         config = EnsembleConfig()
-    y_est, pool_readouts, pool_preds, pool_prov, counts = _layer_one(X, y, config)
-    threshold2 = config.threshold2 if config.threshold2 is not None else 1.0 / len(pool_prov)
+    y_est, pool_models, pool_preds, pool_prov, counts = _layer_one(X, y, config)
+    threshold2 = config.threshold2 if config.threshold2 is not None else 1.0 / len(pool_models)
     chosen = _select(pool_preds, y_est, config, _POOL_GA, 0, threshold2)
     provenance = [pool_prov[i] for i in chosen]
 
     return RmseElmEnsemble(
-        members=_rebuild(X, config, [pool_readouts[i] for i in chosen], provenance),
+        members=_redraw(X, config, [pool_models[i] for i in chosen], provenance),
         provenance=provenance,
         pool_provenance=tuple(pool_prov),
         group_survivor_counts=tuple(counts),
@@ -251,9 +241,9 @@ def train_e_gasen(X, y, config=None):
     """
     if config is None:
         config = EnsembleConfig()
-    _, pool_readouts, _, pool_prov, counts = _layer_one(X, y, config)
+    _, pool_models, _, pool_prov, counts = _layer_one(X, y, config)
     return RmseElmEnsemble(
-        members=_rebuild(X, config, pool_readouts, pool_prov),
+        members=_redraw(X, config, pool_models, pool_prov),
         provenance=tuple(pool_prov),
         pool_provenance=tuple(pool_prov),
         group_survivor_counts=tuple(counts),
@@ -269,8 +259,10 @@ def train_gasen_elm(X, y, config=None):
     """
     if config is None:
         config = EnsembleConfig()
-    _, readouts, _, provenance, _ = _layer_one(X, y, replace(config, groups=1))
-    return ElmEnsemble(members=_rebuild(X, config, readouts, provenance), provenance=provenance)
+    _, pool_models, _, pool_prov, _ = _layer_one(X, y, replace(config, groups=1))
+    return ElmEnsemble(
+        members=_redraw(X, config, pool_models, pool_prov), provenance=tuple(pool_prov)
+    )
 
 
 def train_simple_ensemble(X, y, n_learners=20, n_hidden=50, activation="sigmoid", seed=0):

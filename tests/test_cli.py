@@ -483,54 +483,56 @@ path = {dir}/good.csv
 n_train = 9
 """
 TRUNCATED_RECORD = "ELM,syn,g2,1,1."
+SEED_LINE = f"master seed: {cli.DEFAULT_SEED}\n"
 
 
 def _csv_row(name, text, expected):
     return pytest.param({"t.csv": text}, ["train", "--dataset", "{dir}/t.csv", "--hidden", "3"],
-                        EXIT_DATA, "data error: {dir}/t.csv: " + expected, id=name)
+                        EXIT_DATA, "data error: {dir}/t.csv: " + expected, SEED_LINE, id=name)
 
 
 def _ini_row(name, old, new, expected):
     return pytest.param({"b.ini": GOOD_INI.replace(old, new, 1)}, ["bench", "--config", "{dir}/b.ini"],
-                        EXIT_CONFIG, "error: {dir}/b.ini: " + expected, id=name)
+                        EXIT_CONFIG, "error: {dir}/b.ini: " + expected, "", id=name)
 
 
 def _records_row(name, text, expected):
     return pytest.param({"r.csv": text}, ["report", "--records", "{dir}/r.csv", "--out", "{dir}/rep"],
-                        EXIT_CONFIG, "error: {dir}/r.csv" + expected, id=name)
+                        EXIT_CONFIG, "error: {dir}/r.csv" + expected, "", id=name)
 
 
-@pytest.mark.parametrize("files, argv, code, message", [
+# each row's last field is the stdout its command writes before it fails
+@pytest.mark.parametrize("files, argv, code, message, stdout", [
     # flags argparse itself rejects
     pytest.param({}, ["train", "--dataset", "{dir}/good.csv", "--hidden", "abc"], EXIT_CONFIG,
                  "error: rmse-elm train: argument --hidden: invalid int value: 'abc'",
-                 id="flag-bad-int"),
+                 "", id="flag-bad-int"),
     pytest.param({}, ["train"], EXIT_CONFIG,
                  "error: rmse-elm train: the following arguments are required: --dataset",
-                 id="flag-missing-required"),
+                 "", id="flag-missing-required"),
     pytest.param({}, ["bench", "--config", "{dir}/b.ini", "--frobnicate"], EXIT_CONFIG,
-                 "error: rmse-elm: unrecognized arguments: --frobnicate", id="flag-unknown"),
+                 "error: rmse-elm: unrecognized arguments: --frobnicate", "", id="flag-unknown"),
     pytest.param({}, [], EXIT_CONFIG,
                  "error: rmse-elm: the following arguments are required: command",
-                 id="command-missing"),
+                 "", id="command-missing"),
     pytest.param({}, ["frobnicate"], EXIT_CONFIG,
                  "error: rmse-elm: argument command: invalid choice: 'frobnicate'",
-                 id="command-unknown"),
+                 "", id="command-unknown"),
     # a value the config it feeds rejects: the deleted hardlim node kind
     pytest.param({}, ["train", "--dataset", "{dir}/good.csv", "--activation", "hardlim"],
                  EXIT_CONFIG, "error: unknown activation 'hardlim'; "
                  "choose one of ['gaussian', 'multiquadric', 'sigmoid']\n",
-                 id="flag-activation-hardlim"),
+                 "", id="flag-activation-hardlim"),
     # settings the config rejects fail before the table is generated or read
     pytest.param({}, ["train", "--dataset", "task:housing", "--activation", "relu"],
                  EXIT_CONFIG, "error: unknown activation 'relu'; "
                  "choose one of ['gaussian', 'multiquadric', 'sigmoid']\n",
-                 id="flag-activation-unknown"),
+                 "", id="flag-activation-unknown"),
     pytest.param({}, ["train", "--dataset", "task:housing", "--groups", "0"], EXIT_CONFIG,
                  "error: groups, group_size and n_hidden must be positive\n",
-                 id="flag-groups-zero"),
+                 "", id="flag-groups-zero"),
     pytest.param({}, ["train", "--dataset", "{dir}/absent.csv"], EXIT_DATA,
-                 "data error: dataset file not found: {dir}/absent.csv", id="csv-missing"),
+                 "data error: dataset file not found: {dir}/absent.csv", SEED_LINE, id="csv-missing"),
     _csv_row("csv-ragged-short-row", "a,b,target\n1,2,3\n4,5\n", "row 2 has 2 columns, expected 3"),
     _csv_row("csv-ragged-wide-rows", "a,b,target\n1,2,3,4\n5,6,7,8\n",
              "header has 3 columns, row 1 has 4"),
@@ -562,30 +564,30 @@ def _records_row(name, text, expected):
              "[dataset:syn] unknown benchmark task 'frobnicate'"),
     # the same check on a flag names no file
     pytest.param({"b.ini": GOOD_INI}, ["bench", "--config", "{dir}/b.ini", "--runs", "0"],
-                 EXIT_CONFIG, "error: runs must be positive\n", id="flag-runs-zero"),
+                 EXIT_CONFIG, "error: runs must be positive\n", "", id="flag-runs-zero"),
     _records_row("records-truncated-row", RECORDS_HEADER + GOOD_RECORD + TRUNCATED_RECORD,
                  ", line 3: expected 7 fields, got 5"),
     _records_row("records-truncated-header", RECORDS_HEADER[:30], ": not a run-record file"),
     pytest.param({"b.ini": GOOD_INI}, ["bench", "--config", "{dir}/b.ini", "--out", "{dir}/file/rep"],
                  EXIT_CONFIG, "error: cannot write the report to {dir}/file/rep: Not a directory",
-                 id="bench-out-unwritable"),
+                 "", id="bench-out-unwritable"),
     pytest.param({"b.ini": GOOD_INI.replace("{dir}/reports", "{dir}/file")},
                  ["bench", "--config", "{dir}/b.ini"],
                  EXIT_CONFIG, "error: cannot write the report to {dir}/file: File exists",
-                 id="bench-out-dir-is-a-file"),
+                 "", id="bench-out-dir-is-a-file"),
     pytest.param({}, ["blend", "--dataset", "{dir}/good.csv", "--noise", "1",
                       "--out", "{dir}/file/b.csv"],
-                 EXIT_CONFIG, "error: [Errno 17] File exists: '{dir}/file'", id="blend-out-unwritable"),
+                 EXIT_CONFIG, "error: [Errno 17] File exists: '{dir}/file'", SEED_LINE,
+                 id="blend-out-unwritable"),
     pytest.param({"r.csv": RECORDS_HEADER + GOOD_RECORD},
                  ["report", "--records", "{dir}/r.csv", "--out", "{dir}/file/rep"],
                  EXIT_CONFIG, "error: [Errno 20] Not a directory: '{dir}/file/rep'",
-                 id="report-out-unwritable"),
+                 "master seed: unknown (not stored in records)\n", id="report-out-unwritable"),
 ])
-def test_malformed_input_exits_with_one_line(tmp_path, capsys, monkeypatch, request,
-                                            files, argv, code, message):
-    # every row: the documented exit code, one stderr line, no traceback,
-    # and no trainer called: each input fails before any training. A flag or
-    # command row fails before the command does any work, so stdout is empty.
+def test_malformed_input_exits_with_one_line(tmp_path, capsys, monkeypatch,
+                                            files, argv, code, message, stdout):
+    # every row: the documented exit code, its stdout, one stderr line, no
+    # traceback, and no trainer called: each input fails before any training
     (tmp_path / "good.csv").write_text(GOOD_CSV)
     (tmp_path / "file").write_text("a regular file, so no directory can be made under it\n")
     for name, text in files.items():
@@ -596,8 +598,7 @@ def test_malformed_input_exits_with_one_line(tmp_path, capsys, monkeypatch, requ
         monkeypatch.setattr(bench, name, lambda *args, name=name, **kwargs: trained.append(name))
     assert run_cli([arg.format(dir=tmp_path) for arg in argv]) == code
     out, err = capsys.readouterr()
-    if request.node.callspec.id.startswith(("flag-", "command-")):
-        assert out == ""
+    assert out == stdout
     assert err.startswith(message.format(dir=tmp_path))
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err

@@ -16,10 +16,12 @@ import rmse_elm
 from rmse_elm.elm import (
     DimensionError,
     HiddenLayer,
+    drop_hidden_layer,
     hidden_output,
     make_hidden_layer,
     predict,
     pseudoinverse,
+    redraw_hidden_layer,
     train_elm,
 )
 
@@ -199,6 +201,24 @@ class TestTrainElm:
         b = train_elm(X, y, 10, "sigmoid", seed=77)
         assert np.array_equal(a.output_weights, b.output_weights)
         assert np.array_equal(predict(a, X), predict(b, X))
+
+    @pytest.mark.parametrize("activation", ["sigmoid", "gaussian", "multiquadric"])
+    @pytest.mark.parametrize("outputs", [None, 2])
+    def test_dropped_layer_is_redrawn_bit_for_bit(self, activation, outputs):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(30, 4))
+        y = rng.normal(size=30 if outputs is None else (30, outputs))
+        seed = np.random.SeedSequence(3, spawn_key=(0, 1, 2))
+        model = train_elm(X, y, 7, activation, seed=seed)
+        layer, beta, expected = model.hidden, model.output_weights, predict(model, X)
+        drop_hidden_layer(model)
+        assert model.hidden is None and model.output_weights is beta
+        redraw_hidden_layer(model, X.shape[1], activation, seed)
+        assert model.hidden is not layer
+        assert np.array_equal(model.hidden.input_weights, layer.input_weights)
+        assert np.array_equal(model.hidden.biases, layer.biases)
+        assert model.hidden.activation == layer.activation
+        assert np.array_equal(predict(model, X), expected)
 
     def test_multi_output_shapes(self):
         rng = np.random.default_rng(4)

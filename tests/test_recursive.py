@@ -128,13 +128,16 @@ class TestTrainRmseElm:
         assert projected == rows * (cfg.groups * cfg.group_size)
 
     def test_group_predictions_on_fit_rows_are_the_members_predict(self, task):
-        # a group keeps readouts, not models: the member rebuilt from a readout
-        # predicts bit for bit what selection saw, on the fit rows or a hold-out
+        # a group holds its members without their layers: a member whose layer
+        # is redrawn predicts bit for bit what selection saw, on the fit rows
+        # or a hold-out
         X, y = task
         cfg = small_config()
         for X_est in (X, X[:20]):
-            readouts, preds = recursive._train_group(X, y, X_est, 4, cfg, 1)
-            members = recursive._rebuild(X, cfg, readouts, [(1, i) for i in range(4)])
+            models, preds = recursive._train_group(X, y, X_est, 4, cfg, 1)
+            assert all(m.hidden is None for m in models)
+            members = recursive._redraw(X, cfg, models, [(1, i) for i in range(4)])
+            assert all(a is b for a, b in zip(members, models))
             for m, p in zip(members, preds):
                 assert np.array_equal(p, predict(m, X_est))
 
@@ -171,9 +174,10 @@ class TestGasenElm:
 SELECTIVE = [train_rmse_elm, train_e_gasen, train_gasen_elm]
 
 
-class TestRebuiltMembers:
-    """A selective fit returns members rebuilt from their seeds and readouts:
-    each equals the ELM `train_elm` trains on the fit rows at its seed."""
+class TestRedrawnMembers:
+    """A selective fit returns the models `train_elm` made, their layers
+    redrawn from their seeds: each equals the ELM `train_elm` trains on the
+    fit rows at its seed."""
 
     @pytest.mark.parametrize("column", [False, True], ids=["1d", "n1"])
     @pytest.mark.parametrize("fraction", [0.0, 0.25])
@@ -219,7 +223,7 @@ class TestDegenerateInputs:
         column=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def test_fit_is_finite_deterministic_and_rebuilt_exactly(
+    def test_fit_is_finite_deterministic_and_redrawn_exactly(
         self, train, n, kinds, n_hidden, group_size, fraction, activation, column, seed
     ):
         rng = np.random.default_rng(seed)
@@ -231,9 +235,9 @@ class TestDegenerateInputs:
         train_group = recursive._train_group
 
         def spy(X_fit, y_fit, X_est, n_models, config, group):
-            readouts, preds = train_group(X_fit, y_fit, X_est, n_models, config, group)
+            models, preds = train_group(X_fit, y_fit, X_est, n_models, config, group)
             seen.update({(group, i): (X_est, p) for i, p in enumerate(preds)})
-            return readouts, preds
+            return models, preds
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recursive, "_train_group", spy)
@@ -251,48 +255,66 @@ class TestDegenerateInputs:
 
 
 class TestWorkingSet:
-    """A selective fit keeps a member as its readout and estimation-row
-    predictions: no trained model outlives its own `train_elm` call, and a
-    group's non-survivors are freed once its survivors are in the pool."""
+    """Layer 1 holds the pool and one group: a group's non-survivors are
+    freed once its survivors are in the pool, before the next group trains.
+    A member held by the fit has no hidden layer until it is returned."""
 
     @pytest.mark.parametrize("fraction", [0.0, 0.25])
-    @pytest.mark.parametrize("train", SELECTIVE)
-    def test_no_trained_member_is_alive_when_the_next_one_trains(
+    @pytest.mark.parametrize("train", [train_rmse_elm, train_e_gasen])
+    def test_the_next_group_starts_with_only_the_survivors_alive(
         self, monkeypatch, train, fraction
     ):
         ds = make_synthetic_regression(n_samples=120, n_features=4, seed=1, noise_std=0.2)
         cfg = small_config(groups=3, group_size=8, n_hidden=10, validation_fraction=fraction)
-        models = []  # weak references to every model train_elm returned
-        readouts = {}  # (group, index) -> weak reference to the member's readout
-        models_alive, readouts_alive = [], []
+        trained = {}  # (group, index) -> weak reference to the member
+        alive = []  # live members of group g when group g + 1's first one trains
 
         def spy(*args, seed, **kwargs):
             _, group, index = seed.spawn_key
-            models_alive.append(sum(ref() is not None for ref in models))
             if group > 0 and index == 0:
-                previous = (readouts[(group - 1, i)] for i in range(cfg.group_size))
-                readouts_alive.append(sum(ref() is not None for ref in previous))
+                previous = (trained[(group - 1, i)] for i in range(cfg.group_size))
+                alive.append(sum(ref() is not None for ref in previous))
             model = train_elm(*args, seed=seed, **kwargs)
-            models.append(weakref.ref(model))
-            readouts[(group, index)] = weakref.ref(model.output_weights)
+            trained[(group, index)] = weakref.ref(model)
             return model
 
         monkeypatch.setattr(recursive, "train_elm", spy)
         ens = train(ds.X, ds.y, cfg)
-        groups = 1 if train is train_gasen_elm else cfg.groups  # GASEN-ELM is one group
-        assert models_alive == [0] * (groups * cfg.group_size)
-        assert all(ref() is None for ref in models)  # the ensemble holds rebuilt members
-        counts = list(getattr(ens, "group_survivor_counts", ()))
-        assert readouts_alive == counts[:-1]
-        if readouts_alive:  # GASEN-ELM has no second group
-            assert sum(readouts_alive) < len(readouts_alive) * cfg.group_size  # some were dropped
+        assert alive == list(ens.group_survivor_counts[:-1])
+        assert sum(alive) < len(alive) * cfg.group_size  # some member was dropped
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.25])
+    @pytest.mark.parametrize("train", SELECTIVE)
+    def test_no_trained_layer_is_alive_when_the_next_member_trains(
+        self, monkeypatch, train, fraction
+    ):
+        ds = make_synthetic_regression(n_samples=120, n_features=4, seed=1, noise_std=0.2)
+        cfg = small_config(groups=3, group_size=8, n_hidden=10, validation_fraction=fraction)
+        models, layers = [], []  # every model train_elm made, and weak references to its layer
+        alive = []  # live layers when each member starts training
+
+        def spy(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in layers))
+            model = train_elm(*args, **kwargs)
+            models.append(model)
+            layers.append(weakref.ref(model.hidden))
+            return model
+
+        monkeypatch.setattr(recursive, "train_elm", spy)
+        ens = train(ds.X, ds.y, cfg)
+        assert alive == [0] * len(models)
+        assert all(ref() is None for ref in layers)  # the returned members' layers are redrawn
+        # the members are models train_elm made, and only they have a layer again
+        returned = {id(m) for m in ens.members}
+        assert returned <= {id(m) for m in models}
+        assert all((m.hidden is not None) == (id(m) in returned) for m in models)
 
     def test_fit_peak_is_pool_one_group_and_one_readout(self):
         # bh-rmse's shape at the default config: while the last group trains,
         # the fit holds the earlier groups' survivors and the group's members,
         # each as its readout and estimation-row predictions, and one member's
         # readout working set (H, and H'H with its shifted copy and Cholesky
-        # factor); the members it returns add their rebuilt layers. 128 KiB
+        # factor); the members it returns add their redrawn layers. 128 KiB
         # covers the Python objects and numpy's ufunc buffers
         rng = np.random.default_rng(0)
         X = rng.normal(size=(400, 20))
