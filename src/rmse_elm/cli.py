@@ -161,14 +161,19 @@ def _cmd_train(args):
     return EXIT_OK
 
 
+def _make_out_dir(path):
+    """Create the report directory before any work, or fail with one line naming it."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot write the report to {path}: {exc.strerror}") from None
+
+
 def _cmd_bench(args):
     flags = {"runs": args.runs, "master_seed": args.seed, "jobs": args.jobs, "out_dir": args.out}
     cfg = replace(load_experiment_config(args.config),
                   **{name: value for name, value in flags.items() if value is not None})
-    try:  # before any cell runs, so a bad path costs no training
-        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"cannot write the report to {cfg.out_dir}: {exc.strerror}") from None
+    _make_out_dir(cfg.out_dir)  # before any cell runs, so a bad path costs no training
     print(f"master seed: {cfg.master_seed}")
     if cfg.jobs > 1:
         print("note: jobs > 1; wall-time (CC) numbers are not authoritative")
@@ -199,9 +204,17 @@ def _cmd_blend(args):
 
 
 def _cmd_report(args):
-    records = read_records(args.records)
-    if not records:
-        raise DataError(f"{args.records}: contains no run records")
+    out = Path(args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # innermost first
+    _make_out_dir(out)  # before any record is read
+    try:
+        records = read_records(args.records)
+        if not records:
+            raise DataError(f"{args.records}: contains no run records")
+    except Exception:
+        for d in made:  # records that cannot be read leave no report directory behind
+            d.rmdir()
+        raise
     seed = args.seed if args.seed is not None else -1
     print(f"master seed: {seed if seed >= 0 else 'unknown (not stored in records)'}")
     keys = [(r.dataset, r.noise_id, r.method) for r in records]

@@ -8,7 +8,7 @@ noise spec, split spec) triple pins the train/test matrices exactly.
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -173,15 +173,18 @@ class NormalizationParams:
     constant: np.ndarray  # columns with zero range map to zero
 
 
-def fit_normalization(ds):
-    X = ds.X
-    if ds.n_samples < 2:
-        raise ValueError("normalization needs at least two rows")
+def _fit_columns(X):
     constant = X.max(axis=0) == X.min(axis=0)
     mean = X.mean(axis=0)
     std = X.std(axis=0)  # population convention
     std = np.where(constant | (std == 0.0), 1.0, std)
     return NormalizationParams(mean=mean, std=std, constant=constant)
+
+
+def fit_normalization(ds):
+    if ds.n_samples < 2:
+        raise ValueError("normalization needs at least two rows")
+    return _fit_columns(ds.X)
 
 
 def apply_normalization(ds, params):
@@ -191,44 +194,58 @@ def apply_normalization(ds, params):
     return Dataset(X=Z, y=ds.y, feature_names=ds.feature_names, name=ds.name)
 
 
+def _write_noise(spec, parts):
+    """Draw spec's noise columns into the last len(spec.variances) columns of
+    `parts`, row blocks that stack to the blended table; return their names.
+
+    Each N(0, variance) column is drawn over all rows, one at a time in the
+    spec's order, from one stream seeded by spec.seed, so a blend is
+    reproducible and holds one column beyond its output.
+    """
+    rng = np.random.default_rng(spec.seed)
+    k = len(spec.variances)
+    n = sum(part.shape[0] for part in parts)
+    for j, v in enumerate(spec.variances):
+        column = rng.normal(0.0, np.sqrt(v), size=n)
+        start = 0
+        for part in parts:
+            part[:, j - k] = column[start:start + part.shape[0]]
+            start += part.shape[0]
+        del column  # the next column is drawn with this one freed
+    return tuple(f"noise{j + 1}_var{v:g}" for j, v in enumerate(spec.variances))
+
+
 def blend_noise(ds, spec):
     """Append one irrelevant N(0, variance) column per entry of the spec.
 
     Columns are drawn one at a time from a stream seeded by spec.seed, so
     the blend is reproducible; the original columns are untouched.
     """
-    rng = np.random.default_rng(spec.seed)
-    cols = [rng.normal(0.0, np.sqrt(v), size=ds.n_samples) for v in spec.variances]
-    X = np.column_stack([ds.X] + cols)
-    names = ds.feature_names + tuple(
-        f"noise{k + 1}_var{v:g}" for k, v in enumerate(spec.variances)
-    )
+    X = np.empty((ds.n_samples, ds.n_features + len(spec.variances)))
+    X[:, :ds.n_features] = ds.X
+    names = ds.feature_names + _write_noise(spec, (X,))
     return Dataset(X=X, y=ds.y, feature_names=names, name=ds.name)
 
 
-def _split(ds, spec):
-    """`split`'s checks, then (train, test) with copied targets and X rows
-    that are row slices of a C-ordered ds.X."""
+def _check_split(ds, spec):
     n = ds.n_samples
     if n < 2:
         raise ValueError(f"{ds.name}: a train/test split needs at least 2 rows, got {n}")
     if not 1 <= spec.n_train < n:
         raise ValueError(f"n_train must be in [1, {n - 1}], got {spec.n_train}")
-    X = np.ascontiguousarray(ds.X)
-
-    def take(rows, suffix):
-        return Dataset(X=X[rows], y=ds.y[rows].copy(), feature_names=ds.feature_names,
-                       name=f"{ds.name}/{suffix}")
-
-    return take(slice(spec.n_train), "train"), take(slice(spec.n_train, n), "test")
 
 
 def split(ds, spec):
     """Deterministic train/test split: the first n_train rows train, the rest test.
 
-    Both parts are copies, so they never alias the caller's arrays.
+    Both parts are C-ordered copies, so they never alias the caller's arrays.
     """
-    return tuple(replace(part, X=part.X.copy()) for part in _split(ds, spec))
+    _check_split(ds, spec)
+    return tuple(
+        Dataset(X=ds.X[rows].copy(), y=ds.y[rows].copy(), feature_names=ds.feature_names,
+                name=f"{ds.name}/{suffix}")
+        for rows, suffix in ((slice(spec.n_train), "train"), (slice(spec.n_train, None), "test"))
+    )
 
 
 def make_blended_split(ds, noise_spec, split_spec):
@@ -239,20 +256,47 @@ def make_blended_split(ds, noise_spec, split_spec):
     The appended noise columns stay raw, keeping the deliberate variance
     spread that makes them distinguishable from the real features. A
     `noise_spec` of None blends no columns: split, then z-score them all.
-    The statistics are fitted and applied on row slices of the blended
-    table, so the table is never copied before its normalized parts are
-    made; every value equals `split` followed by `apply_normalization`.
+    Every value equals `blend_noise`, `split` and `apply_normalization` in
+    turn, but the blended table is never made: each noise column, drawn as
+    `blend_noise` draws it, and the feature rows go straight into one train
+    and one test array, where the features are z-scored in place. The
+    working set is the two parts plus one noise column or, while the
+    statistics are fitted, the training features' deviations from their
+    means (n_train x n_features).
 
     Returns (train, test, params); params is the identity on the noise columns.
     """
-    blended = ds if noise_spec is None else blend_noise(ds, noise_spec)
-    train, test = _split(blended, split_spec)
-    params = fit_normalization(train)
-    d = ds.n_features
-    params.mean[d:] = 0.0
-    params.std[d:] = 1.0
-    params.constant[d:] = False
-    return apply_normalization(train, params), apply_normalization(test, params), params
+    _check_split(ds, split_spec)
+    if split_spec.n_train < 2:
+        raise ValueError("normalization needs at least two rows")
+    n_train, d = split_spec.n_train, ds.n_features
+    k = 0 if noise_spec is None else len(noise_spec.variances)
+    train = np.empty((n_train, d + k))
+    test = np.empty((ds.n_samples - n_train, d + k))
+    names = ds.feature_names
+    if noise_spec is not None:
+        names += _write_noise(noise_spec, (train, test))
+    train[:, :d] = ds.X[:n_train]
+    test[:, :d] = ds.X[n_train:]
+    # the blended training rows' statistics: each column is summed row by row,
+    # as over the whole table, unless the view is one column (summed pairwise)
+    fitted = _fit_columns(train[:, :max(d, min(2, d + k))])
+    mean, std, constant = fitted.mean[:d], fitted.std[:d], fitted.constant[:d]
+    for part in (train, test):
+        z = part[:, :d]
+        z -= mean
+        z /= std
+        z[:, constant] = 0.0
+    params = NormalizationParams(
+        mean=np.concatenate([mean, np.zeros(k)]),
+        std=np.concatenate([std, np.ones(k)]),
+        constant=np.concatenate([constant, np.zeros(k, dtype=bool)]),
+    )
+    return (
+        Dataset(X=train, y=ds.y[:n_train].copy(), feature_names=names, name=f"{ds.name}/train"),
+        Dataset(X=test, y=ds.y[n_train:].copy(), feature_names=names, name=f"{ds.name}/test"),
+        params,
+    )
 
 
 def save_csv(ds, path, manifest=None):

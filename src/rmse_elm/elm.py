@@ -13,7 +13,9 @@ so a fit on the normal-equations path holds one block of H plus O(L^2)
 beyond the model, not the n x L of H. The gelsd fallback holds H whole,
 and so does `train_elm(..., fitted=)` on a fit of several blocks: it
 returns the model's outputs on its own training rows, from the H the
-readout already holds when it has one. Training is therefore a single
+readout already holds when it has one. `train_elm(..., rows=)` trains on
+selected rows of X without copying them: each block's rows are gathered
+just before they are projected. Training is therefore a single
 linear solve, not an iterative fit. Hidden nodes and readouts are
 computed with numpy alone.
 """
@@ -220,22 +222,36 @@ _GRAM_RCOND = 1e-8
 _BLOCK = 2**15
 
 
-def _gram_blocks(layer, X, Y2):
-    """H'H, H'Y2 and, if one block holds every row, H = hidden_output(layer, X).
+def _gram_blocks(layer, X, Y2, rows):
+    """H'H, H'Y2 and, if one block holds every row, H = hidden_output(layer, X[rows]).
 
     H'H and H'Y2 are summed over row blocks of H; a single block computes
     exactly h.T @ h and h.T @ Y2 and returns its h, else H comes back None.
+    With `rows`, the training rows of X are the checked indices `rows`
+    (Y2 holds those rows already): each block's rows are gathered with
+    `np.take` into one reused buffer just before they are projected.
     """
-    rows = max(1, _BLOCK // layer.n_hidden)
-    h = hidden_output(layer, X[:rows])
-    g, r = h.T @ h, h.T @ Y2[:rows]
-    if X.shape[0] <= rows:
+    step = max(1, _BLOCK // layer.n_hidden)
+    n = Y2.shape[0]
+    buffer = None if rows is None else np.empty((min(step, n), X.shape[1]))
+
+    def block(start):
+        if rows is None:
+            return X[start:start + step]
+        part = rows[start:start + step]
+        # the indices passed Y's gather, so "wrap" reads X[part] without take's
+        # bounds check, which would copy through a buffer of its own
+        return np.take(X, part, axis=0, out=buffer[:part.size], mode="wrap")
+
+    h = hidden_output(layer, block(0))
+    g, r = h.T @ h, h.T @ Y2[:step]
+    if n <= step:
         return g, r, h
-    for start in range(rows, X.shape[0], rows):
+    for start in range(step, n, step):
         del h  # free the last block before the next one is projected
-        h = hidden_output(layer, X[start:start + rows])
+        h = hidden_output(layer, block(start))
         g += h.T @ h
-        r += h.T @ Y2[start:start + rows]
+        r += h.T @ Y2[start:start + step]
     return g, r, None
 
 
@@ -251,34 +267,47 @@ def _safely_positive_definite(g):
     return True
 
 
-def _readout(layer, X, Y2):
-    """Minimum-norm least-squares solution of H(X) @ beta = Y2, and H if held.
+def _readout(layer, X, Y2, rows):
+    """Minimum-norm least-squares solution of H(X[rows]) @ beta = Y2, and H if held.
 
-    With at least as many rows as nodes and a Gram matrix H'H that passes
-    the Cholesky guard, the solution is unique and comes from the normal
-    equations, accumulated over row blocks of H; they cost a fraction of an
-    SVD. Every other H (fewer rows than columns, rank-deficient,
-    ill-conditioned or non-finite) goes whole to gelsd with
-    `pseudoinverse()`'s cutoff; when the blocks were several, X is
-    projected once more for it. Returns (beta, H), where H is the whole
-    hidden output if the readout formed it (one block, or gelsd) and None
-    otherwise.
+    `rows` of None trains on every row of X. With at least as many rows as
+    nodes and a Gram matrix H'H that passes the Cholesky guard, the
+    solution is unique and comes from the normal equations, accumulated
+    over row blocks of H; they cost a fraction of an SVD. Every other H
+    (fewer rows than columns, rank-deficient, ill-conditioned or
+    non-finite) goes whole to gelsd with `pseudoinverse()`'s cutoff; when
+    the blocks were several, the rows are projected once more for it.
+    Returns (beta, H), where H is the whole hidden output if the readout
+    formed it (one block, or gelsd) and None otherwise.
     """
     h = None
-    if X.shape[0] >= layer.n_hidden:
-        g, r, h = _gram_blocks(layer, X, Y2)
+    if Y2.shape[0] >= layer.n_hidden:
+        g, r, h = _gram_blocks(layer, X, Y2, rows)
         # a finite g implies a finite H (its diagonal sums the squares of H's
         # columns), so only the gelsd path needs the n x L check
         if np.all(np.isfinite(g)) and _safely_positive_definite(g):
             return np.linalg.solve(g, r), h
     if h is None:
-        h = hidden_output(layer, X)
+        h = _project(layer, X, rows)
     if not np.all(np.isfinite(h)):
         raise ValueError("train_elm: hidden layer output contains non-finite entries")
     return np.linalg.lstsq(h, Y2, rcond=np.finfo(float).eps * max(h.shape))[0], h
 
 
-def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None, *, fitted=None):
+def _project(layer, X, rows):
+    """hidden_output(layer, X[rows]) in one piece; the rows are gathered whole."""
+    return hidden_output(layer, X if rows is None else np.take(X, rows, axis=0))
+
+
+def _finite(a, rows):
+    """Whether every entry in the rows `rows` of `a` (all rows for None) is finite."""
+    ok = np.isfinite(a)
+    if rows is not None and not ok.all():  # only a non-finite entry needs the row test
+        ok = ok.reshape(a.shape[0], -1).all(axis=1)[rows]
+    return ok.all()
+
+
+def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None, *, rows=None, fitted=None):
     """Train an ELM: draw the hidden layer, then solve the readout.
 
     The readout is the minimum-norm least-squares solution of H beta = Y,
@@ -290,14 +319,15 @@ def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None, *, fitted=None):
     (H'H) beta = H'Y. H'H and H'Y are then summed over row blocks of at
     most `_BLOCK` entries of H (655 rows at 50 nodes), and each block is
     freed before the next is projected, so the working memory is one
-    block of H plus O(L^2) (the distance nodes add one block of X rows);
-    a fit whose rows fit in one block forms exactly H'H and H'Y of the
-    whole H. Otherwise the readout is one LAPACK gelsd solve on the whole
-    H with `pseudoinverse()`'s cutoff (singular values below
-    eps * max(n, m) * s_max count as zero); a refused layer of more than
-    one block pays one more projection of X for it, and holds H whole.
+    block of H plus O(L^2) (the distance nodes add one block of X rows,
+    and `rows` one more); a fit whose rows fit in one block forms exactly
+    H'H and H'Y of the whole H. Otherwise the readout is one LAPACK gelsd
+    solve on the whole H with `pseudoinverse()`'s cutoff (singular values
+    below eps * max(n, m) * s_max count as zero); a refused layer of more
+    than one block pays one more projection of the rows for it, and holds
+    H whole (and, with `rows`, its rows of X).
     No iteration is involved.
-    Deterministic given (X, Y, n_hidden, activation, seed).
+    Deterministic given (X, Y, n_hidden, activation, seed, rows).
 
     Parameters
     ----------
@@ -307,11 +337,18 @@ def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None, *, fitted=None):
         Hidden node count.
     activation : str
     seed : int, SeedSequence, Generator or None
-    fitted : array of Y's shape, optional
-        Receives the model's outputs on X, bit for bit `predict(model, X)`:
-        computed from the H the readout already holds (one block, or a
-        gelsd layer), otherwise from one more whole projection of X, which
-        then holds H whole.
+    rows : 1-D array of int, optional
+        Train on these rows of X and Y, in this order, bit for bit as
+        `train_elm(X[rows], Y[rows], ...)` but without copying X: each
+        row block is gathered just before it is projected (the gelsd
+        fallback gathers the rows whole). Y's rows are gathered at once.
+        Indices follow numpy's: -1 is the last row, and one out of range
+        raises IndexError. None trains on every row.
+    fitted : array of Y[rows]'s shape, optional
+        Receives the model's outputs on the training rows, bit for bit
+        `predict(model, X[rows])`: computed from the H the readout already
+        holds (one block, or a gelsd layer), otherwise from one more whole
+        projection of the rows, which then holds H whole.
 
     Returns
     -------
@@ -325,19 +362,25 @@ def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None, *, fitted=None):
     Y2 = Y[:, None] if squeeze else Y
     if Y2.ndim != 2 or X.shape[0] != Y2.shape[0]:
         raise DimensionError("X and Y must have the same number of rows")
-    if fitted is not None and (not isinstance(fitted, np.ndarray) or fitted.shape != Y.shape):
-        raise DimensionError(f"fitted must be an array of Y's shape {Y.shape}")
-    if X.shape[0] < 1:
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise DimensionError("rows must be a 1-D array of integer row indices")
+        Y2 = np.take(Y2, rows, axis=0)  # an index out of range raises IndexError here
+    shape = Y2.shape[:1] if squeeze else Y2.shape
+    if fitted is not None and (not isinstance(fitted, np.ndarray) or fitted.shape != shape):
+        raise DimensionError(f"fitted must be an array of Y's shape {shape}")
+    if Y2.shape[0] < 1:
         raise DimensionError("training set is empty")
-    if not np.all(np.isfinite(X)):
+    if not _finite(X, rows):
         raise ValueError("train_elm: X contains non-finite entries")
     if not np.all(np.isfinite(Y2)):
         raise ValueError("train_elm: Y contains non-finite entries")
     layer = make_hidden_layer(X.shape[1], n_hidden, activation, seed)
-    beta, h = _readout(layer, X, Y2)
+    beta, h = _readout(layer, X, Y2, rows)
     if fitted is not None:
         # the product predict() forms; filled block by block it would differ in the last bits
-        out = (hidden_output(layer, X) if h is None else h) @ beta
+        out = (_project(layer, X, rows) if h is None else h) @ beta
         fitted[...] = out[:, 0] if squeeze else out
     return ElmModel(
         hidden=layer,

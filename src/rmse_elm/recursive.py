@@ -14,8 +14,10 @@ predictions are taken and redrawn only for the members a trainer returns,
 which are the very models `train_elm` made. A group's non-survivors are
 freed as soon as its survivors join the pool, so a layer-1 fit holds the
 pool's and one group's readouts and predictions and one member's readout
-working set (see `train_elm`); the returned members add their layers, and
-a hold-out adds its fit-row and estimation-row copies of X.
+working set (see `train_elm`); the returned members add their layers. A
+hold-out copies no part of X: each member gathers its fit rows one row
+block at a time as it projects them, and its estimation rows once, for
+its predictions.
 """
 
 from dataclasses import dataclass, field, replace
@@ -122,45 +124,52 @@ class RmseElmEnsemble(ElmEnsemble):
 
 
 def _estimation_split(X, y, validation_fraction, master_seed):
-    """Rows used for fitting vs rows used to estimate correlations."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """Row indices used for fitting vs rows used to estimate correlations.
+
+    Returns (fit_rows, est_rows); both are None when the correlations are
+    estimated on the training rows themselves (validation_fraction 0).
+    """
     if X.shape[0] < 1 or X.shape[0] != y.shape[0]:
         raise ValueError("X and y must be non-empty with matching row counts")
     if validation_fraction <= 0.0:
-        return X, y, X, y
+        return None, None
     n = X.shape[0]
     n_val = max(1, int(round(validation_fraction * n)))
     if n_val >= n:
         raise ValueError("validation_fraction leaves no training rows")
     rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(_VAL_SPLIT,)))
     order = rng.permutation(n)
-    fit_rows, val_rows = order[n_val:], order[:n_val]
-    return X[fit_rows], y[fit_rows], X[val_rows], y[val_rows]
+    return order[n_val:], order[:n_val]
 
 
-def _train_group(X_fit, y_fit, X_est, n_models, config, group):
+def _train_group(X, y, fit_rows, est_rows, n_models, config, group):
     """Train a group's members and their predictions on the estimation rows.
 
-    Each member's hidden layer is dropped as soon as its predictions are
-    taken, so the group holds readouts, not layers; `_redraw` gives the
-    members a trainer returns their layers back. Estimating on the fit
-    rows, each member's predictions come from its own fit
-    (`train_elm(..., fitted=)`); only a hold-out is projected anew.
+    Members train on the rows `fit_rows` of X and y and are judged on the
+    rows `est_rows`; None is every row, and an `est_rows` of None, which
+    estimates on the fit rows, needs a `fit_rows` of None. No copy of X is
+    made beyond one member's gathered rows. Each member's hidden layer is
+    dropped as soon as its predictions are taken, so the group holds
+    readouts, not layers; `_redraw` gives the members a trainer returns
+    their layers back. Estimating on the fit rows, each member's
+    predictions come from its own fit (`train_elm(..., fitted=)`); only a
+    hold-out is projected anew, its rows gathered for each member.
     """
     models = []
     preds = []
     for i in range(n_models):
-        fitted = np.empty(y_fit.shape) if X_est is X_fit else None
+        fitted = np.empty(y.shape) if est_rows is None else None
         m = train_elm(
-            X_fit,
-            y_fit,
+            X,
+            y,
             config.n_hidden,
             config.activation,
             seed=member_seed(config.seed, group, i),
+            rows=fit_rows,
             fitted=fitted,
         )
-        preds.append(np.ravel(predict(m, X_est) if fitted is None else fitted))
+        preds.append(np.ravel(fitted if est_rows is None else
+                              predict(m, np.take(X, est_rows, axis=0))))
         drop_hidden_layer(m)
         models.append(m)
     return models, preds
@@ -189,16 +198,17 @@ def _layer_one(X, y, config):
     pool provenance, per-group survivor counts); `_redraw` gives the
     models a trainer returns their layers back.
     """
-    X_fit, y_fit, X_est, y_est = _estimation_split(
-        X, y, config.validation_fraction, config.seed
-    )
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    fit_rows, est_rows = _estimation_split(X, y, config.validation_fraction, config.seed)
+    y_est = y if est_rows is None else y[est_rows]
     threshold1 = (
         config.threshold1 if config.threshold1 is not None else 1.0 / config.group_size
     )
     pool_models, pool_preds, pool_prov = [], [], []
     counts = []
     for g in range(config.groups):
-        models, preds = _train_group(X_fit, y_fit, X_est, config.group_size, config, g)
+        models, preds = _train_group(X, y, fit_rows, est_rows, config.group_size, config, g)
         chosen = _select(preds, y_est, config, _GROUP_GA, g, threshold1)
         counts.append(int(chosen.size))
         for i in chosen:

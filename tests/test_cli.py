@@ -458,6 +458,18 @@ def test_malformed_records_are_config_errors(tmp_path, capsys, text, message):
     assert not (tmp_path / "rep").exists()
 
 
+def test_unreadable_records_remove_only_the_directories_report_made(tmp_path, capsys):
+    # report makes --out (parents too) before it reads a record; when the
+    # records cannot be read it removes what it made and keeps what was there
+    (tmp_path / "kept").mkdir()
+    for out in ("made/nested", "kept"):
+        code = run_cli(["report", "--records", str(tmp_path / "absent.csv"),
+                        "--out", str(tmp_path / out)])
+        assert code == EXIT_CONFIG
+        assert "No such file" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+
+
 class TestEntryPoint:
     def test_module_invocation(self, csv_path):
         proc = subprocess.run(
@@ -579,10 +591,14 @@ def _records_row(name, text, expected):
                       "--out", "{dir}/file/b.csv"],
                  EXIT_CONFIG, "error: [Errno 17] File exists: '{dir}/file'", SEED_LINE,
                  id="blend-out-unwritable"),
+    # report checks --out as bench does, before it reads a record or prints the seed
     pytest.param({"r.csv": RECORDS_HEADER + GOOD_RECORD},
                  ["report", "--records", "{dir}/r.csv", "--out", "{dir}/file/rep"],
-                 EXIT_CONFIG, "error: [Errno 20] Not a directory: '{dir}/file/rep'",
-                 "master seed: unknown (not stored in records)\n", id="report-out-unwritable"),
+                 EXIT_CONFIG, "error: cannot write the report to {dir}/file/rep: Not a directory",
+                 "", id="report-out-unwritable"),
+    pytest.param({}, ["report", "--records", "{dir}/absent.csv", "--out", "{dir}/file"],
+                 EXIT_CONFIG, "error: cannot write the report to {dir}/file: File exists",
+                 "", id="report-out-dir-is-a-file"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, capsys, monkeypatch,
                                             files, argv, code, message, stdout):

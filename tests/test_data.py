@@ -285,6 +285,38 @@ class TestMakeBlendedSplit:
                 tracemalloc.stop()
         assert peaks[0] < 0.8 * peaks[1]
 
+    def test_holds_the_parts_and_one_noise_column(self):
+        # the blended table and a list of noise columns are never alive: the
+        # abalone stand-in with g7 peaks at the two parts, one noise column,
+        # and, while the statistics are fitted, the deviations np.std forms
+        # (n_train x d) with numpy's ufunc buffers (two of 64 KiB) and 32 KiB
+        # for the Python objects; the parent's blend-then-split peaked 1.4x higher
+        ds = make_abalone_task(seed=0)
+        noise = NoiseSpec((2, 1, 0.5, 0.1, 0.005, 0.001, 0.0005), seed=101)
+        spec = SplitSpec(n_train=2000)
+        tracemalloc.start()
+        try:
+            train, test, _ = make_blended_split(ds, noise, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, d = ds.X.shape
+        parts = train.X.nbytes + test.X.nbytes + train.y.nbytes + test.y.nbytes
+        allowance = spec.n_train * d * 8 + 160 * 1024
+        assert peak <= parts + n * 8 + allowance
+
+    def test_blend_noise_draws_the_columns_of_the_split(self):
+        # one helper draws the noise for both: the split's noise columns are
+        # blend_noise's, rows in file order, and so are their names
+        ds = make_housing_task(seed=0)
+        noise = NoiseSpec((2.0, 1.0, 0.5), seed=5)
+        train, test, _ = make_blended_split(ds, noise, SplitSpec(n_train=400))
+        blended = blend_noise(ds, noise)
+        d = ds.n_features
+        assert np.array_equal(np.concatenate([train.X[:, d:], test.X[:, d:]]), blended.X[:, d:])
+        assert train.feature_names == test.feature_names == blended.feature_names
+        assert blended.feature_names[d:] == ("noise1_var2", "noise2_var1", "noise3_var0.5")
+
     def test_fully_deterministic(self):
         ds = make_wine_task(seed=0)
         noise = NoiseSpec((1.0, 0.1), seed=4)

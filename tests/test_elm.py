@@ -681,6 +681,20 @@ class TestWorkingMemory:
         assert calls == []  # the normal equations, over 5 blocks
         assert traced_peak(train_elm, X, y, self.L, activation, seed=0) <= self.bound(31)
 
+    @pytest.mark.parametrize("activation", ["multiquadric", "sigmoid"])
+    def test_fit_on_rows_holds_one_block_of_them(self, activation):
+        # 3000 of 4000 rows: no copy of them is made, only one block of
+        # gathered rows and the gathered targets join the fit's working set
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(4000, 31))
+        rows = rng.permutation(4000)[:3000]
+        y = X[:, 0] + 0.1
+        with counting_lstsq() as calls:
+            train_elm(X, y, self.L, activation, seed=0, rows=rows)
+        assert calls == []
+        peak = traced_peak(train_elm, X, y, self.L, activation, seed=0, rows=rows)
+        assert peak <= self.bound(31) + self.ROWS * 31 * 8 + rows.size * 8
+
     @pytest.mark.parametrize("activation", sorted(rmse_elm.elm.ACTIVATIONS))
     def test_projection_of_one_block_builds_one_array(self, activation):
         # few inputs, so a second n x L array cannot hide in the X-block allowance
@@ -739,6 +753,92 @@ class TestFittedOutputs:
         X = np.random.default_rng(0).normal(size=(20, 3))
         with pytest.raises(DimensionError, match="fitted"):
             train_elm(X, X[:, 0], 5, seed=0, fitted=fitted)
+
+
+class TestTrainingRows:
+    """`train_elm(X, Y, rows=r)` trains bit for bit as `train_elm(X[r], Y[r])`,
+    gathering each row block of X only as it is projected."""
+
+    @pytest.mark.parametrize("blocks", ["one", "several"])
+    @pytest.mark.parametrize("path", sorted(TestFittedOutputs.PATHS))
+    @pytest.mark.parametrize("column", [False, True], ids=["1d", "n1"])
+    @pytest.mark.parametrize("activation", sorted(rmse_elm.elm.ACTIVATIONS))
+    def test_equals_training_on_the_gathered_rows(self, monkeypatch, activation, column, path,
+                                                  blocks):
+        n, d, n_hidden, identical, gelsd = TestFittedOutputs.PATHS[path]
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-1, 1, size=(n + 30, d))
+        if identical:
+            X[:] = X[0]
+        Y = rng.normal(size=(n + 30, 1) if column else n + 30)
+        rows = rng.permutation(n + 30)[:n]  # out of order, and not every row
+        if blocks == "several":
+            monkeypatch.setattr(rmse_elm.elm, "_BLOCK", 64)  # 8 rows of 8 nodes
+        fitted, expected_fitted = np.full(Y[rows].shape, np.nan), np.full(Y[rows].shape, np.nan)
+        with counting_lstsq() as calls:
+            model = train_elm(X, Y, n_hidden, activation, seed=0, rows=rows, fitted=fitted)
+        assert bool(calls) == gelsd
+        expected = train_elm(X[rows], Y[rows], n_hidden, activation, seed=0,
+                             fitted=expected_fitted)
+        assert np.array_equal(model.hidden.input_weights, expected.hidden.input_weights)
+        assert np.array_equal(model.hidden.biases, expected.hidden.biases)
+        assert np.array_equal(model.output_weights, expected.output_weights)
+        assert model.squeeze_output is expected.squeeze_output is not column
+        assert np.array_equal(fitted, expected_fitted)
+
+    def test_blocks_are_gathered_as_they_are_projected(self, monkeypatch):
+        monkeypatch.setattr(rmse_elm.elm, "_BLOCK", 64)  # 16 rows of 4 nodes
+        X = np.random.default_rng(6).normal(size=(50, 3))
+        rows = np.arange(49, 9, -1)  # 40 rows: blocks of 16, 16 and 8
+        parts = []
+
+        def spy(layer, part):
+            parts.append(part.copy())
+            return hidden_output(layer, part)
+
+        monkeypatch.setattr(rmse_elm.elm, "hidden_output", spy)
+        train_elm(X, X[:, 0], 4, seed=1, rows=rows)
+        assert [p.shape for p in parts] == [(16, 3), (16, 3), (8, 3)]
+        assert np.array_equal(np.concatenate(parts), X[rows])
+
+    def test_non_finite_rows_outside_the_selection_are_not_read(self):
+        X = np.random.default_rng(7).normal(size=(30, 3))
+        X[0, 1], X[1, 0] = np.nan, np.inf
+        model = train_elm(X, X[:, 2], 5, seed=0, rows=np.arange(2, 30))
+        assert np.array_equal(model.output_weights,
+                              train_elm(X[2:], X[2:, 2], 5, seed=0).output_weights)
+        with pytest.raises(ValueError, match="X contains non-finite"):
+            train_elm(X, X[:, 2], 5, seed=0, rows=np.arange(1, 30))
+        Y = X[:, 2].copy()
+        Y[0] = np.nan
+        with pytest.raises(ValueError, match="Y contains non-finite"):
+            train_elm(X[:, 2:], Y, 5, seed=0, rows=[0, 3, 4])
+
+    @pytest.mark.parametrize("rows, match", [
+        (np.zeros((2, 2), dtype=int), "1-D array of integer"),
+        (np.array([0.0, 1.0]), "1-D array of integer"),
+        (np.array([True, False]), "1-D array of integer"),
+        (np.array([], dtype=int), "training set is empty"),
+    ], ids=["2-d", "float", "bool", "empty"])
+    def test_bad_rows_rejected(self, rows, match):
+        X = np.random.default_rng(0).normal(size=(20, 3))
+        with pytest.raises(DimensionError, match=match):
+            train_elm(X, X[:, 0], 5, seed=0, rows=rows)
+
+    def test_rows_index_as_numpy_does(self):
+        X = np.random.default_rng(0).normal(size=(20, 3))
+        rows = np.array([-1, 3, -20, 7, 7, 0])  # negative and repeated indices select as X[rows]
+        model = train_elm(X, X[:, 0], 5, seed=0, rows=rows)
+        expected = train_elm(X[rows], X[rows, 0], 5, seed=0)
+        assert np.array_equal(model.output_weights, expected.output_weights)
+        for bad in ([0, 20], [-21, 3]):
+            with pytest.raises(IndexError):
+                train_elm(X, X[:, 0], 5, seed=0, rows=np.array(bad))
+
+    def test_fitted_takes_the_shape_of_the_selected_rows(self):
+        X = np.random.default_rng(0).normal(size=(20, 3))
+        with pytest.raises(DimensionError, match="fitted"):
+            train_elm(X, X[:, 0], 5, seed=0, rows=np.arange(10), fitted=np.empty(20))
 
 
 class TestPredict:

@@ -133,8 +133,9 @@ class TestTrainRmseElm:
         # or a hold-out
         X, y = task
         cfg = small_config()
-        for X_est in (X, X[:20]):
-            models, preds = recursive._train_group(X, y, X_est, 4, cfg, 1)
+        for est_rows in (None, np.arange(20)):
+            X_est = X if est_rows is None else X[est_rows]
+            models, preds = recursive._train_group(X, y, None, est_rows, 4, cfg, 1)
             assert all(m.hidden is None for m in models)
             members = recursive._redraw(X, cfg, models, [(1, i) for i in range(4)])
             assert all(a is b for a, b in zip(members, models))
@@ -186,7 +187,8 @@ class TestRedrawnMembers:
         X, y = task
         y = y[:, None] if column else y
         cfg = small_config(validation_fraction=fraction)
-        X_fit, y_fit, _, _ = recursive._estimation_split(X, y, fraction, cfg.seed)
+        fit_rows, _ = recursive._estimation_split(X, y, fraction, cfg.seed)
+        X_fit, y_fit = (X, y) if fit_rows is None else (X[fit_rows], y[fit_rows])
         ens = train(X, y, cfg)
         for m, (g, i) in zip(ens.members, ens.provenance):
             solo = train_elm(X_fit, y_fit, cfg.n_hidden, cfg.activation,
@@ -234,8 +236,9 @@ class TestDegenerateInputs:
         seen = {}  # (group, index) -> the estimation rows and the predictions selection saw
         train_group = recursive._train_group
 
-        def spy(X_fit, y_fit, X_est, n_models, config, group):
-            models, preds = train_group(X_fit, y_fit, X_est, n_models, config, group)
+        def spy(X, y, fit_rows, est_rows, n_models, config, group):
+            models, preds = train_group(X, y, fit_rows, est_rows, n_models, config, group)
+            X_est = X if est_rows is None else X[est_rows]
             seen.update({(group, i): (X_est, p) for i, p in enumerate(preds)})
             return models, preds
 
@@ -309,29 +312,45 @@ class TestWorkingSet:
         assert returned <= {id(m) for m in models}
         assert all((m.hidden is not None) == (id(m) in returned) for m in models)
 
-    def test_fit_peak_is_pool_one_group_and_one_readout(self):
-        # bh-rmse's shape at the default config: while the last group trains,
-        # the fit holds the earlier groups' survivors and the group's members,
-        # each as its readout and estimation-row predictions, and one member's
-        # readout working set (H, and H'H with its shifted copy and Cholesky
-        # factor); the members it returns add their redrawn layers. 128 KiB
-        # covers the Python objects and numpy's ufunc buffers
+    @pytest.mark.parametrize("n, d, fraction", [(400, 20, 0.0), (2000, 40, 0.25)],
+                             ids=["on-fit-rows", "hold-out"])
+    def test_fit_peak_is_pool_one_group_and_one_readout(self, n, d, fraction):
+        # bh-rmse's shape at the default config, and a hold-out over several
+        # row blocks: while the last group trains, the fit holds the earlier
+        # groups' survivors and the group's members, each as its readout and
+        # estimation-row predictions, and one member's working set; the
+        # members it returns add their redrawn layers. On the fit rows that
+        # working set is its readout's (H, and H'H with its shifted copy and
+        # Cholesky factor). A hold-out copies no part of X: a member gathers
+        # one block of its fit rows at a time for its readout, then its
+        # estimation rows and their H for its predictions, and the fit keeps
+        # the targets of both row sets. At 40 inputs a copy of the 1500 fit
+        # rows (469 KiB) cannot hide in the bound. 128 KiB covers the Python
+        # objects and numpy's ufunc buffers
         rng = np.random.default_rng(0)
-        X = rng.normal(size=(400, 20))
-        y = X[:, 0] + np.sin(X[:, 1]) + 0.1 * rng.normal(size=400)
-        cfg = EnsembleConfig()
+        X = rng.normal(size=(n, d))
+        y = X[:, 0] + np.sin(X[:, 1]) + 0.1 * rng.normal(size=n)
+        cfg = EnsembleConfig(validation_fraction=fraction)
         tracemalloc.start()
         try:
             ens = train_rmse_elm(X, y, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n, L = X.shape[0], cfg.n_hidden
+        L = cfg.n_hidden
+        n_est = round(fraction * n) if fraction else n
         m = ens.members[0]
-        kept = m.output_weights.nbytes + n * 8
+        kept = m.output_weights.nbytes + n_est * 8
         layer = m.hidden.input_weights.nbytes + m.hidden.biases.nbytes
         held = sum(ens.group_survivor_counts[:-1]) + cfg.group_size
-        assert peak <= held * kept + ens.n_members * layer + (n * L + 3 * L * L) * 8 + 128 * 1024
+        if fraction:
+            block = rmse_elm.elm._BLOCK // L
+            assert n - n_est > block  # the fit rows span several blocks
+            readout = block * (L + d) + 3 * L * L
+            member = max(readout, n_est * (L + d)) + n
+        else:
+            member = n * L + 3 * L * L
+        assert peak <= held * kept + ens.n_members * layer + member * 8 + 128 * 1024
 
 
 class TestSimpleEnsemble:
