@@ -10,7 +10,7 @@ import configparser
 import csv
 import time
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +114,7 @@ class ExperimentReport:
     records: tuple
     cells: dict  # (method, dataset, noise_id) -> CellStats
     errors: dict  # (method, dataset, noise_id) -> message
-    master_seed: int
+    master_seed: int | None  # None when unknown: `report` rebuilds from records alone
     methods: tuple
     dataset_ids: tuple
     noise_ids: tuple
@@ -263,7 +263,9 @@ def run_experiment(cfg):
 
 # ---------------------------------------------------------------- reports
 
-_RECORD_FIELDS = ("method", "dataset", "noise_id", "run_index", "test_mse", "wall_time_s", "seed")
+# the run-record columns, in order, each with the type that parses its text
+_RECORD_COLUMNS = tuple((f.name, f.type) for f in fields(RunRecord))
+_RECORD_FIELDS = tuple(name for name, _ in _RECORD_COLUMNS)
 
 
 def write_records(records, path):
@@ -272,11 +274,8 @@ def write_records(records, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_RECORD_FIELDS)
-        for r in records:
-            writer.writerow(
-                [r.method, r.dataset, r.noise_id, r.run_index,
-                 repr(r.test_mse), repr(r.wall_time_s), r.seed]
-            )
+        # a float is written as its repr, which reads back to the same float
+        writer.writerows([getattr(r, name) for name in _RECORD_FIELDS] for r in records)
     return path
 
 
@@ -291,10 +290,9 @@ def read_records(path):
             where = f"{path}, line {reader.line_num}"
             if len(row) != len(_RECORD_FIELDS):
                 raise ValueError(f"{where}: expected {len(_RECORD_FIELDS)} fields, got {len(row)}")
-            method, dataset, noise_id, run_index, test_mse, wall_time_s, seed = row
             try:
-                out.append(RunRecord(method, dataset, noise_id, int(run_index), float(test_mse),
-                                     float(wall_time_s), int(seed)))
+                parsed = (parse(text) for (_, parse), text in zip(_RECORD_COLUMNS, row))
+                out.append(RunRecord(*parsed))
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
     return out
@@ -340,9 +338,10 @@ def write_report(report, out_dir):
         _write_table(_table(report, "mean_mse", ours="RMSE-ELM"), out / "mse_comparison.csv")
         _write_table(_table(report, "std_mse", ours="RMSE-ELM"), out / "std_comparison.csv")
 
+    seed = "unknown (not stored in records)" if report.master_seed is None else report.master_seed
     lines = [
         "benchmark summary",
-        f"master seed: {report.master_seed}",
+        f"master seed: {seed}",
         f"methods: {', '.join(report.methods)}",
         "",
     ]
@@ -472,8 +471,9 @@ def load_experiment_config(path):
     `target` next to a `task`, a `seed` next to a `path`, and a value
     that does not parse, naming its file, section and key. The [ensemble]
     and [ga] keys build the one EnsembleConfig every method reads, which
-    validates them here, and an `n_train` outside [1, rows - 1] fails
-    too: a bad setting fails the load, not every cell. A value that the
+    validates them here, and an `n_train` outside [2, rows - 1] fails
+    too (the blended split normalises on the training rows, which takes
+    two): a bad setting fails the load, not every cell. A value that the
     config it feeds rejects (`runs = 0`, `lambda1 = 2`) fails with that
     config's message, prefixed with the file and section.
     """
@@ -529,10 +529,10 @@ def load_experiment_config(path):
                 # a broken dataset loses its cells, not the whole matrix
                 dataset_errors[ident] = str(exc)
                 continue
-            if not 1 <= n_train < ds.n_samples:
+            if not 2 <= n_train < ds.n_samples:
                 raise ValueError(
                     f"{path}: [{section}] n_train must be in "
-                    f"[1, {ds.n_samples - 1}], got {n_train}"
+                    f"[2, {ds.n_samples - 1}], got {n_train}"
                 )
             datasets[ident] = (ds, SplitSpec(n_train=n_train))
 

@@ -215,10 +215,9 @@ def _cmd_report(args):
         for d in made:  # records that cannot be read leave no report directory behind
             d.rmdir()
         raise
-    seed = args.seed if args.seed is not None else -1
-    print(f"master seed: {seed if seed >= 0 else 'unknown (not stored in records)'}")
+    print(f"master seed: {'unknown (not stored in records)' if args.seed is None else args.seed}")
     keys = [(r.dataset, r.noise_id, r.method) for r in records]
-    out = write_report(make_report(records, keys, {}, seed), args.out)
+    out = write_report(make_report(records, keys, {}, args.seed), args.out)
     print(f"report written to {out}")
     return EXIT_OK
 

@@ -1,11 +1,12 @@
 """Two-layer recursive selective ensembles of ELMs, plus the flat baselines.
 
 Layer 1 trains several independent groups of ELMs and runs GA-based
-selective ensembling inside each group; the survivors of all groups are
-pooled. Layer 2 applies selective ensembling once more to the pool and
-averages the final survivors. The flat baselines share the same kernels:
-a plain simple-average ensemble, a one-layer selective ensemble, and the
-variant whose second layer is a plain average of the pooled survivors.
+selective ensembling (GASEN) inside each group; the survivors of all
+groups are pooled. Layer 2 applies the same selection once more to the
+pool and averages the final survivors. One routine, `_gasen`, runs both
+layers: E-GASEN averages the pool without layer 2, and GASEN-ELM is one
+group without it. A fit stores the pool's provenance, and each group's
+survivor count is counted from it. The simple average selects nothing.
 
 A selective fit keeps each member it has not yet chosen as its readout
 and its predictions on the estimation rows: the hidden layer is a pure
@@ -20,6 +21,7 @@ block at a time as it projects them, and its estimation rows once, for
 its predictions.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -111,16 +113,20 @@ class RmseElmEnsemble(ElmEnsemble):
     """Final two-layer ensemble, with the layer-1 pool kept for audit."""
 
     pool_provenance: tuple = ()
-    group_survivor_counts: tuple = ()
 
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "pool_provenance", tuple(tuple(p) for p in self.pool_provenance))
-        object.__setattr__(self, "group_survivor_counts", tuple(self.group_survivor_counts))
 
     @property
     def pool_size(self):
         return len(self.pool_provenance)
+
+    @property
+    def group_survivor_counts(self):
+        """Layer-1 survivors per group, counted from the pool in group order;
+        selection never keeps nobody, so every group is in the pool."""
+        return tuple(Counter(g for g, _ in self.pool_provenance).values())
 
 
 def _estimation_split(X, y, validation_fraction, master_seed):
@@ -189,34 +195,36 @@ def _select(preds, y_est, config, stream, group, threshold):
     return select_by_threshold(weights, threshold)
 
 
-def _layer_one(X, y, config):
-    """Train each group, select within it and pool the survivors.
+def _gasen(X, y, config, pool_stage):
+    """GASEN selection per group, and with `pool_stage` once more over the pool.
 
-    Only the pool outlives a group: its other members and their
-    estimation-row predictions are released before the next group trains.
-    Returns (y_est, pool models without their layers, pool predictions,
-    pool provenance, per-group survivor counts); `_redraw` gives the
-    models a trainer returns their layers back.
+    Trains each group, keeps the members whose group GA weight reaches
+    threshold1 (default 1/group_size) and pools them; only the pool
+    outlives a group, whose other members and estimation-row predictions
+    are released before the next group trains. With `pool_stage` a GA
+    over the pool keeps the members at threshold2 (default 1/pool size).
+    Returns (members with their layers redrawn, their provenance, pool
+    provenance).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     fit_rows, est_rows = _estimation_split(X, y, config.validation_fraction, config.seed)
     y_est = y if est_rows is None else y[est_rows]
-    threshold1 = (
-        config.threshold1 if config.threshold1 is not None else 1.0 / config.group_size
-    )
-    pool_models, pool_preds, pool_prov = [], [], []
-    counts = []
+    threshold1 = config.threshold1 if config.threshold1 is not None else 1.0 / config.group_size
+    models, preds, pool = [], [], []
     for g in range(config.groups):
-        models, preds = _train_group(X, y, fit_rows, est_rows, config.group_size, config, g)
-        chosen = _select(preds, y_est, config, _GROUP_GA, g, threshold1)
-        counts.append(int(chosen.size))
-        for i in chosen:
-            pool_models.append(models[i])
-            pool_preds.append(preds[i])
-            pool_prov.append((g, int(i)))
-        del models, preds  # free the non-survivors before the next group trains
-    return y_est, pool_models, pool_preds, pool_prov, counts
+        group, group_preds = _train_group(X, y, fit_rows, est_rows, config.group_size, config, g)
+        for i in _select(group_preds, y_est, config, _GROUP_GA, g, threshold1):
+            models.append(group[i])
+            preds.append(group_preds[i])
+            pool.append((g, int(i)))
+        del group, group_preds  # free the non-survivors before the next group trains
+    chosen = range(len(pool))
+    if pool_stage:
+        threshold2 = config.threshold2 if config.threshold2 is not None else 1.0 / len(pool)
+        chosen = _select(preds, y_est, config, _POOL_GA, 0, threshold2)
+    provenance = [pool[i] for i in chosen]
+    return _redraw(X, config, [models[i] for i in chosen], provenance), provenance, pool
 
 
 def train_rmse_elm(X, y, config=None):
@@ -228,19 +236,7 @@ def train_rmse_elm(X, y, config=None):
     all survivors, evolve weights once more over the pool, keep models at
     threshold2 (default 1/pool_size), and average the final survivors.
     """
-    if config is None:
-        config = EnsembleConfig()
-    y_est, pool_models, pool_preds, pool_prov, counts = _layer_one(X, y, config)
-    threshold2 = config.threshold2 if config.threshold2 is not None else 1.0 / len(pool_models)
-    chosen = _select(pool_preds, y_est, config, _POOL_GA, 0, threshold2)
-    provenance = [pool_prov[i] for i in chosen]
-
-    return RmseElmEnsemble(
-        members=_redraw(X, config, [pool_models[i] for i in chosen], provenance),
-        provenance=provenance,
-        pool_provenance=tuple(pool_prov),
-        group_survivor_counts=tuple(counts),
-    )
+    return RmseElmEnsemble(*_gasen(X, y, config or EnsembleConfig(), pool_stage=True))
 
 
 def train_e_gasen(X, y, config=None):
@@ -249,15 +245,7 @@ def train_e_gasen(X, y, config=None):
     Layer 1 is identical to train_rmse_elm; the pooled survivors are then
     averaged directly, with no second round of evolution or selection.
     """
-    if config is None:
-        config = EnsembleConfig()
-    _, pool_models, _, pool_prov, counts = _layer_one(X, y, config)
-    return RmseElmEnsemble(
-        members=_redraw(X, config, pool_models, pool_prov),
-        provenance=tuple(pool_prov),
-        pool_provenance=tuple(pool_prov),
-        group_survivor_counts=tuple(counts),
-    )
+    return RmseElmEnsemble(*_gasen(X, y, config or EnsembleConfig(), pool_stage=False))
 
 
 def train_gasen_elm(X, y, config=None):
@@ -267,12 +255,9 @@ def train_gasen_elm(X, y, config=None):
     `threshold1` (default 1/group_size). `groups`, `threshold2` and the
     pool stage do not apply; every other EnsembleConfig field does.
     """
-    if config is None:
-        config = EnsembleConfig()
-    _, pool_models, _, pool_prov, _ = _layer_one(X, y, replace(config, groups=1))
-    return ElmEnsemble(
-        members=_redraw(X, config, pool_models, pool_prov), provenance=tuple(pool_prov)
-    )
+    config = replace(config or EnsembleConfig(), groups=1)
+    members, provenance, _ = _gasen(X, y, config, pool_stage=False)
+    return ElmEnsemble(members, provenance)
 
 
 def train_simple_ensemble(X, y, n_learners=20, n_hidden=50, activation="sigmoid", seed=0):

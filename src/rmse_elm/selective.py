@@ -279,12 +279,6 @@ def ga_evolve(corr, config=None, seed=0, with_history=False):
     if config is None:
         config = GaConfig()
     n = corr.n_learners
-    if n == 1:
-        best = EnsembleWeights(np.ones(1))
-        if with_history:
-            hist = np.full(config.generations + 1, -float(corr.c[0, 0]))
-            return best, hist
-        return best
     rng = np.random.default_rng(seed)
     c = corr.c
     pop_size = config.population_size

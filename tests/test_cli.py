@@ -312,7 +312,7 @@ n_train = 60
         ("path = {csv}\ntarget = target\nn_train = {n}", 80),
         ("task = housing\nn_train = {n}", 506),
     ], ids=["path", "task"])
-    @pytest.mark.parametrize("n_train", [0, "rows", 900])
+    @pytest.mark.parametrize("n_train", [0, 1, "rows", 900])
     def test_bad_n_train_fails_before_any_cell(self, csv_path, tmp_path, capsys,
                                                monkeypatch, section, rows, n_train):
         n = rows if n_train == "rows" else n_train
@@ -328,7 +328,7 @@ n_train = 60
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err == (f"error: {cfg}: [dataset:syn] n_train must be in "
-                       f"[1, {rows - 1}], got {n}\n")
+                       f"[2, {rows - 1}], got {n}\n")
         assert ran == []
         assert not (tmp_path / "reports" / "runrecords.csv").exists()
 
@@ -456,6 +456,19 @@ def test_malformed_records_are_config_errors(tmp_path, capsys, text, message):
     assert err.startswith(f"error: {path}{message}")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("flags, seed", [
+    ([], "unknown (not stored in records)"),
+    (["--seed", "42"], "42"),
+], ids=["no-seed", "seed"])
+def test_report_summary_names_the_seed_as_stdout_does(tmp_path, capsys, flags, seed):
+    path = tmp_path / "runrecords.csv"
+    path.write_text(RECORDS_HEADER + GOOD_RECORD)
+    code = run_cli(["report", "--records", str(path), "--out", str(tmp_path / "rep"), *flags])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == f"master seed: {seed}"
+    assert (tmp_path / "rep" / "summary.txt").read_text().splitlines()[1] == f"master seed: {seed}"
 
 
 def test_unreadable_records_remove_only_the_directories_report_made(tmp_path, capsys):

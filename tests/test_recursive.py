@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rmse_elm.bench as bench
 import rmse_elm.elm
 import rmse_elm.recursive as recursive
 from rmse_elm.elm import predict, train_elm
@@ -255,6 +256,58 @@ class TestDegenerateInputs:
         for m, prov in zip(ens.members, ens.provenance):
             X_est, p = seen[prov]
             assert np.array_equal(np.ravel(predict(m, X_est)), p)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        method=st.sampled_from(["ELM", "SimpleEnsemble"]),
+        n=st.integers(2, 12),
+        kinds=st.lists(st.sampled_from(["random", "constant", "duplicate"]), max_size=3),
+        distinct=st.sampled_from([None, 1, 2, 3]),
+        n_hidden=st.integers(1, 16),
+        activation=st.sampled_from(sorted(rmse_elm.elm.ACTIVATIONS)),
+        column=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_elm_and_simple_average_are_finite_and_deterministic(
+        self, method, n, kinds, distinct, n_hidden, activation, column, seed
+    ):
+        # through bench's method table; `distinct` repeats the rows from that
+        # many distinct ones, so a sigmoid layer of more nodes has that exact rank
+        rng = np.random.default_rng(seed)
+        X = degenerate_columns(rng, n, kinds)
+        if distinct is not None:
+            X = X[np.arange(n) % distinct]
+        y = rng.normal(size=(n, 1) if column else n)
+        cfg = small_config(n_hidden=n_hidden, activation=activation, seed=seed)
+        out = bench.fit(method, X, y, cfg).predict(X)
+        assert out.shape == y.shape and np.isfinite(out).all()
+        assert np.array_equal(out, bench.fit(method, X, y, cfg).predict(X))
+
+
+class TestSurvivorCounts:
+    """A two-layer fit counts each group's survivors from its pool provenance."""
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.25])
+    @pytest.mark.parametrize("train", [train_rmse_elm, train_e_gasen])
+    def test_counts_are_the_sizes_of_the_group_selections(self, task, monkeypatch, train,
+                                                          fraction):
+        X, y = task
+        cfg = small_config(groups=3, group_size=6, validation_fraction=fraction)
+        sizes = []  # the size of each selection, in call order
+        select_by_threshold = recursive.select_by_threshold
+
+        def spy(weights, threshold):
+            chosen = select_by_threshold(weights, threshold)
+            sizes.append(chosen.size)
+            return chosen
+
+        monkeypatch.setattr(recursive, "select_by_threshold", spy)
+        ens = train(X, y, cfg)
+        pool_stage = train is train_rmse_elm
+        assert len(sizes) == cfg.groups + pool_stage
+        assert ens.group_survivor_counts == tuple(sizes[:cfg.groups])
+        assert ens.pool_size == sum(ens.group_survivor_counts)
+        assert ens.n_members == (sizes[-1] if pool_stage else ens.pool_size)
 
 
 class TestWorkingSet:
