@@ -35,7 +35,6 @@ from .selective import (
 from .recursive import (
     ElmEnsemble,
     EnsembleConfig,
-    RmseElmEnsemble,
     member_seed,
     train_e_gasen,
     train_gasen_elm,

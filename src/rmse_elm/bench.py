@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, NoiseSpec, SplitSpec, load_csv, make_blended_split
+from .data import (DataError, NoiseSpec, SplitSpec, _check_blended_split, load_csv,
+                   make_blended_split)
 from .elm import predict, train_elm
 from .recursive import (
     EnsembleConfig,
@@ -471,11 +472,11 @@ def load_experiment_config(path):
     `target` next to a `task`, a `seed` next to a `path`, and a value
     that does not parse, naming its file, section and key. The [ensemble]
     and [ga] keys build the one EnsembleConfig every method reads, which
-    validates them here, and an `n_train` outside [2, rows - 1] fails
-    too (the blended split normalises on the training rows, which takes
-    two): a bad setting fails the load, not every cell. A value that the
-    config it feeds rejects (`runs = 0`, `lambda1 = 2`) fails with that
-    config's message, prefixed with the file and section.
+    validates them here, and an `n_train` that breaks the blended split's
+    rule, [2, rows - 1], fails too: a bad setting fails the load, not
+    every cell. A value that the config it feeds rejects (`runs = 0`,
+    `lambda1 = 2`) fails with that config's message, prefixed with the
+    file and section.
     """
     path = Path(path)
     if not path.exists():
@@ -529,11 +530,7 @@ def load_experiment_config(path):
                 # a broken dataset loses its cells, not the whole matrix
                 dataset_errors[ident] = str(exc)
                 continue
-            if not 2 <= n_train < ds.n_samples:
-                raise ValueError(
-                    f"{path}: [{section}] n_train must be in "
-                    f"[2, {ds.n_samples - 1}], got {n_train}"
-                )
+            _build(path, section, _check_blended_split, ds, n_train)
             datasets[ident] = (ds, SplitSpec(n_train=n_train))
 
     if not datasets and not dataset_errors:

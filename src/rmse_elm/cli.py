@@ -30,6 +30,7 @@ from .data import (
     DataError,
     NoiseSpec,
     SplitSpec,
+    _check_blended_split,
     blend_noise,
     load_csv,
     make_blended_split,
@@ -138,6 +139,7 @@ def _cmd_train(args):
     n_train = args.n_train if args.n_train is not None else default_n_train
     if n_train is None:
         n_train = max(1, int(round(0.75 * ds.n_samples)))
+    _check_blended_split(ds, n_train, name="--n-train")  # before SplitSpec rejects 0
     noise = None
     if args.noise:
         noise = NoiseSpec(variances=parse_list(",".join(args.noise)), seed=args.noise_seed)
@@ -152,10 +154,10 @@ def _cmd_train(args):
     print(f"train rows: {train_ds.n_samples}  test rows: {test_ds.n_samples}  "
           f"features: {train_ds.n_features}")
     print(f"training time: {wall:.4f} s")
-    if hasattr(fitted, "pool_size"):
+    if method in ("RMSE-ELM", "E-GASEN"):
         print(f"layer-1 pool size: {fitted.pool_size}")
         print(f"layer-2 survivors: {fitted.n_members}")
-    elif hasattr(fitted, "n_members"):
+    elif method != "ELM":
         print(f"survivors: {fitted.n_members}")
     print(f"test MSE: {mse(pred, test_ds.y):.6g}")
     return EXIT_OK

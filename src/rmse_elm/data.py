@@ -227,25 +227,31 @@ def blend_noise(ds, spec):
     return Dataset(X=X, y=ds.y, feature_names=names, name=ds.name)
 
 
-def _check_split(ds, spec):
-    n = ds.n_samples
-    if n < 2:
-        raise ValueError(f"{ds.name}: a train/test split needs at least 2 rows, got {n}")
-    if not 1 <= spec.n_train < n:
-        raise ValueError(f"n_train must be in [1, {n - 1}], got {spec.n_train}")
-
-
 def split(ds, spec):
     """Deterministic train/test split: the first n_train rows train, the rest test.
 
     Both parts are C-ordered copies, so they never alias the caller's arrays.
     """
-    _check_split(ds, spec)
+    n = ds.n_samples
+    if n < 2:
+        raise ValueError(f"{ds.name}: a train/test split needs at least 2 rows, got {n}")
+    if not 1 <= spec.n_train < n:
+        raise ValueError(f"n_train must be in [1, {n - 1}], got {spec.n_train}")
     return tuple(
         Dataset(X=ds.X[rows].copy(), y=ds.y[rows].copy(), feature_names=ds.feature_names,
                 name=f"{ds.name}/{suffix}")
         for rows, suffix in ((slice(spec.n_train), "train"), (slice(spec.n_train, None), "test"))
     )
+
+
+def _check_blended_split(ds, n_train, name="n_train"):
+    """The blended split's rule: z-scoring takes two training rows and the
+    test part one row, so n_train (`name` in the message) is in [2, rows - 1]."""
+    n = ds.n_samples
+    if n < 3:
+        raise ValueError(f"{ds.name}: a blended train/test split needs at least 3 rows, got {n}")
+    if not 2 <= n_train < n:
+        raise ValueError(f"{name} must be in [2, {n - 1}], got {n_train}")
 
 
 def make_blended_split(ds, noise_spec, split_spec):
@@ -266,9 +272,7 @@ def make_blended_split(ds, noise_spec, split_spec):
 
     Returns (train, test, params); params is the identity on the noise columns.
     """
-    _check_split(ds, split_spec)
-    if split_spec.n_train < 2:
-        raise ValueError("normalization needs at least two rows")
+    _check_blended_split(ds, split_spec.n_train)
     n_train, d = split_spec.n_train, ds.n_features
     k = 0 if noise_spec is None else len(noise_spec.variances)
     train = np.empty((n_train, d + k))

@@ -5,8 +5,9 @@ selective ensembling (GASEN) inside each group; the survivors of all
 groups are pooled. Layer 2 applies the same selection once more to the
 pool and averages the final survivors. One routine, `_gasen`, runs both
 layers: E-GASEN averages the pool without layer 2, and GASEN-ELM is one
-group without it. A fit stores the pool's provenance, and each group's
-survivor count is counted from it. The simple average selects nothing.
+group without it. Every ensemble carries its layer-1 pool's provenance,
+and each group's survivor count is counted from it; without a pool stage
+the pool is the members, as for the simple average, which selects nothing.
 
 A selective fit keeps each member it has not yet chosen as its readout
 and its predictions on the estimation rows: the hidden layer is a pure
@@ -79,19 +80,24 @@ class EnsembleConfig:
 class ElmEnsemble:
     """A set of trained ELMs combined by simple averaging.
 
-    `provenance` records each member's (group, within-group) origin.
+    `provenance` records each member's (group, within-group) origin, and
+    `pool_provenance` the layer-1 pool they were chosen from; left out, the
+    pool is the members themselves (no pool stage).
     """
 
     members: tuple
     provenance: tuple
+    pool_provenance: tuple | None = None
 
     def __post_init__(self):
         if len(self.members) < 1:
             raise ValueError("an ensemble needs at least one member")
         if len(self.provenance) != len(self.members):
             raise ValueError("provenance must list one entry per member")
+        pool = self.provenance if self.pool_provenance is None else self.pool_provenance
         object.__setattr__(self, "members", tuple(self.members))
         object.__setattr__(self, "provenance", tuple(tuple(p) for p in self.provenance))
+        object.__setattr__(self, "pool_provenance", tuple(tuple(p) for p in pool))
 
     @property
     def n_members(self):
@@ -106,17 +112,6 @@ class ElmEnsemble:
             total += predict(m, X)
         total /= len(self.members)
         return total
-
-
-@dataclass(frozen=True)
-class RmseElmEnsemble(ElmEnsemble):
-    """Final two-layer ensemble, with the layer-1 pool kept for audit."""
-
-    pool_provenance: tuple = ()
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "pool_provenance", tuple(tuple(p) for p in self.pool_provenance))
 
     @property
     def pool_size(self):
@@ -203,8 +198,8 @@ def _gasen(X, y, config, pool_stage):
     outlives a group, whose other members and estimation-row predictions
     are released before the next group trains. With `pool_stage` a GA
     over the pool keeps the members at threshold2 (default 1/pool size).
-    Returns (members with their layers redrawn, their provenance, pool
-    provenance).
+    Returns the ensemble of the chosen members, their layers redrawn, with
+    the pool's provenance.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -224,7 +219,8 @@ def _gasen(X, y, config, pool_stage):
         threshold2 = config.threshold2 if config.threshold2 is not None else 1.0 / len(pool)
         chosen = _select(preds, y_est, config, _POOL_GA, 0, threshold2)
     provenance = [pool[i] for i in chosen]
-    return _redraw(X, config, [models[i] for i in chosen], provenance), provenance, pool
+    members = _redraw(X, config, [models[i] for i in chosen], provenance)
+    return ElmEnsemble(members, provenance, pool)
 
 
 def train_rmse_elm(X, y, config=None):
@@ -236,7 +232,7 @@ def train_rmse_elm(X, y, config=None):
     all survivors, evolve weights once more over the pool, keep models at
     threshold2 (default 1/pool_size), and average the final survivors.
     """
-    return RmseElmEnsemble(*_gasen(X, y, config or EnsembleConfig(), pool_stage=True))
+    return _gasen(X, y, config or EnsembleConfig(), pool_stage=True)
 
 
 def train_e_gasen(X, y, config=None):
@@ -245,7 +241,7 @@ def train_e_gasen(X, y, config=None):
     Layer 1 is identical to train_rmse_elm; the pooled survivors are then
     averaged directly, with no second round of evolution or selection.
     """
-    return RmseElmEnsemble(*_gasen(X, y, config or EnsembleConfig(), pool_stage=False))
+    return _gasen(X, y, config or EnsembleConfig(), pool_stage=False)
 
 
 def train_gasen_elm(X, y, config=None):
@@ -255,9 +251,7 @@ def train_gasen_elm(X, y, config=None):
     `threshold1` (default 1/group_size). `groups`, `threshold2` and the
     pool stage do not apply; every other EnsembleConfig field does.
     """
-    config = replace(config or EnsembleConfig(), groups=1)
-    members, provenance, _ = _gasen(X, y, config, pool_stage=False)
-    return ElmEnsemble(members, provenance)
+    return _gasen(X, y, replace(config or EnsembleConfig(), groups=1), pool_stage=False)
 
 
 def train_simple_ensemble(X, y, n_learners=20, n_hidden=50, activation="sigmoid", seed=0):

@@ -114,7 +114,39 @@ class TestTrain:
         code = run_cli(["train", "--dataset", str(path)])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert "a train/test split needs at least 2 rows, got 1" in err
+        assert "a blended train/test split needs at least 3 rows, got 1" in err
+
+    @pytest.mark.parametrize("n_train", [0, 1, 506])
+    def test_n_train_outside_the_blended_range_names_the_flag(self, n_train, capsys):
+        code = run_cli(["train", "--dataset", "task:housing", "--n-train", str(n_train)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err.splitlines() == [f"error: --n-train must be in [2, 505], got {n_train}"]
+        assert "test MSE" not in captured.out
+
+    def test_two_training_rows_are_enough(self, capsys):
+        code = run_cli(["train", "--dataset", "task:housing", "--n-train", "2", "--hidden", "4"])
+        assert code == EXIT_OK
+        assert "train rows: 2  test rows: 504" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["elm", "simple", "gasen-elm", "e-gasen", "rmse-elm"])
+    def test_summary_lines_follow_the_method(self, method, csv_path, capsys):
+        # two-layer methods print the pool and its survivors, the flat ensembles
+        # their members, and a single ELM neither
+        code = run_cli(["train", "--dataset", csv_path, "--method", method, "--groups", "2",
+                        "--group-size", "3", "--hidden", "6", "--seed", "4"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == EXIT_OK
+        train, _, _ = make_blended_split(load_csv(csv_path, "target"), None,
+                                         SplitSpec(n_train=60))
+        cfg = EnsembleConfig(groups=2, group_size=3, n_hidden=6, seed=4)
+        fitted = bench.fit(method, train.X, train.y, cfg)
+        if method in ("e-gasen", "rmse-elm"):
+            expected = [f"layer-1 pool size: {fitted.pool_size}",
+                        f"layer-2 survivors: {fitted.n_members}"]
+        else:
+            expected = [] if method == "elm" else [f"survivors: {fitted.n_members}"]
+        assert [l for l in out if "survivors" in l or "pool" in l] == expected
 
     def test_jobs_flag_removed(self, csv_path, capsys):
         assert run_cli(["train", "--dataset", csv_path, "--jobs", "2"]) == EXIT_CONFIG

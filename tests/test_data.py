@@ -253,6 +253,21 @@ class TestMakeBlendedSplit:
         for name in ("mean", "std", "constant"):
             assert np.array_equal(getattr(params, name), getattr(ref_params, name))
 
+    @pytest.mark.parametrize("n_train", [1, 506, 507])
+    def test_training_rows_outside_two_to_rows_minus_one_fail(self, n_train):
+        # z-scoring takes two training rows, where a plain split takes one
+        ds = make_housing_task(seed=0)
+        with pytest.raises(ValueError, match=rf"^n_train must be in \[2, 505\], got {n_train}$"):
+            make_blended_split(ds, None, SplitSpec(n_train=n_train))
+        train, test, _ = make_blended_split(ds, None, SplitSpec(n_train=2))
+        assert (train.n_samples, test.n_samples) == (2, 504)
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_fewer_than_three_rows_cannot_be_split(self, rows):
+        ds = Dataset(np.arange(2.0 * rows).reshape(rows, 2), np.zeros(rows), ("a", "b"), "tiny")
+        with pytest.raises(ValueError, match=rf"^tiny: .* at least 3 rows, got {rows}$"):
+            make_blended_split(ds, None, SplitSpec(n_train=1))
+
     def test_parts_do_not_alias_the_table(self):
         ds = make_housing_task(seed=0)
         before = ds.X.copy(), ds.y.copy()

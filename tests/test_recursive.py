@@ -251,7 +251,7 @@ class TestDegenerateInputs:
         assert out.shape == y.shape and np.isfinite(out).all()
         assert np.array_equal(out, again.predict(X))
         assert ens.provenance == again.provenance
-        assert set(ens.provenance) <= set(getattr(ens, "pool_provenance", ens.provenance))
+        assert set(ens.provenance) <= set(ens.pool_provenance)
         assert set(ens.provenance) <= set(seen)
         for m, prov in zip(ens.members, ens.provenance):
             X_est, p = seen[prov]
@@ -285,10 +285,10 @@ class TestDegenerateInputs:
 
 
 class TestSurvivorCounts:
-    """A two-layer fit counts each group's survivors from its pool provenance."""
+    """Every ensemble counts each group's survivors from its pool provenance."""
 
     @pytest.mark.parametrize("fraction", [0.0, 0.25])
-    @pytest.mark.parametrize("train", [train_rmse_elm, train_e_gasen])
+    @pytest.mark.parametrize("train", [train_rmse_elm, train_e_gasen, train_gasen_elm])
     def test_counts_are_the_sizes_of_the_group_selections(self, task, monkeypatch, train,
                                                           fraction):
         X, y = task
@@ -304,10 +304,72 @@ class TestSurvivorCounts:
         monkeypatch.setattr(recursive, "select_by_threshold", spy)
         ens = train(X, y, cfg)
         pool_stage = train is train_rmse_elm
-        assert len(sizes) == cfg.groups + pool_stage
-        assert ens.group_survivor_counts == tuple(sizes[:cfg.groups])
+        groups = 1 if train is train_gasen_elm else cfg.groups
+        assert len(sizes) == groups + pool_stage
+        assert ens.group_survivor_counts == tuple(sizes[:groups])
         assert ens.pool_size == sum(ens.group_survivor_counts)
         assert ens.n_members == (sizes[-1] if pool_stage else ens.pool_size)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.25])
+    @pytest.mark.parametrize("method", ["RMSE-ELM", "E-GASEN", "GASEN-ELM", "SimpleEnsemble"])
+    def test_members_are_chosen_from_the_pool(self, task, method, fraction):
+        # the subset chain for every ensemble: trained models >= pool >= members;
+        # without a pool stage the pool is the members
+        X, y = task
+        cfg = small_config(groups=3, group_size=6, validation_fraction=fraction)
+        ens = bench.fit(method, X, y, cfg)
+        trained = {
+            "GASEN-ELM": {(0, i) for i in range(cfg.group_size)},
+            "SimpleEnsemble": {(0, i) for i in range(cfg.groups * cfg.group_size)},
+        }.get(method, {(g, i) for g in range(cfg.groups) for i in range(cfg.group_size)})
+        assert set(ens.provenance) <= set(ens.pool_provenance) <= trained
+        assert len(set(ens.provenance)) == ens.n_members >= 1
+        assert len(set(ens.pool_provenance)) == ens.pool_size
+        if method != "RMSE-ELM":
+            assert ens.pool_provenance == ens.provenance
+        assert sum(ens.group_survivor_counts) == ens.pool_size
+        if method == "SimpleEnsemble":  # nothing is selected
+            assert ens.group_survivor_counts == (cfg.groups * cfg.group_size,)
+
+    def test_pool_defaults_to_the_members(self, task):
+        X, y = task
+        members = tuple(train_elm(X, y, 6, seed=s) for s in range(3))
+        ens = ElmEnsemble(members, [[1, 0], [0, 2], [1, 1]])
+        assert ens.pool_provenance == ens.provenance == ((1, 0), (0, 2), (1, 1))
+        assert ens.pool_size == 3
+        assert ens.group_survivor_counts == (2, 1)
+        pooled = ElmEnsemble(members, ens.provenance, [(0, 2), (1, 0), (1, 1), (1, 3)])
+        assert pooled.pool_provenance == ((0, 2), (1, 0), (1, 1), (1, 3))
+        assert pooled.group_survivor_counts == (1, 3)
+
+
+class TestIdenticalMembers:
+    """Learners that are all one model tie at every weight vector, so each
+    GA keeps its uniform start and every selection keeps the whole group."""
+
+    @pytest.mark.parametrize("train, groups", [(train_e_gasen, 2), (train_gasen_elm, 1)])
+    def test_uniform_weights_keep_every_member(self, task, monkeypatch, train, groups):
+        X, y = task
+        monkeypatch.setattr(recursive, "member_seed", lambda s, g, i: 1234)
+        weights = []
+        ga_evolve = recursive.ga_evolve
+
+        def spy(*args, **kwargs):
+            evolved = ga_evolve(*args, **kwargs)
+            weights.append(evolved.w)
+            return evolved
+
+        monkeypatch.setattr(recursive, "ga_evolve", spy)
+        cfg = small_config(groups=2, group_size=5)
+        ens = train(X, y, cfg)
+        assert len(weights) == groups
+        for w in weights:
+            assert np.all(w == w[0]) and np.isclose(w[0], 1.0 / cfg.group_size)
+        group = {(g, i) for g in range(groups) for i in range(cfg.group_size)}
+        assert set(ens.provenance) == set(ens.pool_provenance) == group
+        assert ens.n_members == ens.pool_size == len(group)
+        single = predict(ens.members[0], X)
+        assert np.allclose(ens.predict(X), single, rtol=1e-12, atol=1e-12)
 
 
 class TestWorkingSet:
