@@ -2,8 +2,11 @@
 
 Each cell of the matrix retrains its method `runs` times with derived
 seeds on a fixed blended train/test split and records test MSE plus the
-training wall time. Reports aggregate to mean MSE, the std of MSE across
-runs, mean cost, and percentage comparisons against the recursive model.
+training wall time. GASEN-ELM, E-GASEN and RMSE-ELM are nested (see
+`recursive`): the ones a config lists share one fit per run, on one run
+seed, and each is charged the wall time of the stages it uses. Reports
+aggregate to mean MSE, the std of MSE across runs, mean cost, and
+percentage comparisons against the recursive model.
 """
 
 import configparser
@@ -20,6 +23,7 @@ from .data import (DataError, NoiseSpec, SplitSpec, _check_blended_split, load_c
 from .elm import predict, train_elm
 from .recursive import (
     EnsembleConfig,
+    layer1_reading,
     train_e_gasen,
     train_gasen_elm,
     train_rmse_elm,
@@ -40,6 +44,9 @@ _METHOD_TABLE = {
     "RMSE-ELM": (("rmse",), lambda X, y, c: train_rmse_elm(X, y, c)),
 }
 METHODS = tuple(_METHOD_TABLE)
+# the nested methods, narrowest first: at one seed each one's fit is a prefix
+# of the next one's, so `bench` reads the narrower ones from the widest's fit
+_NESTED = ("GASEN-ELM", "E-GASEN", "RMSE-ELM")
 # any case, with or without hyphens, plus each method's extra spellings
 _METHOD_ALIASES = {
     alias: name
@@ -154,43 +161,77 @@ def _run_seed(master_seed, dataset_id, noise_id, method, run_index):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _units(methods):
+    """The units of parallel work: the listed nested methods together,
+    narrowest first, and every other method alone, in order of first listing."""
+    nested = tuple(m for m in _NESTED if m in methods)
+    return list(dict.fromkeys(nested if m in _NESTED else (m,) for m in methods))
+
+
 def _predict_fitted(fitted, X):
     if hasattr(fitted, "members"):
         return fitted.predict(X)
     return predict(fitted, X)
 
 
-def _run_cell(cfg, dataset_id, noise_id, method):
+def _fit_unit(methods, X, y, config):
+    """[(method, fitted, wall seconds)] for a unit's methods, from one training call.
+
+    The last, widest method trains through its `bench` name; the narrower
+    ones are read from its pool, narrowest first, and each reading redraws
+    only the layers of its members that are still dropped. Each method is
+    charged the stages it uses: GASEN-ELM the fit's group 0, E-GASEN its
+    layer 1 and its redraw (of RMSE-ELM's members, all in the pool), each
+    plus the readings taken so far, and the widest its whole call and
+    every reading. So the charges never fall from narrowest to widest.
+    """
+    t0 = time.perf_counter()
+    widest = fit(methods[-1], X, y, config)
+    call_s = time.perf_counter() - t0
+    fitted, wall, read_s = {}, {}, 0.0
+    for method in methods[:-1]:
+        t0 = time.perf_counter()
+        one_group = method == "GASEN-ELM"
+        fitted[method] = layer1_reading(widest, X, config, groups=1 if one_group else None)
+        read_s += time.perf_counter() - t0
+        stages = widest.stage_s
+        used = stages["groups"][:1] if one_group else stages["groups"] + (stages["redraw"],)
+        wall[method] = sum(used) + read_s
+    fitted[methods[-1]], wall[methods[-1]] = widest, call_s + read_s
+    return [(m, fitted[m], wall[m]) for m in methods]
+
+
+def _run_unit(cfg, dataset_id, noise_id, methods):
     ds, split_spec = cfg.datasets[dataset_id]
     train, test, _ = make_blended_split(ds, cfg.noise_specs[noise_id], split_spec)
+    # the nested methods share RMSE-ELM's run seed, whichever of them are listed
+    seed_key = "RMSE-ELM" if methods[-1] in _NESTED else methods[-1]
     records = []
     for run in range(cfg.runs):
-        seed = _run_seed(cfg.master_seed, dataset_id, noise_id, method, run)
+        seed = _run_seed(cfg.master_seed, dataset_id, noise_id, seed_key, run)
         run_config = replace(cfg.ensemble, seed=seed)
-        t0 = time.perf_counter()
-        fitted = fit(method, train.X, train.y, run_config)
-        wall = time.perf_counter() - t0
-        pred = _predict_fitted(fitted, test.X)
-        records.append(
-            RunRecord(
-                method=method,
-                dataset=dataset_id,
-                noise_id=noise_id,
-                run_index=run,
-                test_mse=mse(pred, test.y),
-                wall_time_s=wall,
-                seed=seed,
+        for method, fitted, wall in _fit_unit(methods, train.X, train.y, run_config):
+            pred = _predict_fitted(fitted, test.X)
+            records.append(
+                RunRecord(
+                    method=method,
+                    dataset=dataset_id,
+                    noise_id=noise_id,
+                    run_index=run,
+                    test_mse=mse(pred, test.y),
+                    wall_time_s=wall,
+                    seed=seed,
+                )
             )
-        )
     return records
 
 
-def _cell_task(args):
-    cfg, dataset_id, noise_id, method = args
+def _unit_task(args):
+    cfg, dataset_id, noise_id, methods = args
     try:
-        return (dataset_id, noise_id, method), _run_cell(cfg, dataset_id, noise_id, method), None
-    except Exception as exc:  # a failed cell must not sink the matrix
-        return (dataset_id, noise_id, method), [], f"{type(exc).__name__}: {exc}"
+        return _run_unit(cfg, dataset_id, noise_id, methods), None
+    except Exception as exc:  # a failed unit must not sink the matrix
+        return [], f"{type(exc).__name__}: {exc}"
 
 
 def summarize_records(records):
@@ -232,11 +273,13 @@ def make_report(records, keys, errors, master_seed):
 def run_experiment(cfg):
     """Execute the full matrix and aggregate a report.
 
-    Cells run independently (in `jobs` processes when jobs > 1); results
-    are identical regardless of parallelism because every run's seed is
-    derived from (master seed, dataset, noise, method, run), and records
-    are kept in matrix order: dataset, noise, method, run, as configured.
-    A failing cell is recorded as an error without aborting the rest.
+    Work runs in units of one (dataset, noise) and one method, or the
+    nested methods listed (see `_units`), in `jobs` processes when jobs >
+    1. Results are identical regardless of parallelism because every run's
+    seed is derived from (master seed, dataset, noise, method, run), with
+    RMSE-ELM standing for each nested method, and records are kept in
+    matrix order: dataset, noise, method, run, as configured. A failing
+    unit records its error for each of its cells without aborting the rest.
     """
     keys = [
         (ds_id, noise_id, method)
@@ -244,21 +287,29 @@ def run_experiment(cfg):
         for noise_id in cfg.noise_specs
         for method in cfg.methods
     ]
-    tasks = [(cfg,) + key for key in keys if key[0] in cfg.datasets]
+    tasks = [(cfg, ds_id, noise_id, unit)
+             for ds_id in cfg.datasets for noise_id in cfg.noise_specs
+             for unit in _units(cfg.methods)]
     if cfg.jobs > 1 and len(tasks) > 1:
         # imported here: concurrent.futures.process costs ~15 ms and 1.3 MB at import
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_cell_task, tasks))
+            results = list(pool.map(_unit_task, tasks))
     else:
-        results = [_cell_task(t) for t in tasks]
+        results = [_unit_task(t) for t in tasks]
 
-    records = [rec for _, recs, _ in results for rec in recs]
-    errors = {key: err for key, _, err in results if err is not None}
-    for key in keys:
-        if key[0] in cfg.dataset_errors:
-            errors[key] = f"dataset load failed: {cfg.dataset_errors[key[0]]}"
+    by_cell, failed = {}, {}
+    for (_, ds_id, noise_id, unit), (recs, err) in zip(tasks, results):
+        for rec in recs:
+            by_cell.setdefault((ds_id, noise_id, rec.method), []).append(rec)
+        if err is not None:
+            failed.update(((ds_id, noise_id, method), err) for method in unit)
+    for ds_id, message in cfg.dataset_errors.items():
+        failed.update(((ds_id, noise_id, method), f"dataset load failed: {message}")
+                      for noise_id in cfg.noise_specs for method in cfg.methods)
+    records = [rec for key in keys for rec in by_cell.get(key, ())]
+    errors = {key: failed[key] for key in keys if key in failed}
     return make_report(records, keys, errors, cfg.master_seed)
 
 
@@ -344,8 +395,12 @@ def write_report(report, out_dir):
         "benchmark summary",
         f"master seed: {seed}",
         f"methods: {', '.join(report.methods)}",
-        "",
     ]
+    shared = [m for m in report.methods if m in _NESTED]
+    if len(shared) > 1:
+        lines.append(f"CC is attributed: {', '.join(shared)} share one fit per run, "
+                     "and each is charged the stages of it that it uses")
+    lines.append("")
     for ds_id in report.dataset_ids:
         for noise_id in report.noise_ids:
             lines.append(f"[{ds_id} / {noise_id}]")

@@ -8,6 +8,9 @@ layers: E-GASEN averages the pool without layer 2, and GASEN-ELM is one
 group without it. Every ensemble carries its layer-1 pool's provenance,
 and each group's survivor count is counted from it; without a pool stage
 the pool is the members, as for the simple average, which selects nothing.
+At one config the three selective methods are nested: GASEN-ELM's members
+are the pool's group-0 entries and E-GASEN's the whole pool, bit for bit,
+so `layer1_reading` reads both from one RMSE-ELM fit.
 
 A selective fit keeps each member it has not yet chosen as its readout
 and its predictions on the estimation rows: the hidden layer is a pure
@@ -22,6 +25,7 @@ block at a time as it projects them, and its estimation rows once, for
 its predictions.
 """
 
+import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -81,13 +85,20 @@ class ElmEnsemble:
     """A set of trained ELMs combined by simple averaging.
 
     `provenance` records each member's (group, within-group) origin, and
-    `pool_provenance` the layer-1 pool they were chosen from; left out, the
-    pool is the members themselves (no pool stage).
+    `pool_provenance` the layer-1 pool they were chosen from, with
+    `pool_members` its models in the same order; left out, the pool is the
+    members themselves (no pool stage). A selective fit keeps the layers of
+    the pool models it does not return dropped. `stage_s` holds a
+    selective fit's wall seconds per stage: "groups", one entry per group
+    (training and selection, the first with the fit's set-up), "pool" (the
+    pool stage, if any) and "redraw" (the returned members' layers).
     """
 
     members: tuple
     provenance: tuple
     pool_provenance: tuple | None = None
+    pool_members: tuple | None = field(default=None, repr=False, compare=False)
+    stage_s: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.members) < 1:
@@ -95,9 +106,11 @@ class ElmEnsemble:
         if len(self.provenance) != len(self.members):
             raise ValueError("provenance must list one entry per member")
         pool = self.provenance if self.pool_provenance is None else self.pool_provenance
+        pool_members = self.members if self.pool_members is None else self.pool_members
         object.__setattr__(self, "members", tuple(self.members))
         object.__setattr__(self, "provenance", tuple(tuple(p) for p in self.provenance))
         object.__setattr__(self, "pool_provenance", tuple(tuple(p) for p in pool))
+        object.__setattr__(self, "pool_members", tuple(pool_members))
 
     @property
     def n_members(self):
@@ -177,9 +190,12 @@ def _train_group(X, y, fit_rows, est_rows, n_models, config, group):
 
 
 def _redraw(X, config, models, provenance):
-    """The members `_train_group` trained at `provenance`, each with its layer redrawn."""
+    """The members `_train_group` trained at `provenance`, each with its layer redrawn
+    unless it has one."""
     for m, (g, i) in zip(models, provenance):
-        redraw_hidden_layer(m, np.shape(X)[1], config.activation, member_seed(config.seed, g, i))
+        if m.hidden is None:
+            redraw_hidden_layer(m, np.shape(X)[1], config.activation,
+                                member_seed(config.seed, g, i))
     return tuple(models)
 
 
@@ -199,8 +215,9 @@ def _gasen(X, y, config, pool_stage):
     are released before the next group trains. With `pool_stage` a GA
     over the pool keeps the members at threshold2 (default 1/pool size).
     Returns the ensemble of the chosen members, their layers redrawn, with
-    the pool's provenance.
+    the pool, its other models' layers dropped, and the stage times.
     """
+    marks = [time.perf_counter()]
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     fit_rows, est_rows = _estimation_split(X, y, config.validation_fraction, config.seed)
@@ -214,13 +231,35 @@ def _gasen(X, y, config, pool_stage):
             preds.append(group_preds[i])
             pool.append((g, int(i)))
         del group, group_preds  # free the non-survivors before the next group trains
+        marks.append(time.perf_counter())
     chosen = range(len(pool))
     if pool_stage:
         threshold2 = config.threshold2 if config.threshold2 is not None else 1.0 / len(pool)
         chosen = _select(preds, y_est, config, _POOL_GA, 0, threshold2)
+    marks.append(time.perf_counter())
     provenance = [pool[i] for i in chosen]
     members = _redraw(X, config, [models[i] for i in chosen], provenance)
-    return ElmEnsemble(members, provenance, pool)
+    marks.append(time.perf_counter())
+    spans = [b - a for a, b in zip(marks, marks[1:])]
+    stage_s = {"groups": tuple(spans[:-2]), "pool": spans[-2], "redraw": spans[-1]}
+    return ElmEnsemble(members, provenance, pool, models, stage_s)
+
+
+def layer1_reading(ensemble, X, config, groups=None):
+    """The layer-1 ensemble of a selective fit's first `groups` groups (by default all).
+
+    It averages the pool's survivors of those groups. From a fit of
+    `train_rmse_elm` or `train_e_gasen` on X at `config`, every group gives
+    what `train_e_gasen` returns there and one group what
+    `train_gasen_elm` returns, bit for bit: the groups draw the same
+    members, GAs and estimation rows in every trainer. The members are the
+    fit's own models; only those whose layer was dropped get it redrawn,
+    in place.
+    """
+    pool = [(m, p) for m, p in zip(ensemble.pool_members, ensemble.pool_provenance)
+            if groups is None or p[0] < groups]
+    provenance = [p for _, p in pool]
+    return ElmEnsemble(_redraw(X, config, [m for m, _ in pool], provenance), provenance)
 
 
 def train_rmse_elm(X, y, config=None):

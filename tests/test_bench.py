@@ -1,3 +1,4 @@
+import itertools
 import time
 
 from collections import Counter
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import rmse_elm.bench as bench
+import rmse_elm.recursive as recursive
 from rmse_elm.bench import (
     METHODS,
     ExperimentConfig,
@@ -157,9 +159,14 @@ class TestRunExperiment:
 
     def test_cells_call_their_trainer_through_bench(self, monkeypatch):
         # a wrapper put under a bench name (a profiler, the benchmark's CPU
-        # meter) must see every cell's training call and every ELM predict
-        names = ("train_elm", "train_simple_ensemble", "train_gasen_elm",
-                 "train_e_gasen", "train_rmse_elm", "predict")
+        # meter) must see every training call: one per run for ELM and the
+        # simple average, and one of the widest listed nested trainer for
+        # the nested methods, whose narrower ones train nothing more. Every
+        # method predicts once per run.
+        runs = 2
+        trainers = {"ELM": "train_elm", "SimpleEnsemble": "train_simple_ensemble",
+                    "GASEN-ELM": "train_gasen_elm", "E-GASEN": "train_e_gasen",
+                    "RMSE-ELM": "train_rmse_elm"}
         calls = Counter()
 
         def counting(name, fn):
@@ -168,11 +175,26 @@ class TestRunExperiment:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in names:
+        for name in tuple(trainers.values()) + ("predict",):
             monkeypatch.setattr(bench, name, counting(name, getattr(bench, name)))
-        report = run_experiment(tiny_config(runs=2, methods=METHODS))
-        assert not report.errors
-        assert calls == {name: 2 for name in names}
+        monkeypatch.setattr(recursive.ElmEnsemble, "predict",
+                            counting("ElmEnsemble.predict", recursive.ElmEnsemble.predict))
+        monkeypatch.setattr(recursive, "train_elm", counting("members", recursive.train_elm))
+        for methods in (METHODS, ("GASEN-ELM", "ELM", "E-GASEN"), ("SimpleEnsemble", "GASEN-ELM")):
+            calls.clear()
+            cfg = tiny_config(runs=runs, methods=methods)
+            report = run_experiment(cfg)
+            assert not report.errors
+            nested = [m for m in bench._NESTED if m in methods]
+            called = [m for m in methods if m not in nested] + nested[-1:]
+            group_size, groups = cfg.ensemble.group_size, cfg.ensemble.groups
+            members = {"SimpleEnsemble": groups * group_size, "GASEN-ELM": group_size,
+                       "E-GASEN": groups * group_size, "RMSE-ELM": groups * group_size}
+            expected = Counter({trainers[m]: runs for m in called})
+            expected["members"] = runs * sum(members.get(m, 0) for m in called)
+            expected["predict"] = runs * ("ELM" in methods)
+            expected["ElmEnsemble.predict"] = runs * (len(methods) - ("ELM" in methods))
+            assert calls == expected, methods
 
     def test_parallel_jobs_match_serial(self):
         # every method, selective ones included: whole records but their wall times
@@ -187,19 +209,69 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_records_and_axes_keep_matrix_order(self, jobs):
-        # config order that does not sort: records and tables follow the matrix
+        # config order that does not sort, and the nested methods spread out,
+        # widest first: records and tables follow the matrix
         ds = make_synthetic_regression(n_samples=70, n_features=3, seed=0, noise_std=0.2)
-        cfg = tiny_config(
-            runs=2, methods=("SimpleEnsemble", "ELM"), jobs=jobs,
-            datasets={"zz": (ds, SplitSpec(n_train=50)), "aa": (ds, SplitSpec(n_train=40))},
-            noise_specs={"n2": NoiseSpec((1.0, 0.1), seed=5), "m1": NoiseSpec((0.5,), seed=6)},
-        )
-        report = run_experiment(cfg)
-        assert (report.dataset_ids, report.noise_ids, report.methods) == (
-            ("zz", "aa"), ("n2", "m1"), ("SimpleEnsemble", "ELM"))
-        assert [(r.dataset, r.noise_id, r.method, r.run_index) for r in report.records] == [
-            (d, n, m, run) for d in ("zz", "aa") for n in ("n2", "m1")
-            for m in ("SimpleEnsemble", "ELM") for run in (0, 1)]
+        for methods in (("SimpleEnsemble", "ELM"),
+                        ("RMSE-ELM", "ELM", "GASEN-ELM", "SimpleEnsemble", "E-GASEN")):
+            cfg = tiny_config(
+                runs=2, methods=methods, jobs=jobs,
+                datasets={"zz": (ds, SplitSpec(n_train=50)), "aa": (ds, SplitSpec(n_train=40))},
+                noise_specs={"n2": NoiseSpec((1.0, 0.1), seed=5), "m1": NoiseSpec((0.5,), seed=6)},
+            )
+            report = run_experiment(cfg)
+            assert (report.dataset_ids, report.noise_ids, report.methods) == (
+                ("zz", "aa"), ("n2", "m1"), methods)
+            assert [(r.dataset, r.noise_id, r.method, r.run_index) for r in report.records] == [
+                (d, n, m, run) for d in ("zz", "aa") for n in ("n2", "m1")
+                for m in methods for run in (0, 1)]
+
+
+NESTED_ORDERS = [order for k in (1, 2, 3) for order in itertools.permutations(bench._NESTED, k)]
+
+
+class TestNestedMethods:
+    """GASEN-ELM, E-GASEN and RMSE-ELM share one fit per run on RMSE-ELM's run seed."""
+
+    def test_records_do_not_depend_on_the_methods_listed(self):
+        def records(methods):
+            report = run_experiment(tiny_config(runs=2, methods=methods))
+            assert not report.errors
+            by_method = {}
+            for r in report.records:
+                by_method.setdefault(r.method, []).append(replace(r, wall_time_s=0.0))
+            return by_method
+
+        full = records(("ELM",) + bench._NESTED)
+        for order in NESTED_ORDERS:
+            for methods in (order, ("ELM",) + order, order + ("ELM",)):
+                got = records(methods)
+                assert got == {m: full[m] for m in methods}, methods
+
+    def test_nested_methods_share_rmse_elms_seed(self):
+        report = run_experiment(tiny_config(runs=3, methods=METHODS))
+        seeds = {}
+        for r in report.records:
+            seeds.setdefault(r.method, []).append(r.seed)
+        assert seeds["GASEN-ELM"] == seeds["E-GASEN"] == seeds["RMSE-ELM"]
+        assert seeds["ELM"] != seeds["RMSE-ELM"] != seeds["SimpleEnsemble"]
+
+    def test_a_failed_pass_fails_every_listed_nested_cell(self, monkeypatch):
+        def broken(X, y, config):
+            raise RuntimeError("pass broke")
+
+        monkeypatch.setattr(bench, "train_rmse_elm", broken)
+        report = run_experiment(tiny_config(runs=2, methods=("GASEN-ELM", "ELM", "RMSE-ELM")))
+        assert report.errors == {("syn", "n2", m): "RuntimeError: pass broke"
+                                 for m in ("GASEN-ELM", "RMSE-ELM")}
+        assert [(r.method, r.run_index) for r in report.records] == [("ELM", 0), ("ELM", 1)]
+        assert set(report.cells) == {("ELM", "syn", "n2")}
+
+    def test_wall_time_is_attributed_by_the_stages_used(self):
+        report = run_experiment(tiny_config(runs=3, methods=bench._NESTED))
+        wall = {(r.method, r.run_index): r.wall_time_s for r in report.records}
+        for run in range(3):
+            assert 0.0 < wall["GASEN-ELM", run] <= wall["E-GASEN", run] <= wall["RMSE-ELM", run]
 
 
 class TestRecordsAndReport:

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 import weakref
 
@@ -14,6 +15,7 @@ from rmse_elm.bench import mse
 from rmse_elm.recursive import (
     ElmEnsemble,
     EnsembleConfig,
+    layer1_reading,
     member_seed,
     train_e_gasen,
     train_gasen_elm,
@@ -466,6 +468,89 @@ class TestWorkingSet:
         else:
             member = n * L + 3 * L * L
         assert peak <= held * kept + ens.n_members * layer + member * 8 + 128 * 1024
+
+
+def assert_same_ensemble(a, b, X):
+    """Bit for bit the same fit: predictions, provenance, pool, readouts and layers."""
+    assert np.array_equal(a.predict(X), b.predict(X))
+    assert a.provenance == b.provenance
+    assert a.pool_provenance == b.pool_provenance
+    assert a.n_members == b.n_members
+    for m, n in zip(a.members, b.members):
+        assert np.array_equal(m.output_weights, n.output_weights)
+        assert np.array_equal(m.hidden.input_weights, n.hidden.input_weights)
+        assert np.array_equal(m.hidden.biases, n.hidden.biases)
+
+
+class TestLayer1Readings:
+    """At one config GASEN-ELM's members are the pool's group-0 entries and
+    E-GASEN's the whole pool, so both are readings of one RMSE-ELM fit."""
+
+    @pytest.mark.parametrize("threshold1", [None, 0.0, 1.0])
+    @pytest.mark.parametrize("groups, group_size", [(4, 20), (2, 1), (1, 5)])
+    @pytest.mark.parametrize("fraction", [0.0, 0.25])
+    def test_readings_are_the_standalone_fits(self, task, monkeypatch, fraction, groups,
+                                              group_size, threshold1):
+        X, y = task
+        X_test = X[::-1] + 0.5  # rows no fit saw
+        cfg = small_config(groups=groups, group_size=group_size, threshold1=threshold1,
+                           validation_fraction=fraction)
+        gasen, e_gasen = train_gasen_elm(X, y, cfg), train_e_gasen(X, y, cfg)
+        trained = []  # every model the pass's train_elm made
+        redrawn = []  # the models whose layer a reading redraws
+
+        def spy(*args, **kwargs):
+            trained.append(train_elm(*args, **kwargs))
+            return trained[-1]
+
+        monkeypatch.setattr(recursive, "train_elm", spy)
+        rmse = train_rmse_elm(X, y, cfg)
+        before = rmse.predict(X_test)
+
+        def redraw_spy(model, *args):
+            redrawn.append(model)
+            rmse_elm.elm.redraw_hidden_layer(model, *args)
+
+        monkeypatch.setattr(recursive, "redraw_hidden_layer", redraw_spy)
+        # narrowest first, as bench takes them: each redraws only the layers still dropped
+        first = layer1_reading(rmse, X, cfg, groups=1)
+        assert {id(m) for m in redrawn} == {id(m) for m in first.members} - {
+            id(m) for m in rmse.members}
+        redrawn.clear()
+        whole = layer1_reading(rmse, X, cfg)
+        assert {id(m) for m in redrawn} == {id(m) for m in whole.members} - {
+            id(m) for m in rmse.members + first.members}
+        assert_same_ensemble(first, gasen, X_test)
+        assert_same_ensemble(whole, e_gasen, X_test)
+        assert np.array_equal(rmse.predict(X_test), before)  # the pass is left as it was
+        made = {id(m) for m in trained}
+        pool = {id(m) for m in rmse.pool_members}
+        assert len(rmse.pool_members) == rmse.pool_size
+        assert pool <= made
+        for reading in (first, whole):
+            assert {id(m) for m in reading.members} <= pool
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.25])
+    def test_one_group_read_from_an_e_gasen_fit(self, task, fraction):
+        X, y = task
+        cfg = small_config(groups=3, group_size=5, validation_fraction=fraction)
+        e_gasen = train_e_gasen(X, y, cfg)
+        assert_same_ensemble(layer1_reading(e_gasen, X, cfg, groups=1),
+                             train_gasen_elm(X, y, cfg), X)
+        assert_same_ensemble(layer1_reading(e_gasen, X, cfg), e_gasen, X)
+
+    @pytest.mark.parametrize("train", SELECTIVE)
+    def test_stage_times_cover_the_fit(self, task, train):
+        X, y = task
+        cfg = small_config(groups=3)
+        t0 = time.perf_counter()
+        ens = train(X, y, cfg)
+        elapsed = time.perf_counter() - t0
+        stages = ens.stage_s
+        assert len(stages["groups"]) == (1 if train is train_gasen_elm else cfg.groups)
+        spans = stages["groups"] + (stages["pool"], stages["redraw"])
+        assert all(s >= 0.0 for s in spans)
+        assert sum(spans) <= elapsed
 
 
 class TestSimpleEnsemble:
