@@ -3,18 +3,16 @@
 Layer 1 trains several independent groups of ELMs and runs GA-based
 selective ensembling (GASEN) inside each group; the survivors of all
 groups are pooled. Layer 2 applies the same selection once more to the
-pool and averages the final survivors. One routine, `_gasen`, runs both
-layers: E-GASEN averages the pool without layer 2, and GASEN-ELM is one
-group without it. Every ensemble carries its layer-1 pool's provenance,
-and each group's survivor count is counted from it; without a pool stage
-the pool is the members, as for the simple average, which selects nothing.
-At one config the three selective methods are nested: GASEN-ELM's members
-are the pool's group-0 entries and E-GASEN's the whole pool, bit for bit,
-so `layer1_reading` reads both from one RMSE-ELM fit.
+pool and averages the final survivors. One routine, `_gasen`, trains
+every ensemble: E-GASEN is it at threshold2 = 0, GASEN-ELM one group of
+that, and the simple average one group at both thresholds 0. A zero
+threshold selects nothing: no correlation matrix, no GA, and with both
+at 0 no estimation-row predictions. Every ensemble carries its layer-1
+pool, so `layer1_reading` reads GASEN-ELM and E-GASEN from one RMSE-ELM fit.
 
-A selective fit keeps each member it has not yet chosen as its readout
-and its predictions on the estimation rows: the hidden layer is a pure
-function of the member's seed, so it is dropped as soon as the member's
+A fit keeps each member it has not yet chosen as its readout and its
+predictions on the estimation rows: the hidden layer is a pure function
+of the member's seed, so it is dropped as soon as the member's
 predictions are taken and redrawn only for the members a trainer returns,
 which are the very models `train_elm` made. A group's non-survivors are
 freed as soon as its survivors join the pool, so a layer-1 fit holds the
@@ -54,9 +52,9 @@ class EnsembleConfig:
     """Settings for the two-layer recursive model.
 
     `threshold1`/`threshold2` of None mean the reciprocal of the group
-    size / realized pool size. `validation_fraction` > 0 holds out that
-    share of the training rows for correlation estimation; 0 estimates on
-    the training set itself.
+    size / realized pool size; 0 selects nothing. `validation_fraction` > 0
+    holds out that share of the training rows for correlation estimation;
+    0 estimates on the training set itself. A `seed` of None is drawn here.
     """
 
     groups: int = 4
@@ -78,6 +76,8 @@ class EnsembleConfig:
                 raise ValueError("thresholds must lie in [0, 1]")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must lie in [0, 1)")
+        if self.seed is None:  # once, so that each member's layer can be redrawn from it
+            object.__setattr__(self, "seed", int(np.random.SeedSequence().entropy))
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,10 @@ class ElmEnsemble:
     `provenance` records each member's (group, within-group) origin, and
     `pool_provenance` the layer-1 pool they were chosen from, with
     `pool_members` its models in the same order; left out, the pool is the
-    members themselves (no pool stage). A selective fit keeps the layers of
-    the pool models it does not return dropped. `stage_s` holds a
-    selective fit's wall seconds per stage: "groups", one entry per group
-    (training and selection, the first with the fit's set-up), "pool" (the
-    pool stage, if any) and "redraw" (the returned members' layers).
+    members themselves. A fit keeps the layers of the pool models it does
+    not return dropped. `stage_s` holds a fit's wall seconds per stage:
+    "groups", one entry per group (training and selection, the first with
+    the set-up), "pool" (the pool stage) and "redraw" (the members' layers).
     """
 
     members: tuple
@@ -167,12 +166,14 @@ def _train_group(X, y, fit_rows, est_rows, n_models, config, group):
     readouts, not layers; `_redraw` gives the members a trainer returns
     their layers back. Estimating on the fit rows, each member's
     predictions come from its own fit (`train_elm(..., fitted=)`); only a
-    hold-out is projected anew, its rows gathered for each member.
+    hold-out is projected anew, its rows gathered for each member. When
+    both thresholds of `config` are 0 nothing reads them: each is None.
     """
     models = []
     preds = []
+    estimate = config.threshold1 != 0 or config.threshold2 != 0
     for i in range(n_models):
-        fitted = np.empty(y.shape) if est_rows is None else None
+        fitted = np.empty(y.shape) if estimate and est_rows is None else None
         m = train_elm(
             X,
             y,
@@ -182,8 +183,8 @@ def _train_group(X, y, fit_rows, est_rows, n_models, config, group):
             rows=fit_rows,
             fitted=fitted,
         )
-        preds.append(np.ravel(fitted if est_rows is None else
-                              predict(m, np.take(X, est_rows, axis=0))))
+        preds.append(None if not estimate else np.ravel(
+            fitted if est_rows is None else predict(m, np.take(X, est_rows, axis=0))))
         drop_hidden_layer(m)
         models.append(m)
     return models, preds
@@ -201,21 +202,24 @@ def _redraw(X, config, models, provenance):
 
 def _select(preds, y_est, config, stream, group, threshold):
     """One GASEN stage: evolve weights on GA stream (stream, group), keep by threshold."""
+    if threshold == 0:  # every GA weight would pass, and no other draw uses this GA's stream
+        return range(len(preds))
     corr = correlation_matrix(preds, np.ravel(y_est))
     weights = ga_evolve(corr, config.ga, seed=_ga_seed(config.seed, stream, group))
     return select_by_threshold(weights, threshold)
 
 
-def _gasen(X, y, config, pool_stage):
-    """GASEN selection per group, and with `pool_stage` once more over the pool.
+def _gasen(X, y, config):
+    """The one ensemble trainer: GASEN selection per group, then over the pool.
 
     Trains each group, keeps the members whose group GA weight reaches
     threshold1 (default 1/group_size) and pools them; only the pool
     outlives a group, whose other members and estimation-row predictions
-    are released before the next group trains. With `pool_stage` a GA
-    over the pool keeps the members at threshold2 (default 1/pool size).
-    Returns the ensemble of the chosen members, their layers redrawn, with
-    the pool, its other models' layers dropped, and the stage times.
+    are released before the next group trains. A GA over the pool then
+    keeps the members at threshold2 (default 1/pool size). A stage at
+    threshold 0 keeps every member without a GA. Returns the ensemble of
+    the chosen members, their layers redrawn, with the pool, its other
+    models' layers dropped, and the stage times.
     """
     marks = [time.perf_counter()]
     X = np.asarray(X, dtype=float)
@@ -232,10 +236,8 @@ def _gasen(X, y, config, pool_stage):
             pool.append((g, int(i)))
         del group, group_preds  # free the non-survivors before the next group trains
         marks.append(time.perf_counter())
-    chosen = range(len(pool))
-    if pool_stage:
-        threshold2 = config.threshold2 if config.threshold2 is not None else 1.0 / len(pool)
-        chosen = _select(preds, y_est, config, _POOL_GA, 0, threshold2)
+    threshold2 = config.threshold2 if config.threshold2 is not None else 1.0 / len(pool)
+    chosen = _select(preds, y_est, config, _POOL_GA, 0, threshold2)
     marks.append(time.perf_counter())
     provenance = [pool[i] for i in chosen]
     members = _redraw(X, config, [models[i] for i in chosen], provenance)
@@ -263,7 +265,7 @@ def layer1_reading(ensemble, X, config, groups=None):
 
 
 def train_rmse_elm(X, y, config=None):
-    """Train the two-layer recursive selective ensemble.
+    """Train the two-layer recursive selective ensemble: `_gasen` at `config`.
 
     Layer 1: per group, train `group_size` ELMs on distinct derived
     seeds, evolve weights on the group's correlation matrix, keep models
@@ -271,34 +273,32 @@ def train_rmse_elm(X, y, config=None):
     all survivors, evolve weights once more over the pool, keep models at
     threshold2 (default 1/pool_size), and average the final survivors.
     """
-    return _gasen(X, y, config or EnsembleConfig(), pool_stage=True)
+    return _gasen(X, y, config or EnsembleConfig())
 
 
 def train_e_gasen(X, y, config=None):
     """Two-layer variant whose second layer is a plain simple average.
 
-    Layer 1 is identical to train_rmse_elm; the pooled survivors are then
-    averaged directly, with no second round of evolution or selection.
+    `_gasen` at threshold2 = 0: layer 1 is identical to train_rmse_elm,
+    and the pooled survivors are averaged with no second selection.
     """
-    return _gasen(X, y, config or EnsembleConfig(), pool_stage=False)
+    return _gasen(X, y, replace(config or EnsembleConfig(), threshold2=0.0))
 
 
 def train_gasen_elm(X, y, config=None):
     """One-layer selective ensemble (GASEN-ELM): train, evolve weights, select, average.
 
-    One group of the recursive model: `config.group_size` ELMs, kept at
-    `threshold1` (default 1/group_size). `groups`, `threshold2` and the
-    pool stage do not apply; every other EnsembleConfig field does.
+    `_gasen` at groups = 1 and threshold2 = 0: `config.group_size` ELMs,
+    kept at `threshold1` (default 1/group_size). Every other
+    EnsembleConfig field applies.
     """
-    return _gasen(X, y, replace(config or EnsembleConfig(), groups=1), pool_stage=False)
+    return _gasen(X, y, replace(config or EnsembleConfig(), groups=1, threshold2=0.0))
 
 
 def train_simple_ensemble(X, y, n_learners=20, n_hidden=50, activation="sigmoid", seed=0):
-    """Simple-average ensemble of independently seeded ELMs (no selection)."""
+    """Simple average of `n_learners` seeded ELMs: `_gasen`, one group, both thresholds 0."""
     if n_learners < 1:
         raise ValueError("n_learners must be positive")
-    members = tuple(
-        train_elm(X, y, n_hidden, activation, seed=member_seed(seed, 0, i))
-        for i in range(n_learners)
-    )
-    return ElmEnsemble(members=members, provenance=tuple((0, i) for i in range(n_learners)))
+    return _gasen(X, y, EnsembleConfig(groups=1, group_size=n_learners, n_hidden=n_hidden,
+                                       activation=activation, threshold1=0.0,
+                                       threshold2=0.0, seed=seed))

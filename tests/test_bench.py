@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rmse_elm.bench as bench
+import rmse_elm.cli as cli
 import rmse_elm.recursive as recursive
 from rmse_elm.bench import (
     METHODS,
@@ -272,6 +273,24 @@ class TestNestedMethods:
         wall = {(r.method, r.run_index): r.wall_time_s for r in report.records}
         for run in range(3):
             assert 0.0 < wall["GASEN-ELM", run] <= wall["E-GASEN", run] <= wall["RMSE-ELM", run]
+
+    @pytest.mark.parametrize("methods", [
+        ("ELM",), ("RMSE-ELM",), ("ELM", "GASEN-ELM"), ("E-GASEN", "ELM", "GASEN-ELM"),
+        ("RMSE-ELM", "GASEN-ELM", "E-GASEN"), METHODS,
+    ])
+    def test_summary_names_the_methods_that_share_a_fit(self, tmp_path, methods):
+        # the CC line appears exactly when two or more nested methods share a
+        # fit, names them in the config's order, and report's rebuild keeps it
+        out = write_report(run_experiment(tiny_config(methods=methods)), tmp_path / "bench")
+        assert cli.main(["report", "--records", str(out / "runrecords.csv"),
+                         "--out", str(tmp_path / "rebuilt")]) == 0
+        shared = [m for m in methods if m in bench._NESTED]
+        expected = ([f"CC is attributed: {', '.join(shared)} share one fit per run, "
+                     "and each is charged the stages of it that it uses"]
+                    if len(shared) > 1 else [])
+        for summary in (out / "summary.txt", tmp_path / "rebuilt" / "summary.txt"):
+            lines = summary.read_text().splitlines()
+            assert [line for line in lines if line.startswith("CC is attributed")] == expected
 
 
 class TestRecordsAndReport:

@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 import rmse_elm.cli as cli
 import rmse_elm.bench as bench
 from rmse_elm.bench import load_experiment_config, mse, read_records
-from rmse_elm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from rmse_elm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from rmse_elm.data import (
     NoiseSpec,
     SplitSpec,
@@ -27,6 +28,7 @@ from rmse_elm.recursive import (
     train_rmse_elm,
     train_simple_ensemble,
 )
+from rmse_elm.selective import DegenerateEnsembleError
 from rmse_elm.synth import benchmark_task, make_synthetic_regression
 
 
@@ -107,6 +109,20 @@ class TestTrain:
         code = run_cli(["train", "--dataset", csv_path])
         assert code == EXIT_OK
         assert "training time: 0.5000 s" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("error", [
+        DegenerateEnsembleError("singular correlations"),
+        np.linalg.LinAlgError("SVD did not converge"),
+    ], ids=["degenerate", "linalg"])
+    def test_numerical_failure_exits_4_with_one_line(self, csv_path, capsys, monkeypatch, error):
+        def failing_fit(method, X, y, config):
+            raise error
+
+        monkeypatch.setattr(cli, "fit", failing_fit)
+        code = run_cli(["train", "--dataset", csv_path, "--method", "rmse"])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert err == f"numerical failure: {error}\n"
 
     def test_one_row_dataset_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
@@ -437,6 +453,27 @@ n_train = 60
         assert code == EXIT_CONFIG
         assert captured.err == f"error: {cfg}: {message}\n"
         assert ran == []
+
+    def test_every_cell_failed_exits_4_and_leaves_no_records(self, tmp_path, capsys):
+        # one line per failed cell, "cell failed (dataset, noise, method): message",
+        # whose key parses back to its tuple
+        missing = tmp_path / "missing.csv"
+        cfg = self.write_config(tmp_path, str(missing), methods="elm, gasen, rmse")
+        code = run_cli(["bench", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        lines = err.splitlines()
+        assert all(line.startswith("cell failed (") for line in lines)
+        keys = [ast.literal_eval(line[len("cell failed "):line.index("):") + 1]) for line in lines]
+        assert keys == [("syn", "g2", m) for m in ("ELM", "GASEN-ELM", "RMSE-ELM")]
+        assert all(line.endswith(f"dataset file not found: {missing}") for line in lines)
+
+        records = tmp_path / "reports" / "runrecords.csv"
+        assert read_records(records) == []
+        code = run_cli(["report", "--records", str(records), "--out", str(tmp_path / "rebuilt")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {records}: contains no run records\n"
+        assert not (tmp_path / "rebuilt").exists()
 
     def test_bench_missing_config(self, capsys):
         code = run_cli(["bench", "--config", "/no/such.ini"])

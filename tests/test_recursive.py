@@ -1,6 +1,7 @@
 import time
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -553,6 +554,99 @@ class TestLayer1Readings:
         assert sum(spans) <= elapsed
 
 
+def simple_average(X, y, cfg):
+    """The simple average of the config's `groups * group_size` members, as bench fits it."""
+    return train_simple_ensemble(X, y, cfg.groups * cfg.group_size, cfg.n_hidden,
+                                 cfg.activation, seed=cfg.seed)
+
+
+class TestZeroThresholds:
+    """A threshold of 0 selects nothing: its stage builds no correlation
+    matrix and runs no GA, and when both thresholds are 0 no member takes
+    estimation-row predictions. So every ensemble is `_gasen` at a config:
+    the simple average is one group at both thresholds 0."""
+
+    @pytest.mark.parametrize("train, streams", [
+        (lambda X, y, c: train_rmse_elm(X, y, replace(c, threshold1=0.0)),
+         [(recursive._POOL_GA, 0)]),
+        (train_e_gasen, [(recursive._GROUP_GA, g) for g in range(3)]),
+        (simple_average, []),
+    ], ids=["rmse-elm-threshold1-0", "e-gasen", "simple-average"])
+    def test_a_zero_threshold_stage_runs_no_ga(self, task, monkeypatch, train, streams):
+        X, y = task
+        seen = []  # the GA stream of each ga_evolve call
+        ga_evolve = recursive.ga_evolve
+
+        def spy(corr, config, seed):
+            seen.append(seed.spawn_key)
+            return ga_evolve(corr, config, seed=seed)
+
+        monkeypatch.setattr(recursive, "ga_evolve", spy)
+        train(X, y, small_config(groups=3))
+        assert seen == streams
+
+    @pytest.mark.parametrize("train, fraction", [
+        (simple_average, 0.0),
+        (train_rmse_elm, 0.0),
+        (train_rmse_elm, 0.25),
+    ], ids=["simple-average", "rmse-elm", "rmse-elm-hold-out"])
+    def test_nothing_selected_takes_no_estimation_predictions(self, task, monkeypatch, train,
+                                                              fraction):
+        X, y = task
+        cfg = small_config(threshold1=0.0, threshold2=0.0, validation_fraction=fraction)
+        fitted, predicted = [], []
+
+        def train_spy(*args, **kwargs):
+            fitted.append(kwargs.get("fitted", "left out"))
+            return train_elm(*args, **kwargs)
+
+        def predict_spy(model, X):
+            predicted.append(np.shape(X))
+            return predict(model, X)
+
+        monkeypatch.setattr(recursive, "train_elm", train_spy)
+        monkeypatch.setattr(recursive, "predict", predict_spy)
+        ens = train(X, y, cfg)
+        assert fitted == [None] * (cfg.groups * cfg.group_size)
+        assert predicted == []
+        assert ens.n_members == cfg.groups * cfg.group_size
+
+    def test_the_simple_average_holds_no_layer_while_a_later_member_trains(
+        self, task, monkeypatch
+    ):
+        X, y = task
+        models, layers = [], []  # every model train_elm made, and weak references to its layer
+        alive = []  # live layers when each member starts training
+
+        def spy(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in layers))
+            model = train_elm(*args, **kwargs)
+            models.append(model)
+            layers.append(weakref.ref(model.hidden))
+            return model
+
+        monkeypatch.setattr(recursive, "train_elm", spy)
+        ens = train_simple_ensemble(X, y, n_learners=6, n_hidden=5, activation="gaussian", seed=2)
+        assert alive == [0] * 6
+        assert all(ref() is None for ref in layers)  # the members' layers are redrawn
+        assert [id(m) for m in ens.members] == [id(m) for m in models]
+        assert ens.provenance == tuple((0, i) for i in range(6))
+        for m, (g, i) in zip(ens.members, ens.provenance):
+            solo = train_elm(X, y, 5, "gaussian", seed=member_seed(2, g, i))
+            assert np.array_equal(m.hidden.input_weights, solo.hidden.input_weights)
+            assert np.array_equal(m.hidden.biases, solo.hidden.biases)
+            assert np.array_equal(m.output_weights, solo.output_weights)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.25])
+    def test_rmse_elm_at_threshold2_0_is_e_gasen(self, task, fraction):
+        X, y = task
+        cfg = small_config(groups=3, group_size=5, validation_fraction=fraction)
+        rmse = train_rmse_elm(X, y, replace(cfg, threshold2=0.0))
+        e_gasen = train_e_gasen(X, y, cfg)
+        assert_same_ensemble(rmse, e_gasen, X[::-1] + 0.5)
+        assert rmse.pool_provenance == rmse.provenance
+
+
 class TestSimpleEnsemble:
     def test_prediction_is_member_mean(self, task):
         X, y = task
@@ -600,6 +694,30 @@ class TestPlumbing:
     def test_member_seeds_distinct(self):
         keys = {member_seed(0, g, i).spawn_key for g in range(4) for i in range(20)}
         assert len(keys) == 80
+
+    @pytest.mark.parametrize("train", [
+        train_rmse_elm,
+        lambda X, y, c: train_simple_ensemble(X, y, 8, c.n_hidden, seed=None),
+    ], ids=["rmse-elm", "simple-average"])
+    def test_a_seed_of_none_is_drawn_once_so_every_layer_redraws_exactly(
+        self, task, monkeypatch, train
+    ):
+        X, y = task
+        trained = {}  # id of each model train_elm made -> its layer's arrays
+
+        def spy(*args, **kwargs):
+            model = train_elm(*args, **kwargs)
+            trained[id(model)] = (model.hidden.input_weights, model.hidden.biases)
+            return model
+
+        monkeypatch.setattr(recursive, "train_elm", spy)
+        cfg = small_config(seed=None)
+        assert isinstance(cfg.seed, int)
+        ens = train(X, y, cfg)
+        for m in ens.members:
+            weights, biases = trained[id(m)]
+            assert np.array_equal(m.hidden.input_weights, weights)
+            assert np.array_equal(m.hidden.biases, biases)
 
     def test_ensemble_requires_members(self):
         with pytest.raises(ValueError):
