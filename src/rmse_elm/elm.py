@@ -116,17 +116,19 @@ class HiddenLayer:
         return self.input_weights.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass
 class ElmModel:
-    """A trained ELM: frozen random hidden layer plus solved readout.
+    """A trained ELM: random hidden layer plus solved readout.
 
     `output_weights` has shape (n_hidden, n_outputs). `squeeze_output`
     records whether the model was trained on 1-D targets, in which case
-    predictions are returned 1-D as well. The layer may be dropped and
-    redrawn in place (`drop_hidden_layer`); the readout never changes.
+    predictions are returned 1-D as well. `hidden` is None while an
+    ensemble fit holds the model as its readout alone; the layer is a pure
+    function of the seed `train_elm` drew it from, and the model cannot
+    predict until it is given back.
     """
 
-    hidden: HiddenLayer
+    hidden: HiddenLayer | None
     output_weights: np.ndarray
     squeeze_output: bool = False
 
@@ -136,7 +138,7 @@ class ElmModel:
             raise DimensionError(
                 "output_weights must have one row per hidden node"
             )
-        object.__setattr__(self, "output_weights", beta)
+        self.output_weights = beta
 
     def predict(self, X):
         return predict(self, X)
@@ -389,27 +391,9 @@ def train_elm(X, Y, n_hidden, activation="sigmoid", seed=None, *, rows=None, fit
     )
 
 
-def drop_hidden_layer(model):
-    """Free `model`'s hidden layer in place and keep its readout.
-
-    For a caller that holds many trained models and returns few: a layer
-    drawn from an int or SeedSequence seed is a pure function of it, and
-    `redraw_hidden_layer` gives it back bit for bit. The model cannot
-    predict in between.
-    """
-    object.__setattr__(model, "hidden", None)
-
-
-def redraw_hidden_layer(model, n_inputs, activation, seed):
-    """Give `model` back the layer `train_elm` drew for it over `n_inputs` inputs.
-
-    `activation` and `seed` are the ones `train_elm` was given.
-    """
-    layer = make_hidden_layer(n_inputs, model.output_weights.shape[0], activation, seed)
-    object.__setattr__(model, "hidden", layer)
-
-
 def predict(model, X):
     """Model output H(X) @ beta; 1-D if the model was trained on 1-D targets."""
+    if model.hidden is None:
+        raise ValueError("predict: the model has no hidden layer")
     out = hidden_output(model.hidden, np.asarray(X, dtype=float)) @ model.output_weights
     return out[:, 0] if model.squeeze_output else out

@@ -12,9 +12,10 @@ pool, so `layer1_reading` reads GASEN-ELM and E-GASEN from one RMSE-ELM fit.
 
 A fit keeps each member it has not yet chosen as its readout and its
 predictions on the estimation rows: the hidden layer is a pure function
-of the member's seed, so it is dropped as soon as the member's
-predictions are taken and redrawn only for the members a trainer returns,
-which are the very models `train_elm` made. A group's non-survivors are
+of the member's seed, so `_train_group` sets the member's `hidden` to
+None as soon as its predictions are taken, and `_redraw` draws it again
+with `make_hidden_layer` only for the members a trainer returns, which
+are the very models `train_elm` made. A group's non-survivors are
 freed as soon as its survivors join the pool, so a layer-1 fit holds the
 pool's and one group's readouts and predictions and one member's readout
 working set (see `train_elm`); the returned members add their layers. A
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .elm import _canonical_activation, drop_hidden_layer, predict, redraw_hidden_layer, train_elm
+from .elm import _canonical_activation, _finite, make_hidden_layer, predict, train_elm
 from .selective import GaConfig, correlation_matrix, ga_evolve, select_by_threshold
 
 # spawn-key streams so every random draw in a training run has its own
@@ -141,6 +142,7 @@ def _estimation_split(X, y, validation_fraction, master_seed):
 
     Returns (fit_rows, est_rows); both are None when the correlations are
     estimated on the training rows themselves (validation_fraction 0).
+    A hold-out must be finite in X and y: `train_elm` checks only the fit rows.
     """
     if X.shape[0] < 1 or X.shape[0] != y.shape[0]:
         raise ValueError("X and y must be non-empty with matching row counts")
@@ -152,7 +154,12 @@ def _estimation_split(X, y, validation_fraction, master_seed):
         raise ValueError("validation_fraction leaves no training rows")
     rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(_VAL_SPLIT,)))
     order = rng.permutation(n)
-    return order[n_val:], order[:n_val]
+    fit_rows, est_rows = order[n_val:], order[:n_val]
+    if not _finite(X, est_rows):
+        raise ValueError("X contains non-finite entries in the hold-out rows")
+    if not _finite(y, est_rows):
+        raise ValueError("the targets contain non-finite entries in the hold-out rows")
+    return fit_rows, est_rows
 
 
 def _train_group(X, y, fit_rows, est_rows, n_models, config, group):
@@ -185,18 +192,18 @@ def _train_group(X, y, fit_rows, est_rows, n_models, config, group):
         )
         preds.append(None if not estimate else np.ravel(
             fitted if est_rows is None else predict(m, np.take(X, est_rows, axis=0))))
-        drop_hidden_layer(m)
+        m.hidden = None
         models.append(m)
     return models, preds
 
 
 def _redraw(X, config, models, provenance):
-    """The members `_train_group` trained at `provenance`, each with its layer redrawn
-    unless it has one."""
+    """The members `_train_group` trained at `provenance`, each given back its layer
+    unless it has one: the draw `train_elm` made from the member's seed over X's columns."""
     for m, (g, i) in zip(models, provenance):
         if m.hidden is None:
-            redraw_hidden_layer(m, np.shape(X)[1], config.activation,
-                                member_seed(config.seed, g, i))
+            m.hidden = make_hidden_layer(np.shape(X)[1], config.n_hidden, config.activation,
+                                         member_seed(config.seed, g, i))
     return tuple(models)
 
 

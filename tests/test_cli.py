@@ -488,13 +488,17 @@ n_train = 60
         assert "master seed: 99" in out
 
     def test_flags_match_a_config_with_their_values(self, csv_path, tmp_path, capsys):
-        # --runs, --seed, --jobs and --out replace the loaded file's values
+        # --runs, --seed, --jobs and --out replace the loaded file's values; only
+        # jobs > 1 notes on stdout that its wall times are not authoritative
         cfg = self.write_config(tmp_path, csv_path)
         assert run_cli(["bench", "--config", str(cfg), "--runs", "1", "--seed", "7",
-                        "--jobs", "1", "--out", str(tmp_path / "flags")]) == EXIT_OK
+                        "--jobs", "2", "--out", str(tmp_path / "flags")]) == EXIT_OK
+        note = "note: jobs > 1; wall-time (CC) numbers are not authoritative\n"
+        assert note in capsys.readouterr().out
         text = cfg.read_text().replace("runs = 2", "runs = 1").replace("seed = 5", "seed = 7")
         cfg.write_text(text.replace(str(tmp_path / "reports"), str(tmp_path / "file")))
         assert run_cli(["bench", "--config", str(cfg)]) == EXIT_OK
+        assert note not in capsys.readouterr().out
 
         def records(name):
             return [replace(r, wall_time_s=0.0)
@@ -654,6 +658,12 @@ def _records_row(name, text, expected):
              "[ga] population_size and generations must be positive"),
     _ini_row("ini-bad-noise", "variances = 1\n", "variances = -1\n",
              "[noise:g1] variances must be non-empty and positive"),
+    _ini_row("ini-jobs-zero", "runs = 1\n", "runs = 1\njobs = 0\n",
+             "[experiment] jobs must be positive"),
+    _ini_row("ini-no-experiment", "[experiment]\nmethods = elm\nruns = 1\nout_dir = {dir}/reports\n",
+             "", "missing [experiment] section"),
+    _ini_row("ini-path-without-n-train", "n_train = 9\n", "", "[dataset:syn] needs n_train"),
+    _ini_row("ini-no-noise", "[noise:g1]\nvariances = 1\n", "", "no [noise:<id>] sections"),
     _ini_row("ini-unknown-task", "path = {dir}/good.csv\n", "task = frobnicate\n",
              "[dataset:syn] unknown benchmark task 'frobnicate'"),
     # the same check on a flag names no file

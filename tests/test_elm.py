@@ -16,12 +16,10 @@ import rmse_elm
 from rmse_elm.elm import (
     DimensionError,
     HiddenLayer,
-    drop_hidden_layer,
     hidden_output,
     make_hidden_layer,
     predict,
     pseudoinverse,
-    redraw_hidden_layer,
     train_elm,
 )
 
@@ -205,15 +203,15 @@ class TestTrainElm:
     @pytest.mark.parametrize("activation", ["sigmoid", "gaussian", "multiquadric"])
     @pytest.mark.parametrize("outputs", [None, 2])
     def test_dropped_layer_is_redrawn_bit_for_bit(self, activation, outputs):
+        # train_elm's layer is the draw make_hidden_layer makes at its seed, so an
+        # ensemble can drop it and swap that draw back in
         rng = np.random.default_rng(6)
         X = rng.normal(size=(30, 4))
         y = rng.normal(size=30 if outputs is None else (30, outputs))
         seed = np.random.SeedSequence(3, spawn_key=(0, 1, 2))
         model = train_elm(X, y, 7, activation, seed=seed)
-        layer, beta, expected = model.hidden, model.output_weights, predict(model, X)
-        drop_hidden_layer(model)
-        assert model.hidden is None and model.output_weights is beta
-        redraw_hidden_layer(model, X.shape[1], activation, seed)
+        layer, expected = model.hidden, predict(model, X)
+        model.hidden = make_hidden_layer(X.shape[1], 7, activation, seed)
         assert model.hidden is not layer
         assert np.array_equal(model.hidden.input_weights, layer.input_weights)
         assert np.array_equal(model.hidden.biases, layer.biases)

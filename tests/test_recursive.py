@@ -498,7 +498,6 @@ class TestLayer1Readings:
                            validation_fraction=fraction)
         gasen, e_gasen = train_gasen_elm(X, y, cfg), train_e_gasen(X, y, cfg)
         trained = []  # every model the pass's train_elm made
-        redrawn = []  # the models whose layer a reading redraws
 
         def spy(*args, **kwargs):
             trained.append(train_elm(*args, **kwargs))
@@ -508,18 +507,19 @@ class TestLayer1Readings:
         rmse = train_rmse_elm(X, y, cfg)
         before = rmse.predict(X_test)
 
-        def redraw_spy(model, *args):
-            redrawn.append(model)
-            rmse_elm.elm.redraw_hidden_layer(model, *args)
+        def read(groups=None):
+            """The reading, and the pool models it gave a layer; it must touch no other."""
+            layers = {id(m): m.hidden for m in rmse.pool_members}
+            reading = layer1_reading(rmse, X, cfg, groups)
+            assigned = {id(m) for m in rmse.pool_members if m.hidden is not layers[id(m)]}
+            assert assigned <= {i for i, layer in layers.items() if layer is None}
+            return reading, assigned
 
-        monkeypatch.setattr(recursive, "redraw_hidden_layer", redraw_spy)
         # narrowest first, as bench takes them: each redraws only the layers still dropped
-        first = layer1_reading(rmse, X, cfg, groups=1)
-        assert {id(m) for m in redrawn} == {id(m) for m in first.members} - {
-            id(m) for m in rmse.members}
-        redrawn.clear()
-        whole = layer1_reading(rmse, X, cfg)
-        assert {id(m) for m in redrawn} == {id(m) for m in whole.members} - {
+        first, assigned = read(groups=1)
+        assert assigned == {id(m) for m in first.members} - {id(m) for m in rmse.members}
+        whole, assigned = read()
+        assert assigned == {id(m) for m in whole.members} - {
             id(m) for m in rmse.members + first.members}
         assert_same_ensemble(first, gasen, X_test)
         assert_same_ensemble(whole, e_gasen, X_test)
@@ -691,6 +691,48 @@ class TestPlumbing:
         with pytest.raises(ValueError, match="train_elm: Y contains non-finite"):
             train_rmse_elm(X, y, small_config())
 
+    @pytest.mark.parametrize("train", [
+        train_rmse_elm,
+        train_e_gasen,
+        lambda X, y, c: train_rmse_elm(X, y, replace(c, threshold1=0.0, threshold2=0.0)),
+    ], ids=["rmse-elm", "e-gasen", "thresholds-0"])
+    @pytest.mark.parametrize("where, bad, message", [
+        ("X", np.inf, "X contains non-finite entries in the hold-out rows"),
+        ("X", np.nan, "X contains non-finite entries in the hold-out rows"),
+        ("y", np.nan, "the targets contain non-finite entries in the hold-out rows"),
+    ], ids=["X-inf", "X-nan", "y-nan"])
+    def test_non_finite_hold_out_rows_rejected_before_training(self, task, monkeypatch, train,
+                                                              where, bad, message):
+        # train_elm checks only the fit rows, so the hold-out is checked where it is drawn
+        X, y = task[0].copy(), task[1].copy()
+        cfg = small_config(validation_fraction=0.25)
+        _, est_rows = recursive._estimation_split(X, y, cfg.validation_fraction, cfg.seed)
+        if where == "X":
+            X[est_rows[0], 1] = bad
+        else:
+            y[est_rows[0]] = bad
+        trained = []
+
+        def spy(*args, **kwargs):
+            trained.append(args)
+            return train_elm(*args, **kwargs)
+
+        monkeypatch.setattr(recursive, "train_elm", spy)
+        with pytest.raises(ValueError, match=message):
+            train(X, y, cfg)
+        assert trained == []
+
+    def test_a_pool_model_left_out_cannot_predict(self, task):
+        # the fit keeps the pool models it does not return as readouts alone
+        X, y = task
+        ens = train_rmse_elm(X, y, small_config(groups=3, group_size=6))
+        members = {id(m) for m in ens.members}
+        left_out = [m for m in ens.pool_members if id(m) not in members]
+        assert left_out
+        for m in left_out:
+            with pytest.raises(ValueError, match="predict: the model has no hidden layer"):
+                predict(m, X)
+
     def test_member_seeds_distinct(self):
         keys = {member_seed(0, g, i).spawn_key for g in range(4) for i in range(20)}
         assert len(keys) == 80
@@ -723,7 +765,8 @@ class TestPlumbing:
         with pytest.raises(ValueError):
             ElmEnsemble(members=(), provenance=())
 
-    def test_config_validation(self):
+    def test_config_validation(self, task):
+        X, y = task
         with pytest.raises(ValueError):
             EnsembleConfig(groups=0)
         with pytest.raises(ValueError):
@@ -732,3 +775,8 @@ class TestPlumbing:
             EnsembleConfig(validation_fraction=1.0)
         with pytest.raises(ValueError, match="unknown activation"):
             EnsembleConfig(activation="relu")
+        # a hold-out of one row takes the only row
+        with pytest.raises(ValueError, match="validation_fraction leaves no training rows"):
+            train_rmse_elm(X[:1], y[:1], small_config(validation_fraction=0.25))
+        with pytest.raises(ValueError, match="n_learners must be positive"):
+            train_simple_ensemble(X, y, n_learners=0)
