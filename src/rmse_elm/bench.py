@@ -101,6 +101,7 @@ class RunRecord:
     test_mse: float
     wall_time_s: float
     seed: int
+    master_seed: int
 
     def __post_init__(self):
         if not (np.isfinite(self.test_mse) and self.test_mse >= 0.0):
@@ -122,7 +123,7 @@ class ExperimentReport:
     records: tuple
     cells: dict  # (method, dataset, noise_id) -> CellStats
     errors: dict  # (method, dataset, noise_id) -> message
-    master_seed: int | None  # None when unknown: `report` rebuilds from records alone
+    master_seeds: tuple  # the distinct master seeds of its runs, ascending
     methods: tuple
     dataset_ids: tuple
     noise_ids: tuple
@@ -148,6 +149,8 @@ class ExperimentConfig:
             raise ValueError("runs must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
+        if not (isinstance(self.master_seed, (int, np.integer)) and self.master_seed >= 0):
+            raise ValueError("master seed must be a non-negative integer")
         methods = tuple(canonical_method(m) for m in self.methods)
         twice = [m for i, m in enumerate(methods) if m in methods[:i]]
         if twice:  # its cells would run twice and fold into one cell of repeated runs
@@ -221,6 +224,7 @@ def _run_unit(cfg, dataset_id, noise_id, methods):
                     test_mse=mse(pred, test.y),
                     wall_time_s=wall,
                     seed=seed,
+                    master_seed=cfg.master_seed,
                 )
             )
     return records
@@ -252,18 +256,18 @@ def summarize_records(records):
     return cells
 
 
-def make_report(records, keys, errors, master_seed):
+def make_report(records, keys, errors, master_seeds):
     """The one ExperimentReport of `records`, which `bench` writes and `report` rebuilds.
 
-    Cells come from summarize_records. The tables' datasets, noise ids and
-    methods are those of `keys`, (dataset, noise_id, method) triples, in
-    order of first appearance.
+    Cells come from summarize_records, and the summary names `master_seeds`.
+    The tables' datasets, noise ids and methods are those of `keys`,
+    (dataset, noise_id, method) triples, in order of first appearance.
     """
     return ExperimentReport(
         records=tuple(records),
         cells=summarize_records(records),
         errors=errors,
-        master_seed=master_seed,
+        master_seeds=tuple(master_seeds),
         methods=tuple(dict.fromkeys(method for _, _, method in keys)),
         dataset_ids=tuple(dict.fromkeys(ds_id for ds_id, _, _ in keys)),
         noise_ids=tuple(dict.fromkeys(noise_id for _, noise_id, _ in keys)),
@@ -310,7 +314,7 @@ def run_experiment(cfg):
                       for noise_id in cfg.noise_specs for method in cfg.methods)
     records = [rec for key in keys for rec in by_cell.get(key, ())]
     errors = {key: failed[key] for key in keys if key in failed}
-    return make_report(records, keys, errors, cfg.master_seed)
+    return make_report(records, keys, errors, (cfg.master_seed,))
 
 
 # ---------------------------------------------------------------- reports
@@ -390,10 +394,9 @@ def write_report(report, out_dir):
         _write_table(_table(report, "mean_mse", ours="RMSE-ELM"), out / "mse_comparison.csv")
         _write_table(_table(report, "std_mse", ours="RMSE-ELM"), out / "std_comparison.csv")
 
-    seed = "unknown (not stored in records)" if report.master_seed is None else report.master_seed
     lines = [
         "benchmark summary",
-        f"master seed: {seed}",
+        f"master seed: {', '.join(map(str, report.master_seeds))}",
         f"methods: {', '.join(report.methods)}",
     ]
     shared = [m for m in report.methods if m in _NESTED]

@@ -103,11 +103,9 @@ def _build_parser():
     blend.add_argument("--seed", type=int, default=DEFAULT_SEED)
     blend.add_argument("--out", required=True, help="output CSV path")
 
-    report = sub.add_parser("report", help="rebuild summary tables from saved run records")
+    report = sub.add_parser("report", help="rebuild bench's tables and summary from its records")
     report.add_argument("--records", required=True, help="runrecords.csv from a bench run")
     report.add_argument("--out", required=True, help="report directory")
-    report.add_argument("--seed", type=int, default=None,
-                        help="master seed to stamp into the summary (informational)")
     return parser
 
 
@@ -126,6 +124,14 @@ def _load_train_dataset(args):
     return _load_csv_dataset(args), None
 
 
+def _noise_spec(noise, seed, seed_flag):
+    """The NoiseSpec of repeated --noise lists, or a ValueError naming both flags."""
+    try:
+        return NoiseSpec(variances=parse_list(",".join(noise)), seed=seed)
+    except ValueError as exc:
+        raise ValueError(f"--noise {','.join(noise)} {seed_flag} {seed}: {exc}") from None
+
+
 def _cmd_train(args):
     # a bad method or setting fails here, before any data is read
     method = canonical_method(args.method)
@@ -134,15 +140,13 @@ def _cmd_train(args):
         n_hidden=args.hidden, activation=args.activation,
         threshold1=args.threshold, seed=args.seed,
     )
+    noise = _noise_spec(args.noise, args.noise_seed, "--noise-seed") if args.noise else None
     print(f"master seed: {args.seed}")
     ds, default_n_train = _load_train_dataset(args)
     n_train = args.n_train if args.n_train is not None else default_n_train
     if n_train is None:
         n_train = max(1, int(round(0.75 * ds.n_samples)))
     _check_blended_split(ds, n_train, name="--n-train")  # before SplitSpec rejects 0
-    noise = None
-    if args.noise:
-        noise = NoiseSpec(variances=parse_list(",".join(args.noise)), seed=args.noise_seed)
     train_ds, test_ds, _ = make_blended_split(ds, noise, SplitSpec(n_train=n_train))
 
     t0 = time.perf_counter()
@@ -190,9 +194,9 @@ def _cmd_bench(args):
 
 
 def _cmd_blend(args):
+    noise = _noise_spec(args.noise, args.seed, "--seed")  # before any data is read
     print(f"master seed: {args.seed}")
     ds = _load_csv_dataset(args)
-    noise = NoiseSpec(variances=parse_list(",".join(args.noise)), seed=args.seed)
     blended = blend_noise(ds, noise)
     manifest = {
         "source": args.dataset,
@@ -217,9 +221,10 @@ def _cmd_report(args):
         for d in made:  # records that cannot be read leave no report directory behind
             d.rmdir()
         raise
-    print(f"master seed: {'unknown (not stored in records)' if args.seed is None else args.seed}")
     keys = [(r.dataset, r.noise_id, r.method) for r in records]
-    out = write_report(make_report(records, keys, {}, args.seed), args.out)
+    report = make_report(records, keys, {}, sorted({r.master_seed for r in records}))
+    print(f"master seed: {', '.join(map(str, report.master_seeds))}")
+    out = write_report(report, args.out)
     print(f"report written to {out}")
     return EXIT_OK
 

@@ -57,8 +57,10 @@ class NoiseSpec:
 
     def __post_init__(self):
         v = tuple(float(x) for x in self.variances)
-        if len(v) == 0 or any(x <= 0.0 for x in v):
-            raise ValueError("variances must be non-empty and positive")
+        if len(v) == 0 or not all(0.0 < x < math.inf for x in v):
+            raise ValueError("variances must be non-empty and positive finite numbers")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
         object.__setattr__(self, "variances", v)
 
 

@@ -79,6 +79,8 @@ class EnsembleConfig:
             raise ValueError("validation_fraction must lie in [0, 1)")
         if self.seed is None:  # once, so that each member's layer can be redrawn from it
             object.__setattr__(self, "seed", int(np.random.SeedSequence().entropy))
+        elif not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)

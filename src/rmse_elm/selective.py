@@ -58,7 +58,7 @@ class EnsembleWeights:
         w = np.asarray(self.w, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a non-empty vector")
-        if np.any(w < 0.0) or np.any(w > 1.0):
+        if not np.all((w >= 0.0) & (w <= 1.0)):  # NaN lies outside too
             raise ValueError("weights must lie in [0, 1]")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
@@ -104,8 +104,8 @@ class GaConfig:
         for p in (self.crossover_prob, self.mutation_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
-        if self.mutation_scale <= 0.0:
-            raise ValueError("mutation_scale must be positive")
+        if not 0.0 < self.mutation_scale < np.inf:
+            raise ValueError("mutation_scale must be positive and finite")
         if not 0 <= self.elitism_count < self.population_size:
             raise ValueError("need 0 <= elitism_count < population_size")
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rmse_elm.bench as bench
 import rmse_elm.cli as cli
@@ -95,9 +97,10 @@ class TestComparisonPct:
 class TestRunRecord:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RunRecord("ELM", "d", "n", 0, test_mse=float("nan"), wall_time_s=0.1, seed=1)
+            RunRecord("ELM", "d", "n", 0, test_mse=float("nan"), wall_time_s=0.1, seed=1,
+                      master_seed=0)
         with pytest.raises(ValueError):
-            RunRecord("ELM", "d", "n", 0, test_mse=-1.0, wall_time_s=0.1, seed=1)
+            RunRecord("ELM", "d", "n", 0, test_mse=-1.0, wall_time_s=0.1, seed=1, master_seed=0)
 
 
 def tiny_config(**kw):
@@ -117,6 +120,12 @@ def tiny_config(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def test_experiment_config_rejects_a_negative_master_seed():
+    with pytest.raises(ValueError, match="master seed must be a non-negative integer"):
+        tiny_config(master_seed=-1)
+    assert tiny_config(master_seed=0).master_seed == 0
 
 
 class TestRunExperiment:
@@ -256,6 +265,19 @@ class TestNestedMethods:
             seeds.setdefault(r.method, []).append(r.seed)
         assert seeds["GASEN-ELM"] == seeds["E-GASEN"] == seeds["RMSE-ELM"]
         assert seeds["ELM"] != seeds["RMSE-ELM"] != seeds["SimpleEnsemble"]
+
+    @settings(max_examples=12, deadline=None)
+    @given(master_seed=st.integers(0, 2**64),
+           methods=st.lists(st.sampled_from(METHODS), min_size=1, unique=True),
+           runs=st.integers(1, 2))
+    def test_every_record_carries_its_master_seed_and_derived_seed(self, master_seed, methods,
+                                                                     runs):
+        report = run_experiment(tiny_config(master_seed=master_seed, methods=methods, runs=runs))
+        assert not report.errors and len(report.records) == len(methods) * runs
+        for r in report.records:
+            key = "RMSE-ELM" if r.method in bench._NESTED else r.method
+            assert r.master_seed == master_seed
+            assert r.seed == bench._run_seed(master_seed, r.dataset, r.noise_id, key, r.run_index)
 
     def test_a_failed_pass_fails_every_listed_nested_cell(self, monkeypatch):
         def broken(X, y, config):

@@ -254,7 +254,9 @@ class TestBlend:
         assert header.count(",") == 3 + 2  # 3 features + 2 noise + target
 
 
-REPORT_TABLES = ("mse.csv", "std.csv", "cc.csv", "mse_comparison.csv", "std_comparison.csv")
+# every file bench writes, each of which report rebuilds when no cell failed
+REPORT_FILES = ("runrecords.csv", "mse.csv", "std.csv", "cc.csv", "mse_comparison.csv",
+                "std_comparison.csv", "summary.txt")
 
 
 class TestBenchAndReport:
@@ -313,7 +315,8 @@ n_train = 60
         code = run_cli(["report", "--records", str(reports / "runrecords.csv"),
                         "--out", str(tmp_path / "rebuilt")])
         assert code == EXIT_OK
-        for name in REPORT_TABLES:
+        assert capsys.readouterr().out.splitlines()[0] == "master seed: 5"
+        for name in REPORT_FILES:
             assert (tmp_path / "rebuilt" / name).read_bytes() == (reports / name).read_bytes(), name
 
     @pytest.mark.parametrize("setting, message, section", [
@@ -508,18 +511,23 @@ n_train = 60
         assert records("flags") == records("file")
 
 
-RECORDS_HEADER = "method,dataset,noise_id,run_index,test_mse,wall_time_s,seed\n"
-GOOD_RECORD = "ELM,syn,g2,0,1.5,0.01,7\n"
+RECORDS_HEADER = "method,dataset,noise_id,run_index,test_mse,wall_time_s,seed,master_seed\n"
+GOOD_RECORD = "ELM,syn,g2,0,1.5,0.01,7,3\n"
 
 
 @pytest.mark.parametrize("text, message", [
     ("method,dataset\n" + GOOD_RECORD, ": not a run-record file"),
-    (RECORDS_HEADER + GOOD_RECORD + "ELM,syn,g2,1,1.5\n", ", line 3: expected 7 fields, got 5"),
-    (RECORDS_HEADER + GOOD_RECORD + "\n" + GOOD_RECORD, ", line 3: expected 7 fields, got 0"),
-    (RECORDS_HEADER + GOOD_RECORD.replace("\n", ",extra\n"), ", line 2: expected 7 fields, got 8"),
-    (RECORDS_HEADER + "ELM,syn,g2,first,1.5,0.01,7\n", ", line 2: invalid literal for int()"),
-    (RECORDS_HEADER + "ELM,syn,g2,0,-1.5,0.01,7\n", ", line 2: test_mse must be finite"),
-], ids=["header", "short-row", "blank-line", "extra-field", "bad-int", "negative-mse"])
+    # a records file from before the master seed was a column
+    (RECORDS_HEADER.replace(",master_seed", "") + "ELM,syn,g2,0,1.5,0.01,7\n",
+     ": not a run-record file"),
+    (RECORDS_HEADER + GOOD_RECORD + "ELM,syn,g2,1,1.5\n", ", line 3: expected 8 fields, got 5"),
+    (RECORDS_HEADER + GOOD_RECORD + "\n" + GOOD_RECORD, ", line 3: expected 8 fields, got 0"),
+    (RECORDS_HEADER + GOOD_RECORD.replace("\n", ",extra\n"), ", line 2: expected 8 fields, got 9"),
+    (RECORDS_HEADER + "ELM,syn,g2,first,1.5,0.01,7,3\n", ", line 2: invalid literal for int()"),
+    (RECORDS_HEADER + "ELM,syn,g2,0,1.5,0.01,7,three\n", ", line 2: invalid literal for int()"),
+    (RECORDS_HEADER + "ELM,syn,g2,0,-1.5,0.01,7,3\n", ", line 2: test_mse must be finite"),
+], ids=["header", "seven-columns", "short-row", "blank-line", "extra-field", "bad-int",
+        "bad-master-seed", "negative-mse"])
 def test_malformed_records_are_config_errors(tmp_path, capsys, text, message):
     path = tmp_path / "runrecords.csv"
     path.write_text(text)
@@ -531,17 +539,19 @@ def test_malformed_records_are_config_errors(tmp_path, capsys, text, message):
     assert not (tmp_path / "rep").exists()
 
 
-@pytest.mark.parametrize("flags, seed", [
-    ([], "unknown (not stored in records)"),
-    (["--seed", "42"], "42"),
-], ids=["no-seed", "seed"])
-def test_report_summary_names_the_seed_as_stdout_does(tmp_path, capsys, flags, seed):
+@pytest.mark.parametrize("rows, seeds", [
+    (GOOD_RECORD, "3"),
+    # records of two bench runs concatenated: each distinct seed once, ascending
+    (GOOD_RECORD.replace(",3\n", ",12\n") + GOOD_RECORD.replace(",0,", ",1,")
+     + GOOD_RECORD.replace(",0,", ",2,").replace(",3\n", ",12\n"), "3, 12"),
+], ids=["one-seed", "mixed-seeds"])
+def test_report_names_the_records_master_seeds(tmp_path, capsys, rows, seeds):
     path = tmp_path / "runrecords.csv"
-    path.write_text(RECORDS_HEADER + GOOD_RECORD)
-    code = run_cli(["report", "--records", str(path), "--out", str(tmp_path / "rep"), *flags])
+    path.write_text(RECORDS_HEADER + rows)
+    code = run_cli(["report", "--records", str(path), "--out", str(tmp_path / "rep")])
     assert code == EXIT_OK
-    assert capsys.readouterr().out.splitlines()[0] == f"master seed: {seed}"
-    assert (tmp_path / "rep" / "summary.txt").read_text().splitlines()[1] == f"master seed: {seed}"
+    assert capsys.readouterr().out.splitlines()[0] == f"master seed: {seeds}"
+    assert (tmp_path / "rep" / "summary.txt").read_text().splitlines()[1] == f"master seed: {seeds}"
 
 
 def test_unreadable_records_remove_only_the_directories_report_made(tmp_path, capsys):
@@ -660,6 +670,37 @@ def _records_row(name, text, expected):
              "[noise:g1] variances must be non-empty and positive"),
     _ini_row("ini-jobs-zero", "runs = 1\n", "runs = 1\njobs = 0\n",
              "[experiment] jobs must be positive"),
+    # settings that would fail every cell, or train a GA whose mutated genes are all NaN
+    _ini_row("ini-noise-variance-nan", "variances = 1\n", "variances = 1, nan\n",
+             "[noise:g1] variances must be non-empty and positive finite numbers"),
+    _ini_row("ini-noise-variance-inf", "variances = 1\n", "variances = inf\n",
+             "[noise:g1] variances must be non-empty and positive finite numbers"),
+    _ini_row("ini-noise-seed-negative", "variances = 1\n", "variances = 1\nseed = -1\n",
+             "[noise:g1] seed must be a non-negative integer"),
+    _ini_row("ini-seed-negative", "runs = 1\n", "runs = 1\nseed = -1\n",
+             "[experiment] master seed must be a non-negative integer"),
+    _ini_row("ini-ga-mutation-scale-nan", "n_train = 9\n",
+             "n_train = 9\n[ga]\nmutation_scale = nan\n",
+             "[ga] mutation_scale must be positive and finite"),
+    _ini_row("ini-ga-mutation-scale-inf", "n_train = 9\n",
+             "n_train = 9\n[ga]\nmutation_scale = inf\n",
+             "[ga] mutation_scale must be positive and finite"),
+    pytest.param({"b.ini": GOOD_INI}, ["bench", "--config", "{dir}/b.ini", "--seed", "-1"],
+                 EXIT_CONFIG, "error: master seed must be a non-negative integer\n", "",
+                 id="flag-bench-seed-negative"),
+    pytest.param({}, ["train", "--dataset", "task:housing", "--seed", "-1"], EXIT_CONFIG,
+                 "error: seed must be a non-negative integer\n", "", id="flag-train-seed-negative"),
+    pytest.param({}, ["train", "--dataset", "task:housing", "--noise", "1", "--noise-seed", "-1"],
+                 EXIT_CONFIG,
+                 "error: --noise 1 --noise-seed -1: seed must be a non-negative integer\n",
+                 "", id="flag-train-noise-seed-negative"),
+    pytest.param({}, ["train", "--dataset", "task:housing", "--noise", "1,nan"], EXIT_CONFIG,
+                 "error: --noise 1,nan --noise-seed 0: variances must be non-empty and positive "
+                 "finite numbers\n", "", id="flag-train-noise-nan"),
+    pytest.param({}, ["blend", "--dataset", "{dir}/good.csv", "--noise", "1", "--seed", "-1",
+                      "--out", "{dir}/b.csv"], EXIT_CONFIG,
+                 "error: --noise 1 --seed -1: seed must be a non-negative integer\n", "",
+                 id="flag-blend-seed-negative"),
     _ini_row("ini-no-experiment", "[experiment]\nmethods = elm\nruns = 1\nout_dir = {dir}/reports\n",
              "", "missing [experiment] section"),
     _ini_row("ini-path-without-n-train", "n_train = 9\n", "", "[dataset:syn] needs n_train"),
@@ -670,7 +711,7 @@ def _records_row(name, text, expected):
     pytest.param({"b.ini": GOOD_INI}, ["bench", "--config", "{dir}/b.ini", "--runs", "0"],
                  EXIT_CONFIG, "error: runs must be positive\n", "", id="flag-runs-zero"),
     _records_row("records-truncated-row", RECORDS_HEADER + GOOD_RECORD + TRUNCATED_RECORD,
-                 ", line 3: expected 7 fields, got 5"),
+                 ", line 3: expected 8 fields, got 5"),
     _records_row("records-truncated-header", RECORDS_HEADER[:30], ": not a run-record file"),
     pytest.param({"b.ini": GOOD_INI}, ["bench", "--config", "{dir}/b.ini", "--out", "{dir}/file/rep"],
                  EXIT_CONFIG, "error: cannot write the report to {dir}/file/rep: Not a directory",
@@ -691,6 +732,11 @@ def _records_row(name, text, expected):
     pytest.param({}, ["report", "--records", "{dir}/absent.csv", "--out", "{dir}/file"],
                  EXIT_CONFIG, "error: cannot write the report to {dir}/file: File exists",
                  "", id="report-out-dir-is-a-file"),
+    # the records carry the master seed, so report takes no --seed
+    pytest.param({"r.csv": RECORDS_HEADER + GOOD_RECORD},
+                 ["report", "--records", "{dir}/r.csv", "--out", "{dir}/rep", "--seed", "1"],
+                 EXIT_CONFIG, "error: rmse-elm: unrecognized arguments: --seed 1\n", "",
+                 id="report-seed-flag"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, capsys, monkeypatch,
                                             files, argv, code, message, stdout):

@@ -167,6 +167,13 @@ class TestBlendNoise:
             NoiseSpec(())
         with pytest.raises(ValueError):
             NoiseSpec((1.0, -0.5))
+        # a non-finite variance would blend a column of NaN or inf into the data
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive finite numbers"):
+                NoiseSpec((1.0, bad))
+        for seed in (-1, 0.5, None):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                NoiseSpec((1.0,), seed=seed)
 
 
 class TestSplit:

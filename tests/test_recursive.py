@@ -775,6 +775,11 @@ class TestPlumbing:
             EnsembleConfig(validation_fraction=1.0)
         with pytest.raises(ValueError, match="unknown activation"):
             EnsembleConfig(activation="relu")
+        for seed in (-1, 1.5, "3"):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                EnsembleConfig(seed=seed)
+        assert EnsembleConfig(seed=np.int64(3)).seed == 3
+        assert EnsembleConfig(seed=None).seed >= 0  # None draws one
         # a hold-out of one row takes the only row
         with pytest.raises(ValueError, match="validation_fraction leaves no training rows"):
             train_rmse_elm(X[:1], y[:1], small_config(validation_fraction=0.25))

@@ -358,6 +358,10 @@ class TestValidation:
             EnsembleWeights(np.array([0.5, 0.6]))  # sums to 1.1
         with pytest.raises(ValueError):
             EnsembleWeights(np.array([-0.1, 1.1]))
+        # abs(nan - 1) > 1e-12 is False, so the sum check alone lets NaN through
+        for bad in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="weights must lie in"):
+                EnsembleWeights(np.array(bad))
         EnsembleWeights(np.array([0.25, 0.75]))
 
     def test_ga_config_validation(self):
@@ -369,6 +373,10 @@ class TestValidation:
             GaConfig(crossover_prob=1.5)
         with pytest.raises(ValueError):
             GaConfig(mutation_scale=0.0)
+        # NaN passes a `<= 0` check, and either value leaves every mutated gene NaN
+        for scale in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="mutation_scale must be positive and finite"):
+                GaConfig(mutation_scale=scale)
 
 
 # ---------------------------------------------------------------------------
