@@ -104,6 +104,11 @@ class RunRecord:
     master_seed: int
 
     def __post_init__(self):
+        if self.method not in METHODS:  # `bench` writes canonical names only
+            raise ValueError(f"method {self.method!r} is not one of {METHODS}")
+        for name in ("run_index", "seed", "master_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if not (np.isfinite(self.test_mse) and self.test_mse >= 0.0):
             raise ValueError("test_mse must be finite and nonnegative")
         if self.wall_time_s < 0.0:
@@ -152,6 +157,8 @@ class ExperimentConfig:
         if not (isinstance(self.master_seed, (int, np.integer)) and self.master_seed >= 0):
             raise ValueError("master seed must be a non-negative integer")
         methods = tuple(canonical_method(m) for m in self.methods)
+        if not methods:  # its tables would have no method column
+            raise ValueError("methods must name at least one method")
         twice = [m for i, m in enumerate(methods) if m in methods[:i]]
         if twice:  # its cells would run twice and fold into one cell of repeated runs
             raise ValueError(f"methods lists {twice[0]} twice")
@@ -487,9 +494,12 @@ _CONFIG_KEYS = {
 
 def _read_section(path, section, values):
     """Parse one section's keys into {keyword: value}, naming the key that fails."""
-    kind = section.split(":")[0] + ":" if ":" in section else section
+    kind, colon, ident = section.partition(":")
+    kind += colon
     if kind not in _CONFIG_KEYS:
         raise ValueError(f"{path}: unknown section [{section}]")
+    if colon and not ident.strip():  # its label would be blank in every table
+        raise ValueError(f"{path}: [{section}] needs an id, as in [{kind}<id>]")
     table = _CONFIG_KEYS[kind]
     unknown = [key for key in values if key not in table]
     if unknown:
@@ -527,14 +537,14 @@ def load_experiment_config(path):
 
     An unknown section or key fails the load, so a misspelt or retired
     setting cannot quietly fall back to its default; so does a `path` or
-    `target` next to a `task`, a `seed` next to a `path`, and a value
-    that does not parse, naming its file, section and key. The [ensemble]
-    and [ga] keys build the one EnsembleConfig every method reads, which
-    validates them here, and an `n_train` that breaks the blended split's
-    rule, [2, rows - 1], fails too: a bad setting fails the load, not
-    every cell. A value that the config it feeds rejects (`runs = 0`,
-    `lambda1 = 2`) fails with that config's message, prefixed with the
-    file and section.
+    `target` next to a `task`, a `seed` next to a `path`, a [dataset:]
+    or [noise:] with no id, and a value that does not parse, naming its
+    file, section and key. The [ensemble] and [ga] keys build the one
+    EnsembleConfig every method reads, which validates them here, and an
+    `n_train` that breaks the blended split's rule, [2, rows - 1], fails
+    too: a bad setting fails the load, not every cell. A value that the
+    config it feeds rejects (`runs = 0`, `lambda1 = 2`, `methods =`)
+    fails with that config's message, prefixed with the file and section.
     """
     path = Path(path)
     if not path.exists():

@@ -168,7 +168,7 @@ def _cmd_train(args):
 
 
 def _make_out_dir(path):
-    """Create the report directory before any work, or fail with one line naming it."""
+    """Create the report directory, or fail with one line naming it."""
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -210,17 +210,10 @@ def _cmd_blend(args):
 
 
 def _cmd_report(args):
-    out = Path(args.out)
-    made = [d for d in (out, *out.parents) if not d.exists()]  # innermost first
-    _make_out_dir(out)  # before any record is read
-    try:
-        records = read_records(args.records)
-        if not records:
-            raise DataError(f"{args.records}: contains no run records")
-    except Exception:
-        for d in made:  # records that cannot be read leave no report directory behind
-            d.rmdir()
-        raise
+    records = read_records(args.records)
+    if not records:
+        raise DataError(f"{args.records}: contains no run records")
+    _make_out_dir(args.out)  # after the records are read, so unreadable ones make no directory
     keys = [(r.dataset, r.noise_id, r.method) for r in records]
     report = make_report(records, keys, {}, sorted({r.master_seed for r in records}))
     print(f"master seed: {', '.join(map(str, report.master_seeds))}")

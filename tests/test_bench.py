@@ -101,6 +101,16 @@ class TestRunRecord:
                       master_seed=0)
         with pytest.raises(ValueError):
             RunRecord("ELM", "d", "n", 0, test_mse=-1.0, wall_time_s=0.1, seed=1, master_seed=0)
+        # values bench never writes: a negative run index or seed, a non-canonical method
+        good = dict(method="ELM", dataset="d", noise_id="n", run_index=0, test_mse=1.0,
+                    wall_time_s=0.1, seed=1, master_seed=0)
+        for name in ("run_index", "seed", "master_seed"):
+            with pytest.raises(ValueError, match=f"^{name} must be non-negative"):
+                RunRecord(**{**good, name: -1})
+        for method in ("xgboost", "elm", "rmse"):
+            with pytest.raises(ValueError, match=f"method '{method}' is not one of"):
+                RunRecord(**{**good, "method": method})
+        assert [RunRecord(**{**good, "method": m}).method for m in METHODS] == list(METHODS)
 
 
 def tiny_config(**kw):
@@ -126,6 +136,11 @@ def test_experiment_config_rejects_a_negative_master_seed():
     with pytest.raises(ValueError, match="master seed must be a non-negative integer"):
         tiny_config(master_seed=-1)
     assert tiny_config(master_seed=0).master_seed == 0
+
+
+def test_experiment_config_rejects_an_empty_methods_list():
+    with pytest.raises(ValueError, match="methods must name at least one method"):
+        tiny_config(methods=())
 
 
 class TestRunExperiment:

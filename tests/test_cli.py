@@ -526,8 +526,18 @@ GOOD_RECORD = "ELM,syn,g2,0,1.5,0.01,7,3\n"
     (RECORDS_HEADER + "ELM,syn,g2,first,1.5,0.01,7,3\n", ", line 2: invalid literal for int()"),
     (RECORDS_HEADER + "ELM,syn,g2,0,1.5,0.01,7,three\n", ", line 2: invalid literal for int()"),
     (RECORDS_HEADER + "ELM,syn,g2,0,-1.5,0.01,7,3\n", ", line 2: test_mse must be finite"),
+    # values bench never writes: a negative run index or seed, and a method outside METHODS
+    (RECORDS_HEADER + "ELM,syn,g2,-3,1.5,0.01,7,3\n", ", line 2: run_index must be non-negative"),
+    (RECORDS_HEADER + "ELM,syn,g2,0,1.5,0.01,-7,3\n", ", line 2: seed must be non-negative"),
+    (RECORDS_HEADER + GOOD_RECORD + "ELM,syn,g2,1,1.5,0.01,7,-2\n",
+     ", line 3: master_seed must be non-negative"),
+    (RECORDS_HEADER + "xgboost,syn,g2,0,1.5,0.01,7,3\n",
+     ", line 2: method 'xgboost' is not one of"),
+    # an alias `bench --config` accepts is not a name `bench` writes
+    (RECORDS_HEADER + "rmse,syn,g2,0,1.5,0.01,7,3\n", ", line 2: method 'rmse' is not one of"),
 ], ids=["header", "seven-columns", "short-row", "blank-line", "extra-field", "bad-int",
-        "bad-master-seed", "negative-mse"])
+        "bad-master-seed", "negative-mse", "negative-run-index", "negative-seed",
+        "negative-master-seed", "unknown-method", "method-alias"])
 def test_malformed_records_are_config_errors(tmp_path, capsys, text, message):
     path = tmp_path / "runrecords.csv"
     path.write_text(text)
@@ -555,8 +565,8 @@ def test_report_names_the_records_master_seeds(tmp_path, capsys, rows, seeds):
 
 
 def test_unreadable_records_remove_only_the_directories_report_made(tmp_path, capsys):
-    # report makes --out (parents too) before it reads a record; when the
-    # records cannot be read it removes what it made and keeps what was there
+    # report reads its records before it makes --out, so records that cannot
+    # be read make no directory, nested or not, and leave one that was there
     (tmp_path / "kept").mkdir()
     for out in ("made/nested", "kept"):
         code = run_cli(["report", "--records", str(tmp_path / "absent.csv"),
@@ -705,6 +715,13 @@ def _records_row(name, text, expected):
              "", "missing [experiment] section"),
     _ini_row("ini-path-without-n-train", "n_train = 9\n", "", "[dataset:syn] needs n_train"),
     _ini_row("ini-no-noise", "[noise:g1]\nvariances = 1\n", "", "no [noise:<id>] sections"),
+    # each method, dataset and noise spec needs a name, or its tables have a blank one
+    _ini_row("ini-no-methods", "methods = elm\n", "methods =\n",
+             "[experiment] methods must name at least one method"),
+    _ini_row("ini-blank-dataset-id", "[dataset:syn]", "[dataset:]",
+             "[dataset:] needs an id, as in [dataset:<id>]"),
+    _ini_row("ini-blank-noise-id", "[noise:g1]", "[noise:]",
+             "[noise:] needs an id, as in [noise:<id>]"),
     _ini_row("ini-unknown-task", "path = {dir}/good.csv\n", "task = frobnicate\n",
              "[dataset:syn] unknown benchmark task 'frobnicate'"),
     # the same check on a flag names no file
@@ -724,13 +741,14 @@ def _records_row(name, text, expected):
                       "--out", "{dir}/file/b.csv"],
                  EXIT_CONFIG, "error: [Errno 17] File exists: '{dir}/file'", SEED_LINE,
                  id="blend-out-unwritable"),
-    # report checks --out as bench does, before it reads a record or prints the seed
+    # report checks --out as bench does, after it reads the records and before it prints
+    # the seed; with both faults it names the records, since it never gets to --out
     pytest.param({"r.csv": RECORDS_HEADER + GOOD_RECORD},
                  ["report", "--records", "{dir}/r.csv", "--out", "{dir}/file/rep"],
                  EXIT_CONFIG, "error: cannot write the report to {dir}/file/rep: Not a directory",
                  "", id="report-out-unwritable"),
     pytest.param({}, ["report", "--records", "{dir}/absent.csv", "--out", "{dir}/file"],
-                 EXIT_CONFIG, "error: cannot write the report to {dir}/file: File exists",
+                 EXIT_CONFIG, "error: [Errno 2] No such file or directory: '{dir}/absent.csv'",
                  "", id="report-out-dir-is-a-file"),
     # the records carry the master seed, so report takes no --seed
     pytest.param({"r.csv": RECORDS_HEADER + GOOD_RECORD},
