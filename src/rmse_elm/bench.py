@@ -1,12 +1,12 @@
 """Experiment harness: methods x datasets x noise specs x repeated runs.
 
-Each cell of the matrix retrains its method `runs` times with derived
-seeds on a fixed blended train/test split and records test MSE plus the
-training wall time. GASEN-ELM, E-GASEN and RMSE-ELM are nested (see
-`recursive`): the ones a config lists share one fit per run, on one run
-seed, and each is charged the wall time of the stages it uses. Reports
-aggregate to mean MSE, the std of MSE across runs, mean cost, and
-percentage comparisons against the recursive model.
+Each cell retrains its method `runs` times on a fixed blended train/test
+split, recording test MSE and training wall time. Every method of a run
+draws each hidden layer as member_seed(run seed, group, index), one seed
+per (dataset, noise, run): ELM draws layer-1 member (0, 0) of the nested
+GASEN-ELM, E-GASEN and RMSE-ELM (see `recursive`), which share one fit per
+run, each charged the stages it uses. Reports aggregate to mean MSE, its
+std across runs, mean cost, and comparisons against the recursive model.
 """
 
 import configparser
@@ -18,12 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (DataError, NoiseSpec, SplitSpec, _check_blended_split, load_csv,
+from .data import (DataError, NoiseSpec, SplitSpec, _check_blended_split, _csv_rows, load_csv,
                    make_blended_split)
 from .elm import predict, train_elm
 from .recursive import (
     EnsembleConfig,
     layer1_reading,
+    member_seed,
     train_e_gasen,
     train_gasen_elm,
     train_rmse_elm,
@@ -36,7 +37,8 @@ from .synth import benchmark_task
 # EnsembleConfig. Each trainer looks its function up in this module when
 # called, so a wrapper put under e.g. `bench.train_elm` sees every cell's call.
 _METHOD_TABLE = {
-    "ELM": ((), lambda X, y, c: train_elm(X, y, c.n_hidden, c.activation, seed=c.seed)),
+    "ELM": ((), lambda X, y, c: train_elm(
+        X, y, c.n_hidden, c.activation, seed=member_seed(c.seed, 0, 0))),
     "SimpleEnsemble": (("simple", "simple-ensemble"), lambda X, y, c: train_simple_ensemble(
         X, y, c.groups * c.group_size, c.n_hidden, c.activation, seed=c.seed)),
     "GASEN-ELM": (("gasen",), lambda X, y, c: train_gasen_elm(X, y, c)),
@@ -111,8 +113,8 @@ class RunRecord:
                 raise ValueError(f"{name} must be non-negative")
         if not (np.isfinite(self.test_mse) and self.test_mse >= 0.0):
             raise ValueError("test_mse must be finite and nonnegative")
-        if self.wall_time_s < 0.0:
-            raise ValueError("wall_time_s must be nonnegative")
+        if not (np.isfinite(self.wall_time_s) and self.wall_time_s >= 0.0):
+            raise ValueError("wall_time_s must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -165,8 +167,8 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", methods)
 
 
-def _run_seed(master_seed, dataset_id, noise_id, method, run_index):
-    key = zlib.crc32(f"{dataset_id}|{noise_id}|{method}".encode())
+def _run_seed(master_seed, dataset_id, noise_id, run_index):
+    key = zlib.crc32(f"{dataset_id}|{noise_id}|RMSE-ELM".encode())
     ss = np.random.SeedSequence(master_seed, spawn_key=(key, run_index))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -214,11 +216,9 @@ def _fit_unit(methods, X, y, config):
 def _run_unit(cfg, dataset_id, noise_id, methods):
     ds, split_spec = cfg.datasets[dataset_id]
     train, test, _ = make_blended_split(ds, cfg.noise_specs[noise_id], split_spec)
-    # the nested methods share RMSE-ELM's run seed, whichever of them are listed
-    seed_key = "RMSE-ELM" if methods[-1] in _NESTED else methods[-1]
     records = []
     for run in range(cfg.runs):
-        seed = _run_seed(cfg.master_seed, dataset_id, noise_id, seed_key, run)
+        seed = _run_seed(cfg.master_seed, dataset_id, noise_id, run)
         run_config = replace(cfg.ensemble, seed=seed)
         for method, fitted, wall in _fit_unit(methods, train.X, train.y, run_config):
             pred = _predict_fitted(fitted, test.X)
@@ -286,11 +286,10 @@ def run_experiment(cfg):
 
     Work runs in units of one (dataset, noise) and one method, or the
     nested methods listed (see `_units`), in `jobs` processes when jobs >
-    1. Results are identical regardless of parallelism because every run's
-    seed is derived from (master seed, dataset, noise, method, run), with
-    RMSE-ELM standing for each nested method, and records are kept in
-    matrix order: dataset, noise, method, run, as configured. A failing
-    unit records its error for each of its cells without aborting the rest.
+    1. Results do not depend on parallelism: every method of a run trains
+    on its one seed, derived from (master seed, dataset, noise, run), and
+    records keep matrix order: dataset, noise, method, run, as configured.
+    A failing unit records its error for each of its cells without aborting the rest.
     """
     keys = [
         (ds_id, noise_id, method)
@@ -346,10 +345,11 @@ def read_records(path):
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != list(_RECORD_FIELDS):
+        rows = _csv_rows(reader, path, ValueError)
+        if next(rows, None) != list(_RECORD_FIELDS):
             raise ValueError(f"{path}: not a run-record file")
         out = []
-        for row in reader:
+        for row in rows:
             where = f"{path}, line {reader.line_num}"
             if len(row) != len(_RECORD_FIELDS):
                 raise ValueError(f"{where}: expected {len(_RECORD_FIELDS)} fields, got {len(row)}")

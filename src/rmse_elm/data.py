@@ -18,6 +18,16 @@ class DataError(Exception):
     """Raised when a dataset file cannot be parsed or is inconsistent."""
 
 
+def _csv_rows(reader, path, error=DataError):
+    """The rows of `reader`, a csv.reader over the file `path`. A row it cannot
+    read, such as one with a field over the csv module's size limit (131072
+    characters), raises `error` naming the file and line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise error(f"{path}, line {reader.line_num}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Dataset:
     X: np.ndarray
@@ -96,7 +106,8 @@ def load_csv(path, target_column, has_header=True, categorical=None, name=None):
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+        rows = [row for row in _csv_rows(csv.reader(fh), path)
+                if row and any(cell.strip() for cell in row)]
     if not rows:
         raise DataError(f"{path}: file is empty")
 

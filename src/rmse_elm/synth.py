@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset, SplitSpec, load_csv
+from .data import DataError, Dataset, SplitSpec, _csv_rows, load_csv
 
 
 def make_synthetic_regression(n_samples=200, n_features=4, seed=0, noise_std=0.1):
@@ -223,7 +223,8 @@ _ALIASES = {
 def _csv_head(path):
     """Header and first data row of a CSV file, cells stripped ([] if absent)."""
     with open(path, newline="") as fh:
-        rows = (row for row in csv.reader(fh) if row and any(cell.strip() for cell in row))
+        rows = (row for row in _csv_rows(csv.reader(fh), path)
+                if row and any(cell.strip() for cell in row))
         head = [[cell.strip() for cell in row] for row in itertools.islice(rows, 2)]
     return head + [[]] * (2 - len(head))
 

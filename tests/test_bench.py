@@ -29,7 +29,7 @@ from rmse_elm.bench import (
     write_report,
 )
 from rmse_elm.data import NoiseSpec, SplitSpec, save_csv
-from rmse_elm.recursive import EnsembleConfig, train_simple_ensemble
+from rmse_elm.recursive import EnsembleConfig, train_e_gasen, train_simple_ensemble
 from rmse_elm.selective import GaConfig
 from rmse_elm.synth import make_housing_task, make_synthetic_regression
 
@@ -101,6 +101,10 @@ class TestRunRecord:
                       master_seed=0)
         with pytest.raises(ValueError):
             RunRecord("ELM", "d", "n", 0, test_mse=-1.0, wall_time_s=0.1, seed=1, master_seed=0)
+        for wall in (float("nan"), float("inf"), -0.1):
+            with pytest.raises(ValueError, match="^wall_time_s must be finite and nonnegative"):
+                RunRecord("ELM", "d", "n", 0, test_mse=1.0, wall_time_s=wall, seed=1,
+                          master_seed=0)
         # values bench never writes: a negative run index or seed, a non-canonical method
         good = dict(method="ELM", dataset="d", noise_id="n", run_index=0, test_mse=1.0,
                     wall_time_s=0.1, seed=1, master_seed=0)
@@ -256,7 +260,7 @@ NESTED_ORDERS = [order for k in (1, 2, 3) for order in itertools.permutations(be
 
 
 class TestNestedMethods:
-    """GASEN-ELM, E-GASEN and RMSE-ELM share one fit per run on RMSE-ELM's run seed."""
+    """GASEN-ELM, E-GASEN and RMSE-ELM share one fit per run on the run's one seed."""
 
     def test_records_do_not_depend_on_the_methods_listed(self):
         def records(methods):
@@ -274,12 +278,37 @@ class TestNestedMethods:
                 assert got == {m: full[m] for m in methods}, methods
 
     def test_nested_methods_share_rmse_elms_seed(self):
-        report = run_experiment(tiny_config(runs=3, methods=METHODS))
+        # and so does every other method: one seed per (dataset, noise, run),
+        # a different one for each
+        ds = make_synthetic_regression(n_samples=70, n_features=3, seed=0, noise_std=0.2)
+        report = run_experiment(tiny_config(
+            runs=3, methods=METHODS,
+            datasets={"a": (ds, SplitSpec(n_train=50)), "b": (ds, SplitSpec(n_train=40))},
+            noise_specs={"n2": NoiseSpec((1.0, 0.1), seed=5), "m1": NoiseSpec((0.5,), seed=6)}))
+        assert not report.errors
         seeds = {}
         for r in report.records:
-            seeds.setdefault(r.method, []).append(r.seed)
-        assert seeds["GASEN-ELM"] == seeds["E-GASEN"] == seeds["RMSE-ELM"]
-        assert seeds["ELM"] != seeds["RMSE-ELM"] != seeds["SimpleEnsemble"]
+            seeds.setdefault((r.dataset, r.noise_id, r.run_index), set()).add(r.seed)
+        assert len(seeds) == 2 * 2 * 3 and all(len(s) == 1 for s in seeds.values())
+        assert len(set().union(*seeds.values())) == len(seeds)
+
+    def test_elm_is_layer1_member_0_0_and_the_simple_average_extends_group_0(self):
+        data = make_synthetic_regression(n_samples=60, n_features=3, seed=2)
+        X, y, X_test = data.X[:45], data.y[:45], data.X[45:]
+        cfg = tiny_config().ensemble
+        assert cfg.validation_fraction == 0
+        pass_ = train_e_gasen(X, y, replace(cfg, threshold1=0.0))
+        assert pass_.provenance[0] == (0, 0)
+        elm, first = bench.fit("ELM", X, y, cfg), pass_.members[0]
+        assert np.array_equal(elm.output_weights, first.output_weights)
+        assert np.array_equal(elm.predict(X_test), first.predict(X_test))
+        simple = bench.fit("SimpleEnsemble", X, y, cfg)
+        assert simple.n_members == cfg.groups * cfg.group_size
+        group0 = [m for m, (g, _) in zip(pass_.members, pass_.provenance) if g == 0]
+        assert len(group0) == cfg.group_size
+        for a, b in zip(simple.members, group0):
+            assert np.array_equal(a.output_weights, b.output_weights)
+            assert np.array_equal(a.predict(X_test), b.predict(X_test))
 
     @settings(max_examples=12, deadline=None)
     @given(master_seed=st.integers(0, 2**64),
@@ -290,9 +319,8 @@ class TestNestedMethods:
         report = run_experiment(tiny_config(master_seed=master_seed, methods=methods, runs=runs))
         assert not report.errors and len(report.records) == len(methods) * runs
         for r in report.records:
-            key = "RMSE-ELM" if r.method in bench._NESTED else r.method
             assert r.master_seed == master_seed
-            assert r.seed == bench._run_seed(master_seed, r.dataset, r.noise_id, key, r.run_index)
+            assert r.seed == bench._run_seed(master_seed, r.dataset, r.noise_id, r.run_index)
 
     def test_a_failed_pass_fails_every_listed_nested_cell(self, monkeypatch):
         def broken(X, y, config):

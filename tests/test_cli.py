@@ -23,6 +23,7 @@ from rmse_elm.data import (
 from rmse_elm.elm import train_elm
 from rmse_elm.recursive import (
     EnsembleConfig,
+    member_seed,
     train_e_gasen,
     train_gasen_elm,
     train_rmse_elm,
@@ -82,9 +83,10 @@ class TestTrain:
         )
         X, y = train.X, train.y
         cfg = EnsembleConfig(groups=2, group_size=3, n_hidden=6, threshold1=0.2, seed=4)
-        # what each method means in terms of the train flags above
+        # what each method means in terms of the train flags above: ELM is
+        # layer-1 member (0, 0) of the seed's ensembles
         fitted = {
-            "elm": lambda: train_elm(X, y, 6, "sigmoid", seed=4),
+            "elm": lambda: train_elm(X, y, 6, "sigmoid", seed=member_seed(4, 0, 0)),
             "simple": lambda: train_simple_ensemble(X, y, 2 * 3, 6, "sigmoid", seed=4),
             "gasen-elm": lambda: train_gasen_elm(X, y, cfg),
             "e-gasen": lambda: train_e_gasen(X, y, cfg),
@@ -183,7 +185,7 @@ class TestTrain:
         train, test = split(benchmark_task("housing").dataset, SplitSpec(n_train=400))
         params = fit_normalization(train)
         train, test = apply_normalization(train, params), apply_normalization(test, params)
-        model = train_elm(train.X, train.y, 50, "sigmoid", seed=11)
+        model = train_elm(train.X, train.y, 50, "sigmoid", seed=member_seed(11, 0, 0))
         assert printed == [f"test MSE: {mse(model.predict(test.X), test.y):.6g}"]
 
     @pytest.mark.parametrize("flags", [["--target-col", "MEDV"], ["--target-col", "target"],
@@ -526,6 +528,13 @@ GOOD_RECORD = "ELM,syn,g2,0,1.5,0.01,7,3\n"
     (RECORDS_HEADER + "ELM,syn,g2,first,1.5,0.01,7,3\n", ", line 2: invalid literal for int()"),
     (RECORDS_HEADER + "ELM,syn,g2,0,1.5,0.01,7,three\n", ", line 2: invalid literal for int()"),
     (RECORDS_HEADER + "ELM,syn,g2,0,-1.5,0.01,7,3\n", ", line 2: test_mse must be finite"),
+    (RECORDS_HEADER + "ELM,syn,g2,0,1.5,nan,7,3\n",
+     ", line 2: wall_time_s must be finite and nonnegative"),
+    (RECORDS_HEADER + "ELM,syn,g2,0,1.5,inf,7,3\n",
+     ", line 2: wall_time_s must be finite and nonnegative"),
+    # the csv module reads no field over 131072 characters
+    (RECORDS_HEADER + GOOD_RECORD + "ELM," + "s" * 131073 + ",g2,1,1.5,0.01,7,3\n",
+     ", line 3: field larger than field limit (131072)"),
     # values bench never writes: a negative run index or seed, and a method outside METHODS
     (RECORDS_HEADER + "ELM,syn,g2,-3,1.5,0.01,7,3\n", ", line 2: run_index must be non-negative"),
     (RECORDS_HEADER + "ELM,syn,g2,0,1.5,0.01,-7,3\n", ", line 2: seed must be non-negative"),
@@ -536,7 +545,8 @@ GOOD_RECORD = "ELM,syn,g2,0,1.5,0.01,7,3\n"
     # an alias `bench --config` accepts is not a name `bench` writes
     (RECORDS_HEADER + "rmse,syn,g2,0,1.5,0.01,7,3\n", ", line 2: method 'rmse' is not one of"),
 ], ids=["header", "seven-columns", "short-row", "blank-line", "extra-field", "bad-int",
-        "bad-master-seed", "negative-mse", "negative-run-index", "negative-seed",
+        "bad-master-seed", "negative-mse", "nan-wall-time", "inf-wall-time",
+        "field-over-limit", "negative-run-index", "negative-seed",
         "negative-master-seed", "unknown-method", "method-alias"])
 def test_malformed_records_are_config_errors(tmp_path, capsys, text, message):
     path = tmp_path / "runrecords.csv"
@@ -659,6 +669,16 @@ def _records_row(name, text, expected):
     _csv_row("csv-nan", "a,b,target\n1,2,3\n4,nan,6\n", "row 2, column 'b': non-finite value"),
     _csv_row("csv-overflow", "a,b,target\n1,2,3\n4,5,1e999\n",
              "row 2, column 'target': non-finite value"),
+    # a field the csv module will not read, over 131072 characters, names its line
+    pytest.param({"t.csv": "a,b,target\n1,2,3\n" + "4" * 131073 + ",5,6\n"},
+                 ["train", "--dataset", "{dir}/t.csv"], EXIT_DATA,
+                 "data error: {dir}/t.csv, line 3: field larger than field limit (131072)\n",
+                 SEED_LINE, id="csv-field-over-limit"),
+    pytest.param({"t.csv": "a,b,target\n1,2,3\n" + "4" * 131073 + ",5,6\n"},
+                 ["blend", "--dataset", "{dir}/t.csv", "--noise", "1", "--out", "{dir}/b.csv"],
+                 EXIT_DATA,
+                 "data error: {dir}/t.csv, line 3: field larger than field limit (131072)\n",
+                 SEED_LINE, id="blend-field-over-limit"),
     _ini_row("ini-unknown-key", "runs = 1\n", "runs = 1\nrun = 2\n",
              "[experiment] has unknown keys: run"),
     _ini_row("ini-bad-value", "runs = 1\n", "runs = one\n", "[experiment] runs = 'one'"),

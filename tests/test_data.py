@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -69,6 +70,15 @@ class TestLoadCsv:
     def test_header_width_must_match_the_rows(self, tmp_path, text):
         p = write(tmp_path, text)
         with pytest.raises(DataError, match=r"header has \d columns, row 1 has 3"):
+            load_csv(p, "a")
+
+    @pytest.mark.parametrize("row", [1, 3])
+    def test_field_over_the_csv_size_limit_names_file_and_line(self, tmp_path, row):
+        # the csv module reads no field over 131072 characters: a DataError, not csv.Error
+        lines = ["a,b", "1,2", "3,4"]
+        lines[row - 1] = "x" * 131073 + ",2"
+        p = write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(p))}, line {row}: field larger"):
             load_csv(p, "a")
 
     def test_missing_target_column(self, tmp_path):
@@ -474,6 +484,17 @@ class TestSynthTasks:
         write(tmp_path, "a,quality\n1,x\n", path.name)
         with pytest.raises(DataError, match="cannot parse 'x'"):
             benchmark_task("rw", data_dir=tmp_path)
+
+    def test_benchmark_task_field_over_the_csv_size_limit_names_file_and_line(self, tmp_path,
+                                                                             load_calls):
+        # the header and first row are read before load_csv: a DataError from either reader
+        for text, line in (("MEDV," + "x" * 131073 + "\n1,2\n", 1),
+                           ("MEDV,a\n1,2\n3," + "4" * 131073 + "\n", 3)):
+            path = write(tmp_path, text, "boston_housing.csv")
+            where = re.escape(f"{path}, line {line}: field larger than field limit")
+            with pytest.raises(DataError, match=f"^{where}"):
+                benchmark_task("bh", data_dir=tmp_path)
+        assert len(load_calls) == 1
 
     def test_benchmark_task_unknown_key(self):
         with pytest.raises(ValueError, match="unknown benchmark task"):
