@@ -10,7 +10,6 @@ std across runs, mean cost, and comparisons against the recursive model.
 """
 
 import configparser
-import csv
 import time
 import zlib
 from dataclasses import dataclass, field, fields, replace
@@ -18,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (DataError, NoiseSpec, SplitSpec, _check_blended_split, _csv_rows, load_csv,
-                   make_blended_split)
+from .data import (DataError, NoiseSpec, SplitSpec, _check_blended_split, _csv_rows, _write_csv,
+                   load_csv, make_blended_split)
 from .elm import predict, train_elm
 from .recursive import (
     EnsembleConfig,
@@ -331,33 +330,27 @@ _RECORD_FIELDS = tuple(name for name, _ in _RECORD_COLUMNS)
 
 
 def write_records(records, path):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_RECORD_FIELDS)
-        # a float is written as its repr, which reads back to the same float
-        writer.writerows([getattr(r, name) for name in _RECORD_FIELDS] for r in records)
-    return path
+    # a float is written as its repr, which reads back to the same float
+    rows = ([getattr(r, name) for name in _RECORD_FIELDS] for r in records)
+    return _write_csv(path, [_RECORD_FIELDS, *rows])
 
 
 def read_records(path):
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = _csv_rows(reader, path, ValueError)
-        if next(rows, None) != list(_RECORD_FIELDS):
-            raise ValueError(f"{path}: not a run-record file")
-        out = []
-        for row in rows:
-            where = f"{path}, line {reader.line_num}"
-            if len(row) != len(_RECORD_FIELDS):
-                raise ValueError(f"{where}: expected {len(_RECORD_FIELDS)} fields, got {len(row)}")
-            try:
-                parsed = (parse(text) for (_, parse), text in zip(_RECORD_COLUMNS, row))
-                out.append(RunRecord(*parsed))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+    rows = _csv_rows(path, ValueError)
+    _, header = next(rows, (None, None))
+    if header != list(_RECORD_FIELDS):
+        raise ValueError(f"{path}: not a run-record file")
+    out = []
+    for line, row in rows:
+        where = f"{path}, line {line}"
+        if len(row) != len(_RECORD_FIELDS):
+            raise ValueError(f"{where}: expected {len(_RECORD_FIELDS)} fields, got {len(row)}")
+        try:
+            parsed = (parse(text) for (_, parse), text in zip(_RECORD_COLUMNS, row))
+            out.append(RunRecord(*parsed))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return out
 
 
@@ -384,22 +377,17 @@ def _table(report, metric, ours=None):
     return lines
 
 
-def _write_table(lines, path):
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(lines)
-
-
 def write_report(report, out_dir):
     """Persist run records, per-metric tables, comparisons and a summary."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_records(report.records, out / "runrecords.csv")
-    _write_table(_table(report, "mean_mse"), out / "mse.csv")
-    _write_table(_table(report, "std_mse"), out / "std.csv")
-    _write_table(_table(report, "mean_cc_s"), out / "cc.csv")
+    _write_csv(out / "mse.csv", _table(report, "mean_mse"))
+    _write_csv(out / "std.csv", _table(report, "std_mse"))
+    _write_csv(out / "cc.csv", _table(report, "mean_cc_s"))
     if "RMSE-ELM" in report.methods:
-        _write_table(_table(report, "mean_mse", ours="RMSE-ELM"), out / "mse_comparison.csv")
-        _write_table(_table(report, "std_mse", ours="RMSE-ELM"), out / "std_comparison.csv")
+        _write_csv(out / "mse_comparison.csv", _table(report, "mean_mse", ours="RMSE-ELM"))
+        _write_csv(out / "std_comparison.csv", _table(report, "std_mse", ours="RMSE-ELM"))
 
     lines = [
         "benchmark summary",
@@ -432,7 +420,7 @@ def write_report(report, out_dir):
                         f"CC {stats.mean_cc_s:.4g}s  ({stats.n_runs} runs)"
                     )
             lines.append("")
-    (out / "summary.txt").write_text("\n".join(lines))
+    (out / "summary.txt").write_text("\n".join(lines), encoding="utf-8")
     return out
 
 
@@ -552,10 +540,12 @@ def load_experiment_config(path):
     # no interpolation: a "%" in a path is a literal character
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8-sig") as f:
             cp.read_file(f, source=path.name)
     except configparser.Error as exc:
         raise ValueError(f"{path}: {' '.join(str(exc).split())}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
     sections = {section: _read_section(path, section, dict(cp[section]))
                 for section in cp.sections()}
     if "experiment" not in sections:

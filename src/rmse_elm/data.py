@@ -18,14 +18,32 @@ class DataError(Exception):
     """Raised when a dataset file cannot be parsed or is inconsistent."""
 
 
-def _csv_rows(reader, path, error=DataError):
-    """The rows of `reader`, a csv.reader over the file `path`. A row it cannot
-    read, such as one with a field over the csv module's size limit (131072
-    characters), raises `error` naming the file and line."""
+def _csv_rows(path, error):
+    """(line number, row) for each row of the CSV file `path`, read as UTF-8
+    with or without a BOM; the file closes when the rows end or are dropped.
+    A fault raises `error` with one line naming the file: an OSError's text,
+    "<path>: not UTF-8 text", or "<path>, line N: <reason>" for a row the csv
+    module refuses, such as one with a field over 131072 characters."""
     try:
-        yield from reader
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                yield reader.line_num, row
+    except OSError as exc:
+        raise error(str(exc)) from None
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
     except csv.Error as exc:
         raise error(f"{path}, line {reader.line_num}: {exc}") from None
+
+
+def _write_csv(path, rows):
+    """Write `rows` to the CSV file `path` as UTF-8, making its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
 
 
 @dataclass(frozen=True)
@@ -105,9 +123,8 @@ def load_csv(path, target_column, has_header=True, categorical=None, name=None):
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    with open(path, newline="") as fh:
-        rows = [row for row in _csv_rows(csv.reader(fh), path)
-                if row and any(cell.strip() for cell in row)]
+    rows = [row for _, row in _csv_rows(path, DataError)
+            if row and any(cell.strip() for cell in row)]
     if not rows:
         raise DataError(f"{path}: file is empty")
 
@@ -325,7 +342,7 @@ def save_csv(ds, path, manifest=None):
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(list(ds.feature_names) + ["target"])
         # the rows csv.writer would write: a float's repr never needs quoting
         fh.writelines(",".join(map(repr, row)) + "\r\n"
@@ -333,5 +350,5 @@ def save_csv(ds, path, manifest=None):
     if manifest is not None:
         lines = [f"dataset: {ds.name}", f"rows: {ds.n_samples}", f"features: {ds.n_features}"]
         lines += [f"{k}: {v}" for k, v in manifest.items()]
-        Path(f"{path}.manifest.txt").write_text("\n".join(lines) + "\n")
+        Path(f"{path}.manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

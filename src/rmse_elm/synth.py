@@ -13,8 +13,7 @@ directory and falls back to the generator otherwise (see data/README.md
 for the expected file layout).
 """
 
-import csv
-import itertools
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -220,15 +219,6 @@ _ALIASES = {
 }
 
 
-def _csv_head(path):
-    """Header and first data row of a CSV file, cells stripped ([] if absent)."""
-    with open(path, newline="") as fh:
-        rows = (row for row in _csv_rows(csv.reader(fh), path)
-                if row and any(cell.strip() for cell in row))
-        head = [[cell.strip() for cell in row] for row in itertools.islice(rows, 2)]
-    return head + [[]] * (2 - len(head))
-
-
 def benchmark_task(key, data_dir="data", seed=0):
     """Resolve one of the four named benchmark tasks.
 
@@ -246,7 +236,9 @@ def benchmark_task(key, data_dir="data", seed=0):
     path = Path(data_dir) / fname
     if not path.exists():
         return BenchmarkTask(maker(seed=seed), SplitSpec(n_train=n_train), source="generated")
-    header, first = _csv_head(path)
+    with closing(_csv_rows(path, DataError)) as lines:  # read no further than the first row
+        rows = (row for _, row in lines if any(cell.strip() for cell in row))
+        header, first = ([cell.strip() for cell in next(rows, [])] for _ in range(2))
     target = next((name for name in targets if name in header), None)
     if target is None:
         raise DataError(f"{path}: no column named {' or '.join(targets)} in the header")

@@ -452,6 +452,12 @@ n_train = 40
         assert not report.errors
         assert len(report.records) == 4
 
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        # a config saved by an editor that starts UTF-8 files with a BOM
+        cfg_path = self.write_config(tmp_path)
+        cfg_path.write_bytes(b"\xef\xbb\xbf" + cfg_path.read_bytes().lstrip())
+        assert load_experiment_config(cfg_path).master_seed == 42
+
     def test_unknown_section_fails_the_load(self, tmp_path):
         cfg_path = self.write_config(tmp_path)
         cfg_path.write_text(cfg_path.read_text().replace("[ga]", "[genetic]"))
@@ -511,6 +517,30 @@ n_train = 10
         assert [row.split(",")[:2] for row in rows] == [["dataset", "noise"], ["syn", "g2"],
                                                          ["broken", "g2"]]
         assert rows[2] == "broken,g2,,"
+
+    @pytest.mark.parametrize("kind", ["path-not-utf8", "path-is-a-directory", "task-not-utf8"])
+    def test_unreadable_data_file_becomes_error_cells_naming_it(self, tmp_path, kind):
+        # a data file that cannot be read fails its dataset's cells, not the load,
+        # and the message names the file, not the config section
+        bad = tmp_path / "data" / ("boston_housing.csv" if kind == "task-not-utf8" else "bad.csv")
+        bad.parent.mkdir()
+        if kind == "path-is-a-directory":
+            bad.mkdir()
+            message = f"[Errno 21] Is a directory: '{bad}'"
+        else:
+            bad.write_bytes(b"crim,MEDV,target\n1,2,3\n4,5,\xff\n")
+            message = f"{bad}: not UTF-8 text"
+        source = "task = housing" if kind == "task-not-utf8" else f"path = {bad}\nn_train = 10"
+        cfg_path = self.write_config(tmp_path)
+        text = cfg_path.read_text().replace("seed = 42\n", "seed = 42\ndata_dir = data\n", 1)
+        cfg_path.write_text(f"{text}\n[dataset:broken]\n{source}\n")
+        cfg = load_experiment_config(cfg_path)
+        assert cfg.dataset_errors == {"broken": message}
+        report = run_experiment(cfg)
+        assert report.errors[("broken", "g2", "ELM")] == f"dataset load failed: {message}"
+        assert [r.dataset for r in report.records] == ["syn"] * 4
+        summary = (write_report(report, tmp_path / "rep") / "summary.txt").read_text()
+        assert f"ELM: FAILED (dataset load failed: {message})" in summary
 
 
 # a [noise] and a [dataset] section, with which any [experiment] loads

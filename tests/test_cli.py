@@ -1,4 +1,5 @@
 import ast
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -320,6 +321,24 @@ n_train = 60
         assert capsys.readouterr().out.splitlines()[0] == "master seed: 5"
         for name in REPORT_FILES:
             assert (tmp_path / "rebuilt" / name).read_bytes() == (reports / name).read_bytes(), name
+
+    def test_non_ascii_ids_under_an_ascii_locale(self, csv_path, tmp_path):
+        # every file is read and written as UTF-8, whatever the locale's encoding
+        cfg = self.write_config(tmp_path, csv_path)
+        text = cfg.read_text().replace("[dataset:syn]", "[dataset:café]")
+        cfg.write_text(text.replace("[noise:g2]", "[noise:gé]"), encoding="utf-8")
+        env = {**os.environ, "LC_ALL": "C", "LANG": "C", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONUTF8": "0"}
+        reports, rebuilt = tmp_path / "reports", tmp_path / "rebuilt"
+        records = reports / "runrecords.csv"
+        for argv in (["bench", "--config", str(cfg)],
+                     ["report", "--records", str(records), "--out", str(rebuilt)]):
+            proc = subprocess.run([sys.executable, "-m", "rmse_elm.cli", *argv], env=env,
+                                  capture_output=True, text=True)
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert (reports / "mse.csv").read_bytes().splitlines()[1].startswith("café,gé,".encode())
+        for name in REPORT_FILES:
+            assert (rebuilt / name).read_bytes() == (reports / name).read_bytes(), name
 
     @pytest.mark.parametrize("setting, message, section", [
         pytest.param("lambda1 = 2", "{cfg}: [ensemble] thresholds must lie in [0, 1]", "ensemble",
@@ -679,6 +698,20 @@ def _records_row(name, text, expected):
                  EXIT_DATA,
                  "data error: {dir}/t.csv, line 3: field larger than field limit (131072)\n",
                  SEED_LINE, id="blend-field-over-limit"),
+    # every file is read as UTF-8: one that is not, or a directory, names itself
+    _csv_row("csv-not-utf8", b"a,b,target\n1,2,3\n4,\xff,6\n", "not UTF-8 text\n"),
+    pytest.param({}, ["train", "--dataset", "{dir}"], EXIT_DATA,
+                 "data error: [Errno 21] Is a directory: '{dir}'\n", SEED_LINE,
+                 id="csv-is-a-directory"),
+    pytest.param({"t.csv": b"a,b,target\n1,2,3\n4,\xff,6\n"},
+                 ["blend", "--dataset", "{dir}/t.csv", "--noise", "1", "--out", "{dir}/b.csv"],
+                 EXIT_DATA, "data error: {dir}/t.csv: not UTF-8 text\n", SEED_LINE,
+                 id="blend-not-utf8"),
+    pytest.param({"b.ini": GOOD_INI.encode() + b"# caf\xe9\n"},
+                 ["bench", "--config", "{dir}/b.ini"], EXIT_CONFIG,
+                 "error: {dir}/b.ini: not UTF-8 text\n", "", id="ini-not-utf8"),
+    _records_row("records-not-utf8", (RECORDS_HEADER + GOOD_RECORD).encode() + b"ELM,caf\xe9",
+                 ": not UTF-8 text\n"),
     _ini_row("ini-unknown-key", "runs = 1\n", "runs = 1\nrun = 2\n",
              "[experiment] has unknown keys: run"),
     _ini_row("ini-bad-value", "runs = 1\n", "runs = one\n", "[experiment] runs = 'one'"),
@@ -782,8 +815,9 @@ def test_malformed_input_exits_with_one_line(tmp_path, capsys, monkeypatch,
     # traceback, and no trainer called: each input fails before any training
     (tmp_path / "good.csv").write_text(GOOD_CSV)
     (tmp_path / "file").write_text("a regular file, so no directory can be made under it\n")
-    for name, text in files.items():
-        (tmp_path / name).write_text(text.format(dir=tmp_path))
+    for name, text in files.items():  # bytes are written as they are, apart from {dir}
+        data = text if isinstance(text, bytes) else text.encode()
+        (tmp_path / name).write_bytes(data.replace(b"{dir}", bytes(tmp_path)))
     trained = []
     for name in ("train_elm", "train_simple_ensemble", "train_gasen_elm", "train_e_gasen",
                  "train_rmse_elm"):

@@ -81,6 +81,32 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=rf"^{re.escape(str(p))}, line {row}: field larger"):
             load_csv(p, "a")
 
+    @pytest.mark.parametrize("data", [b"a,b\n1,2\n3,\xff\n", b"\xff\xfea\x00,\x00b\x00\n\x00"],
+                             ids=["latin-1-cell", "utf-16"])
+    def test_file_that_is_not_utf8_names_itself(self, tmp_path, data):
+        p = tmp_path / "data.csv"
+        p.write_bytes(data)
+        with pytest.raises(DataError, match=rf"^{re.escape(str(p))}: not UTF-8 text$"):
+            load_csv(p, "a")
+
+    def test_directory_is_a_data_error(self, tmp_path):
+        where = re.escape(str(tmp_path))
+        with pytest.raises(DataError, match=rf"^\[Errno 21\] Is a directory: '{where}'$"):
+            load_csv(tmp_path, "a")
+
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        # a spreadsheet's UTF-8 export may start with a BOM
+        p = tmp_path / "data.csv"
+        p.write_bytes("\ufeffa,b,t\n1,2,3\n4,5,6\n".encode())
+        ds = load_csv(p, "a")
+        assert ds.feature_names == ("b", "t")
+        assert ds.y.tolist() == [1.0, 4.0]
+
+    def test_names_are_read_as_utf8(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_bytes("café,t\n1,2\n3,4\n".encode())
+        assert load_csv(p, "t").feature_names == ("café",)
+
     def test_missing_target_column(self, tmp_path):
         p = write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(DataError, match="no column named 'z'"):
@@ -495,6 +521,32 @@ class TestSynthTasks:
             with pytest.raises(DataError, match=f"^{where}"):
                 benchmark_task("bh", data_dir=tmp_path)
         assert len(load_calls) == 1
+
+    def test_benchmark_task_reads_a_bom_prefixed_file(self, tmp_path, load_calls):
+        # the BOM does not stick to "Sex", so the column is found and its codes decoded
+        text = "\ufeffSex,Length,Rings\nM,0.4,9\nI,0.2,4\nF,0.5,12\n"
+        (tmp_path / "abalone.csv").write_bytes(text.encode())
+        task = benchmark_task("abalone", data_dir=tmp_path)
+        assert len(load_calls) == 1
+        assert task.dataset.feature_names == ("Sex", "Length")
+        assert task.dataset.X[:, 0].tolist() == [1.0, 0.0, -1.0]
+        assert task.dataset.y.tolist() == [9.0, 4.0, 12.0]
+
+    @pytest.mark.parametrize("bad_line", [1, 2, 3])
+    def test_benchmark_task_file_that_is_not_utf8_names_itself(self, tmp_path, load_calls,
+                                                               bad_line):
+        lines = [b"crim,MEDV", b"1,2", b"3,4"]
+        lines[bad_line - 1] += b"\xff"
+        path = tmp_path / "boston_housing.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: not UTF-8 text$"):
+            benchmark_task("bh", data_dir=tmp_path)
+
+    def test_benchmark_task_file_that_is_a_directory_names_itself(self, tmp_path, load_calls):
+        (tmp_path / "waveform.csv").mkdir()
+        with pytest.raises(DataError, match=r"^\[Errno 21\] Is a directory: .*waveform.csv'$"):
+            benchmark_task("wav", data_dir=tmp_path)
+        assert load_calls == []
 
     def test_benchmark_task_unknown_key(self):
         with pytest.raises(ValueError, match="unknown benchmark task"):
