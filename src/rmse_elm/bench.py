@@ -5,8 +5,11 @@ split, recording test MSE and training wall time. Every method of a run
 draws each hidden layer as member_seed(run seed, group, index), one seed
 per (dataset, noise, run): ELM draws layer-1 member (0, 0) of the nested
 GASEN-ELM, E-GASEN and RMSE-ELM (see `recursive`), which share one fit per
-run, each charged the stages it uses. Reports aggregate to mean MSE, its
-std across runs, mean cost, and comparisons against the recursive model.
+run, each charged the stages it uses, and share each member's test
+prediction within the run: every pool member is predicted once, though
+each method still makes its own ensemble predict call. Reports aggregate
+to mean MSE, its std across runs, mean cost, and comparisons against the
+recursive model.
 """
 
 import configparser
@@ -179,9 +182,9 @@ def _units(methods):
     return list(dict.fromkeys(nested if m in _NESTED else (m,) for m in methods))
 
 
-def _predict_fitted(fitted, X):
+def _predict_fitted(fitted, X, memo):
     if hasattr(fitted, "members"):
-        return fitted.predict(X)
+        return fitted.predict(X, memo=memo)
     return predict(fitted, X)
 
 
@@ -219,8 +222,11 @@ def _run_unit(cfg, dataset_id, noise_id, methods):
     for run in range(cfg.runs):
         seed = _run_seed(cfg.master_seed, dataset_id, noise_id, run)
         run_config = replace(cfg.ensemble, seed=seed)
+        # the nested methods' readings share the fit's models: each member's
+        # test prediction is made once per run, and freed with the run
+        memo = {} if len(methods) > 1 else None
         for method, fitted, wall in _fit_unit(methods, train.X, train.y, run_config):
-            pred = _predict_fitted(fitted, test.X)
+            pred = _predict_fitted(fitted, test.X, memo)
             records.append(
                 RunRecord(
                     method=method,

@@ -134,7 +134,8 @@ class ElmModel:
 
     def __post_init__(self):
         beta = np.asarray(self.output_weights, dtype=float)
-        if beta.ndim != 2 or beta.shape[0] != self.hidden.n_hidden:
+        # without a layer there are no nodes to count the rows against
+        if beta.ndim != 2 or (self.hidden is not None and beta.shape[0] != self.hidden.n_hidden):
             raise DimensionError(
                 "output_weights must have one row per hidden node"
             )

@@ -118,13 +118,29 @@ class ElmEnsemble:
     def n_members(self):
         return len(self.members)
 
-    def predict(self, X):
+    def predict(self, X, *, memo=None):
+        """The members' mean prediction on X.
+
+        With a dict `memo`, each member's prediction is read from it, keyed
+        by `id(member)`, or made once and stored there with the member, which
+        the memo so keeps alive and its id unique: ensembles that share members
+        predict each one once. A memo serves one X. The result equals the one
+        without a memo bit for bit and shares no memory with an entry.
+        """
         # a running sum in member order, divided by M: what np.mean over the
         # stacked member predictions computes whenever it sums across members
         # one by one (any output of more than one entry), without holding all M
-        total = predict(self.members[0], X)
-        for m in self.members[1:]:
-            total += predict(m, X)
+        if memo is None:
+            total = predict(self.members[0], X)
+            for m in self.members[1:]:
+                total += predict(m, X)
+        else:
+            for m in self.members:
+                if id(m) not in memo:
+                    memo[id(m)] = (m, predict(m, X))
+            total = memo[id(self.members[0])][1].copy()
+            for m in self.members[1:]:
+                total += memo[id(m)][1]
         total /= len(self.members)
         return total
 

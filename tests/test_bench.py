@@ -1,5 +1,6 @@
 import itertools
 import time
+import weakref
 
 from collections import Counter
 from dataclasses import fields, replace
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import rmse_elm.bench as bench
 import rmse_elm.cli as cli
+import rmse_elm.elm
 import rmse_elm.recursive as recursive
 from rmse_elm.bench import (
     METHODS,
@@ -191,7 +193,9 @@ class TestRunExperiment:
         # meter) must see every training call: one per run for ELM and the
         # simple average, and one of the widest listed nested trainer for
         # the nested methods, whose narrower ones train nothing more. Every
-        # method predicts once per run.
+        # method predicts once per run: the nested ones share each member's
+        # test prediction through a memo, but each still makes its own
+        # ElmEnsemble.predict call, so these counts hold.
         runs = 2
         trainers = {"ELM": "train_elm", "SimpleEnsemble": "train_simple_ensemble",
                     "GASEN-ELM": "train_gasen_elm", "E-GASEN": "train_e_gasen",
@@ -276,6 +280,47 @@ class TestNestedMethods:
             for methods in (order, ("ELM",) + order, order + ("ELM",)):
                 got = records(methods)
                 assert got == {m: full[m] for m in methods}, methods
+
+    def test_each_pool_member_is_predicted_once_per_run(self, monkeypatch):
+        # at validation_fraction 0 training predicts nothing (`fitted=` gives the
+        # estimation rows), so every recursive.predict call is a test prediction:
+        # the three readings share the fit's models and predict each pool member once;
+        # the shared vectors are freed with their run, before the next run trains
+        runs = 2
+        cfg = tiny_config(runs=runs, methods=bench._NESTED)
+        assert cfg.ensemble.validation_fraction == 0
+        predicted, vectors, marks, pools, read = [], [], [], [], []
+
+        def spy(model, X):
+            predicted.append(model)
+            out = rmse_elm.elm.predict(model, X)
+            vectors.append(weakref.ref(out))
+            return out
+
+        def train(*args, **kwargs):
+            assert all(v() is None for v in vectors)
+            marks.append(len(predicted))
+            ens = recursive.train_rmse_elm(*args, **kwargs)
+            marks.append(len(predicted))
+            pools.append(ens.pool_members)
+            return ens
+
+        def ensemble_predict(self, X, **kwargs):
+            read.append(self.n_members)
+            return original(self, X, **kwargs)
+
+        original = recursive.ElmEnsemble.predict
+        monkeypatch.setattr(recursive, "predict", spy)
+        monkeypatch.setattr(bench, "train_rmse_elm", train)
+        monkeypatch.setattr(recursive.ElmEnsemble, "predict", ensemble_predict)
+        assert not run_experiment(cfg).errors
+        marks.append(len(predicted))
+        assert len(pools) == runs and len(read) == 3 * runs
+        for run, pool in enumerate(pools):
+            start, fitted, end = marks[2 * run: 2 * run + 3]
+            assert fitted == start  # the fit made no prediction
+            assert sorted(map(id, predicted[fitted:end])) == sorted(map(id, pool))
+            assert sum(read[3 * run: 3 * run + 3]) > len(pool)  # the readings overlap
 
     def test_nested_methods_share_rmse_elms_seed(self):
         # and so does every other method: one seed per (dataset, noise, run),

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import rmse_elm
 from rmse_elm.elm import (
     DimensionError,
+    ElmModel,
     HiddenLayer,
     hidden_output,
     make_hidden_layer,
@@ -217,6 +219,22 @@ class TestTrainElm:
         assert np.array_equal(model.hidden.biases, layer.biases)
         assert model.hidden.activation == layer.activation
         assert np.array_equal(predict(model, X), expected)
+
+    def test_model_without_a_layer_builds_and_cannot_predict(self):
+        # an ensemble fit holds a member as its readout alone: the model must
+        # build without a layer, and only predicting needs one
+        model = train_elm(np.eye(4), np.arange(4.0), 3, seed=0)
+        beta = model.output_weights
+        for bare in (ElmModel(hidden=None, output_weights=beta, squeeze_output=True),
+                     dataclasses.replace(model, hidden=None)):
+            assert bare.hidden is None
+            assert np.array_equal(bare.output_weights, beta)
+            with pytest.raises(ValueError, match="^predict: the model has no hidden layer$"):
+                predict(bare, np.eye(4))
+        with pytest.raises(DimensionError, match="one row per hidden node"):
+            ElmModel(hidden=model.hidden, output_weights=np.ones((4, 1)))
+        with pytest.raises(DimensionError, match="one row per hidden node"):
+            ElmModel(hidden=None, output_weights=np.ones(3))
 
     def test_multi_output_shapes(self):
         rng = np.random.default_rng(4)

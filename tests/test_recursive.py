@@ -1,3 +1,4 @@
+import itertools
 import time
 import tracemalloc
 import weakref
@@ -552,6 +553,57 @@ class TestLayer1Readings:
         spans = stages["groups"] + (stages["pool"], stages["redraw"])
         assert all(s >= 0.0 for s in spans)
         assert sum(spans) <= elapsed
+
+
+class TestSharedPredictions:
+    """`ElmEnsemble.predict(X, memo=)`: the readings of one fit share its
+    models, so one memo predicts each member once for all of them."""
+
+    @staticmethod
+    def readings(X, y, fraction):
+        """GASEN-ELM, E-GASEN and RMSE-ELM of one fit, as `bench` reads them."""
+        cfg = small_config(groups=3, group_size=5, validation_fraction=fraction)
+        rmse = train_rmse_elm(X, y, cfg)
+        return (layer1_reading(rmse, X, cfg, groups=1), layer1_reading(rmse, X, cfg), rmse)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.25])
+    def test_every_order_equals_predicting_alone_from_one_call_per_member(
+            self, task, monkeypatch, fraction):
+        X, y = task
+        X_test = X[::-1] + 0.5
+        readings = self.readings(X, y, fraction)
+        alone = [r.predict(X_test) for r in readings]
+        distinct = {id(m) for r in readings for m in r.members}
+        assert len(distinct) < sum(r.n_members for r in readings)  # the readings overlap
+        predicted = []
+
+        def spy(model, X):
+            predicted.append(id(model))
+            return predict(model, X)
+
+        monkeypatch.setattr(recursive, "predict", spy)
+        for order in itertools.permutations(range(len(readings))):
+            predicted.clear()
+            memo = {}
+            for i in order:
+                assert np.array_equal(readings[i].predict(X_test, memo=memo), alone[i]), order
+            assert sorted(predicted) == sorted(distinct), order
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.25])
+    def test_a_returned_prediction_shares_no_memory_with_the_memo(self, task, fraction):
+        X, y = task
+        X_test = X[::-1] + 0.5
+        fit = self.readings(X, y, fraction)
+        rmse = fit[-1]
+        # one member: its result is the memo's vector divided by 1, so it must be a copy
+        readings = (ElmEnsemble(rmse.members[:1], rmse.provenance[:1]),) + fit
+        alone = [r.predict(X_test) for r in readings]
+        for order in itertools.permutations(range(len(readings))):
+            memo = {}
+            for i in order:
+                out = readings[i].predict(X_test, memo=memo)
+                assert np.array_equal(out, alone[i]), order
+                out[:] = np.nan  # a caller may reuse what it was given
 
 
 def simple_average(X, y, cfg):
