@@ -1,15 +1,15 @@
 """Experiment harness: methods x datasets x noise specs x repeated runs.
 
-Each cell retrains its method `runs` times on a fixed blended train/test
-split, recording test MSE and training wall time. Every method of a run
-draws each hidden layer as member_seed(run seed, group, index), one seed
-per (dataset, noise, run): ELM draws layer-1 member (0, 0) of the nested
-GASEN-ELM, E-GASEN and RMSE-ELM (see `recursive`), which share one fit per
-run, each charged the stages it uses, and share each member's test
-prediction within the run: every pool member is predicted once, though
-each method still makes its own ensemble predict call. Reports aggregate
-to mean MSE, its std across runs, mean cost, and comparisons against the
-recursive model.
+Each (dataset, noise) is blended once into a train/test split, on which
+every method retrains `runs` times, recording test MSE and training wall
+time. Every method of a run draws each hidden layer as member_seed(run
+seed, group, index), one seed per (dataset, noise, run): ELM draws
+layer-1 member (0, 0) of the nested GASEN-ELM, E-GASEN and RMSE-ELM (see
+`recursive`), which share one fit per run, each charged the stages it
+uses, and share each member's test prediction within the run: every pool
+member is predicted once, though each method still makes its own
+ensemble predict call. Reports aggregate to mean MSE, its std across
+runs, mean cost, and comparisons against the recursive model.
 """
 
 import configparser
@@ -170,22 +170,10 @@ class ExperimentConfig:
 
 
 def _run_seed(master_seed, dataset_id, noise_id, run_index):
+    # keyed by RMSE-ELM: the stream its runs have always used, on which every method trains
     key = zlib.crc32(f"{dataset_id}|{noise_id}|RMSE-ELM".encode())
     ss = np.random.SeedSequence(master_seed, spawn_key=(key, run_index))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _units(methods):
-    """The units of parallel work: the listed nested methods together,
-    narrowest first, and every other method alone, in order of first listing."""
-    nested = tuple(m for m in _NESTED if m in methods)
-    return list(dict.fromkeys(nested if m in _NESTED else (m,) for m in methods))
-
-
-def _predict_fitted(fitted, X, memo):
-    if hasattr(fitted, "members"):
-        return fitted.predict(X, memo=memo)
-    return predict(fitted, X)
 
 
 def _fit_unit(methods, X, y, config):
@@ -215,10 +203,9 @@ def _fit_unit(methods, X, y, config):
     return [(m, fitted[m], wall[m]) for m in methods]
 
 
-def _run_unit(cfg, dataset_id, noise_id, methods):
-    ds, split_spec = cfg.datasets[dataset_id]
-    train, test, _ = make_blended_split(ds, cfg.noise_specs[noise_id], split_spec)
-    records = []
+def _run_unit(cfg, dataset_id, noise_id, methods, train, test):
+    """{method: its records, in run order} for a unit's methods on one split."""
+    records = {method: [] for method in methods}
     for run in range(cfg.runs):
         seed = _run_seed(cfg.master_seed, dataset_id, noise_id, run)
         run_config = replace(cfg.ensemble, seed=seed)
@@ -226,28 +213,37 @@ def _run_unit(cfg, dataset_id, noise_id, methods):
         # test prediction is made once per run, and freed with the run
         memo = {} if len(methods) > 1 else None
         for method, fitted, wall in _fit_unit(methods, train.X, train.y, run_config):
-            pred = _predict_fitted(fitted, test.X, memo)
-            records.append(
-                RunRecord(
-                    method=method,
-                    dataset=dataset_id,
-                    noise_id=noise_id,
-                    run_index=run,
-                    test_mse=mse(pred, test.y),
-                    wall_time_s=wall,
-                    seed=seed,
-                    master_seed=cfg.master_seed,
-                )
-            )
+            pred = (fitted.predict(test.X, memo=memo) if hasattr(fitted, "members")
+                    else predict(fitted, test.X))
+            records[method].append(RunRecord(
+                method=method, dataset=dataset_id, noise_id=noise_id, run_index=run,
+                test_mse=mse(pred, test.y), wall_time_s=wall, seed=seed,
+                master_seed=cfg.master_seed))
     return records
 
 
-def _unit_task(args):
-    cfg, dataset_id, noise_id, methods = args
+def _run_task(args):
+    """One (dataset, noise)'s records, in method-then-run order, and
+    {method: message} of its failed cells.
+
+    It blends the split once, then runs each unit on it: one method, or
+    the listed nested methods together where the first is listed. A unit
+    that fails keeps none of its records; a split that fails fails all.
+    """
+    cfg, dataset_id, noise_id = args
+    ds, split_spec = cfg.datasets[dataset_id]
     try:
-        return _run_unit(cfg, dataset_id, noise_id, methods), None
-    except Exception as exc:  # a failed unit must not sink the matrix
-        return [], f"{type(exc).__name__}: {exc}"
+        train, test, _ = make_blended_split(ds, cfg.noise_specs[noise_id], split_spec)
+    except Exception as exc:  # a failed split must not sink the matrix
+        return [], dict.fromkeys(cfg.methods, f"{type(exc).__name__}: {exc}")
+    nested = tuple(m for m in _NESTED if m in cfg.methods)
+    records, failed = {}, {}
+    for unit in dict.fromkeys(nested if m in _NESTED else (m,) for m in cfg.methods):
+        try:
+            records.update(_run_unit(cfg, dataset_id, noise_id, unit, train, test))
+        except Exception as exc:  # a failed unit fails only its own cells
+            failed.update(dict.fromkeys(unit, f"{type(exc).__name__}: {exc}"))
+    return [rec for method in cfg.methods for rec in records.get(method, ())], failed
 
 
 def summarize_records(records):
@@ -289,12 +285,13 @@ def make_report(records, keys, errors, master_seeds):
 def run_experiment(cfg):
     """Execute the full matrix and aggregate a report.
 
-    Work runs in units of one (dataset, noise) and one method, or the
-    nested methods listed (see `_units`), in `jobs` processes when jobs >
-    1. Results do not depend on parallelism: every method of a run trains
+    Work runs in tasks of one (dataset, noise), in `jobs` processes when
+    jobs > 1. A task blends its split once and runs each method on it;
+    the nested methods listed share one fit per run (see `_run_task`).
+    Results do not depend on parallelism: every method of a run trains
     on its one seed, derived from (master seed, dataset, noise, run), and
     records keep matrix order: dataset, noise, method, run, as configured.
-    A failing unit records its error for each of its cells without aborting the rest.
+    A failure records its error for each cell it fails without aborting the rest.
     """
     keys = [
         (ds_id, noise_id, method)
@@ -302,28 +299,23 @@ def run_experiment(cfg):
         for noise_id in cfg.noise_specs
         for method in cfg.methods
     ]
-    tasks = [(cfg, ds_id, noise_id, unit)
-             for ds_id in cfg.datasets for noise_id in cfg.noise_specs
-             for unit in _units(cfg.methods)]
+    tasks = [(cfg, ds_id, noise_id) for ds_id in cfg.datasets for noise_id in cfg.noise_specs]
     if cfg.jobs > 1 and len(tasks) > 1:
         # imported here: concurrent.futures.process costs ~15 ms and 1.3 MB at import
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_unit_task, tasks))
+            results = list(pool.map(_run_task, tasks))
     else:
-        results = [_unit_task(t) for t in tasks]
+        results = [_run_task(t) for t in tasks]
 
-    by_cell, failed = {}, {}
-    for (_, ds_id, noise_id, unit), (recs, err) in zip(tasks, results):
-        for rec in recs:
-            by_cell.setdefault((ds_id, noise_id, rec.method), []).append(rec)
-        if err is not None:
-            failed.update(((ds_id, noise_id, method), err) for method in unit)
+    failed = {(ds_id, noise_id, method): err
+              for (_, ds_id, noise_id), (_, errs) in zip(tasks, results)
+              for method, err in errs.items()}
     for ds_id, message in cfg.dataset_errors.items():
         failed.update(((ds_id, noise_id, method), f"dataset load failed: {message}")
                       for noise_id in cfg.noise_specs for method in cfg.methods)
-    records = [rec for key in keys for rec in by_cell.get(key, ())]
+    records = [rec for recs, _ in results for rec in recs]
     errors = {key: failed[key] for key in keys if key in failed}
     return make_report(records, keys, errors, (cfg.master_seed,))
 

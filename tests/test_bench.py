@@ -172,6 +172,7 @@ class TestRunExperiment:
     def test_failed_cell_recorded_not_fatal(self):
         ds = make_synthetic_regression(n_samples=30, seed=0)
         cfg = tiny_config(
+            methods=METHODS,
             datasets={
                 "ok": (make_synthetic_regression(n_samples=70, seed=1), SplitSpec(n_train=50)),
                 # a 1-row training split cannot be normalized -> cell error
@@ -179,8 +180,54 @@ class TestRunExperiment:
             }
         )
         report = run_experiment(cfg)
-        assert ("bad", "n2", "ELM") in report.errors
-        assert ("ELM", "ok", "n2") in report.cells
+        # the split that cannot be made fails every method with its one message
+        assert set(report.errors) == {("bad", "n2", m) for m in METHODS}
+        assert len(set(report.errors.values())) == 1
+        assert set(report.cells) == {(m, "ok", "n2") for m in METHODS}
+
+    def test_each_split_is_blended_once(self, monkeypatch):
+        # one task per (dataset, noise): every method runs on the one split
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return blend(*args, **kwargs)
+
+        blend = bench.make_blended_split
+        monkeypatch.setattr(bench, "make_blended_split", counting)
+        ds = make_synthetic_regression(n_samples=70, n_features=3, seed=0, noise_std=0.2)
+        report = run_experiment(tiny_config(
+            methods=METHODS,
+            datasets={"a": (ds, SplitSpec(n_train=50)), "b": (ds, SplitSpec(n_train=40))},
+            noise_specs={"n2": NoiseSpec((1.0, 0.1), seed=5), "m1": NoiseSpec((0.5,), seed=6)}))
+        assert not report.errors and len(report.records) == 2 * 2 * len(METHODS)
+        assert len(calls) == 2 * 2
+
+    def test_a_failed_unit_fails_only_its_own_cells(self, monkeypatch):
+        # ELM breaks on its second run: it keeps neither run, and the simple
+        # average and the nested methods of the same split keep every record
+        calls = []
+
+        def breaks_second(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("member broke")
+            return train(*args, **kwargs)
+
+        def records(cfg):
+            return [replace(r, wall_time_s=0.0) for r in run_experiment(cfg).records]
+
+        others = METHODS[1:]
+        expected = records(tiny_config(runs=2, methods=others))
+        train = bench.train_elm
+        monkeypatch.setattr(bench, "train_elm", breaks_second)
+        report = run_experiment(tiny_config(runs=2, methods=METHODS))
+        assert len(calls) == 2
+        assert report.errors == {("syn", "n2", "ELM"): "RuntimeError: member broke"}
+        assert [replace(r, wall_time_s=0.0) for r in report.records] == expected
+        assert [(r.method, r.run_index) for r in expected] == [
+            (m, run) for m in others for run in (0, 1)]
+        assert set(report.cells) == {(m, "syn", "n2") for m in others}
 
     def test_all_methods_produce_cells(self):
         cfg = tiny_config(methods=("ELM", "SimpleEnsemble", "GASEN-ELM", "E-GASEN", "RMSE-ELM"))
