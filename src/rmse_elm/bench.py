@@ -142,8 +142,8 @@ class ExperimentReport:
 class ExperimentConfig:
     """Everything run_experiment needs, with datasets already loaded."""
 
-    datasets: dict  # id -> (Dataset, SplitSpec)
-    noise_specs: dict  # id -> NoiseSpec
+    datasets: dict  # id -> (Dataset, SplitSpec), or (DataError, None) if it failed to load
+    noise_specs: dict  # id -> NoiseSpec; NoiseSpec(()) is the clean column
     methods: tuple = ("ELM", "RMSE-ELM")
     runs: int = 5
     master_seed: int = 0
@@ -151,7 +151,6 @@ class ExperimentConfig:
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
     jobs: int = 1
     out_dir: str = "reports"
-    dataset_errors: dict = field(default_factory=dict)  # id -> load failure message
 
     def __post_init__(self):
         if self.runs < 1:
@@ -228,10 +227,12 @@ def _run_task(args):
 
     It blends the split once, then runs each unit on it: one method, or
     the listed nested methods together where the first is listed. A unit
-    that fails keeps none of its records; a split that fails fails all.
+    that fails keeps none of its records; a failed load or split fails all.
     """
     cfg, dataset_id, noise_id = args
     ds, split_spec = cfg.datasets[dataset_id]
+    if isinstance(ds, DataError):
+        return [], dict.fromkeys(cfg.methods, f"dataset load failed: {ds}")
     try:
         train, test, _ = make_blended_split(ds, cfg.noise_specs[noise_id], split_spec)
     except Exception as exc:  # a failed split must not sink the matrix
@@ -295,7 +296,7 @@ def run_experiment(cfg):
     """
     keys = [
         (ds_id, noise_id, method)
-        for ds_id in tuple(cfg.datasets) + tuple(cfg.dataset_errors)
+        for ds_id in cfg.datasets
         for noise_id in cfg.noise_specs
         for method in cfg.methods
     ]
@@ -312,9 +313,6 @@ def run_experiment(cfg):
     failed = {(ds_id, noise_id, method): err
               for (_, ds_id, noise_id), (_, errs) in zip(tasks, results)
               for method, err in errs.items()}
-    for ds_id, message in cfg.dataset_errors.items():
-        failed.update(((ds_id, noise_id, method), f"dataset load failed: {message}")
-                      for noise_id in cfg.noise_specs for method in cfg.methods)
     records = [rec for recs, _ in results for rec in recs]
     errors = {key: failed[key] for key in keys if key in failed}
     return make_report(records, keys, errors, (cfg.master_seed,))
@@ -401,13 +399,12 @@ def write_report(report, out_dir):
         for noise_id in report.noise_ids:
             lines.append(f"[{ds_id} / {noise_id}]")
             for method in report.methods:
-                stats = report.cells.get((method, ds_id, noise_id))
+                # every listed cell has runs or a failure
                 err = report.errors.get((ds_id, noise_id, method))
                 if err is not None:
                     lines.append(f"  {method:>15}: FAILED ({err})")
-                elif stats is None:
-                    lines.append(f"  {method:>15}: (no runs)")
                 else:
+                    stats = report.cells[method, ds_id, noise_id]
                     std_txt = (
                         f"{stats.std_mse:.6g}"
                         if np.isfinite(stats.std_mse)
@@ -555,7 +552,6 @@ def load_experiment_config(path):
 
     noise_specs = {}
     datasets = {}
-    dataset_errors = {}
     for section, values in sections.items():
         kind, _, ident = section.partition(":")
         if kind == "noise":
@@ -583,13 +579,13 @@ def load_experiment_config(path):
                                   name=ident)
                     n_train = values["n_train"]
             except DataError as exc:
-                # a broken dataset loses its cells, not the whole matrix
-                dataset_errors[ident] = str(exc)
+                # a broken dataset loses its cells, not the whole matrix (a copy: no traceback)
+                datasets[ident] = (DataError(str(exc)), None)
                 continue
             _build(path, section, _check_blended_split, ds, n_train)
             datasets[ident] = (ds, SplitSpec(n_train=n_train))
 
-    if not datasets and not dataset_errors:
+    if not datasets:
         raise ValueError(f"{path}: no [dataset:<id>] sections")
     if not noise_specs:
         raise ValueError(f"{path}: no [noise:<id>] sections")
@@ -598,6 +594,5 @@ def load_experiment_config(path):
         datasets=datasets,
         noise_specs=noise_specs,
         ensemble=ensemble,
-        dataset_errors=dataset_errors,
         **exp,
     )

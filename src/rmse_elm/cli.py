@@ -81,7 +81,7 @@ def _build_parser():
                        help="per-group selection threshold (default: 1/group-size; "
                             "the pool threshold stays 1/pool size)")
     train.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    train.add_argument("--noise", action="append", default=None,
+    train.add_argument("--noise", action="append", default=[],
                        help="comma-separated noise variances to blend in (repeatable)")
     train.add_argument("--noise-seed", type=int, default=0)
     train.add_argument("--n-train", type=int, default=None,
@@ -125,11 +125,15 @@ def _load_train_dataset(args):
 
 
 def _noise_spec(noise, seed, seed_flag):
-    """The NoiseSpec of repeated --noise lists, or a ValueError naming both flags."""
+    """The NoiseSpec of the --noise lists (none: clean), or a ValueError naming the flags."""
+    flags = f"--noise {','.join(noise)} {seed_flag}" if noise else seed_flag
     try:
-        return NoiseSpec(variances=parse_list(",".join(noise)), seed=seed)
+        variances = parse_list(",".join(noise))
+        if noise and not variances:
+            raise ValueError("no variance listed")
+        return NoiseSpec(variances=variances, seed=seed)
     except ValueError as exc:
-        raise ValueError(f"--noise {','.join(noise)} {seed_flag} {seed}: {exc}") from None
+        raise ValueError(f"{flags} {seed}: {exc}") from None
 
 
 def _cmd_train(args):
@@ -140,7 +144,7 @@ def _cmd_train(args):
         n_hidden=args.hidden, activation=args.activation,
         threshold1=args.threshold, seed=args.seed,
     )
-    noise = _noise_spec(args.noise, args.noise_seed, "--noise-seed") if args.noise else None
+    noise = _noise_spec(args.noise, args.noise_seed, "--noise-seed")
     print(f"master seed: {args.seed}")
     ds, default_n_train = _load_train_dataset(args)
     n_train = args.n_train if args.n_train is not None else default_n_train

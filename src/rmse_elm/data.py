@@ -78,17 +78,19 @@ class Dataset:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Variances of the irrelevant Gaussian columns to append, plus a seed."""
+    """Variances of the irrelevant Gaussian columns to append (none: clean data), plus a seed."""
 
     variances: tuple
     seed: int = 0
 
     def __post_init__(self):
         v = tuple(float(x) for x in self.variances)
-        if len(v) == 0 or not all(0.0 < x < math.inf for x in v):
-            raise ValueError("variances must be non-empty and positive finite numbers")
+        if not all(0.0 < x < math.inf for x in v):
+            raise ValueError("variances must be positive finite numbers")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer")
+        if not v and self.seed != 0:  # a seed that draws nothing is a setting with no effect
+            raise ValueError("empty variances draw no noise, so seed must be left at 0")
         object.__setattr__(self, "variances", v)
 
 
@@ -203,24 +205,46 @@ class NormalizationParams:
     constant: np.ndarray  # columns with zero range map to zero
 
 
-def _fit_columns(X):
+def _require_finite(values, name, columns, what):
+    """Raise DataError naming `name` and the first of `columns`, one per column
+    of the 2-D `values`, that holds a value that is not finite."""
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        column = columns[int(np.argmin(finite))]
+        raise DataError(f"{name}: column {column!r} is too large to z-score: {what} overflows")
+
+
+def _fit_columns(X, name, columns):
+    """The z-score statistics of X's columns, named `columns`; a mean or std
+    that overflows raises DataError naming `name` and the column."""
     constant = X.max(axis=0) == X.min(axis=0)
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)  # population convention
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mean = X.mean(axis=0)
+        std = X.std(axis=0)  # population convention
     std = np.where(constant | (std == 0.0), 1.0, std)
+    _require_finite(np.stack([mean, std]), name, columns, "its training mean or std")
     return NormalizationParams(mean=mean, std=std, constant=constant)
+
+
+def _z_score(Z, params, name, columns):
+    """Z-score the columns of Z, named `columns`, in place; a z-score that
+    overflows raises DataError naming `name` and the column."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        Z -= params.mean
+        Z /= params.std
+    Z[:, params.constant] = 0.0
+    _require_finite(Z, name, columns, "a z-score")
 
 
 def fit_normalization(ds):
     if ds.n_samples < 2:
         raise ValueError("normalization needs at least two rows")
-    return _fit_columns(ds.X)
+    return _fit_columns(ds.X, ds.name, ds.feature_names)
 
 
 def apply_normalization(ds, params):
-    Z = ds.X - params.mean
-    Z /= params.std
-    Z[:, params.constant] = 0.0
+    Z = ds.X.copy()
+    _z_score(Z, params, ds.name, ds.feature_names)
     return Dataset(X=Z, y=ds.y, feature_names=ds.feature_names, name=ds.name)
 
 
@@ -290,41 +314,36 @@ def make_blended_split(ds, noise_spec, split_spec):
     Blend the full dataset (one noise draw across all rows), split, then
     z-score the original feature columns with training-row statistics.
     The appended noise columns stay raw, keeping the deliberate variance
-    spread that makes them distinguishable from the real features. A
-    `noise_spec` of None blends no columns: split, then z-score them all.
+    spread that makes them distinguishable from the real features. The
+    empty `NoiseSpec(())` blends no columns: split, then z-score them all.
     Every value equals `blend_noise`, `split` and `apply_normalization` in
     turn, but the blended table is never made: each noise column, drawn as
     `blend_noise` draws it, and the feature rows go straight into one train
     and one test array, where the features are z-scored in place. The
     working set is the two parts plus one noise column or, while the
     statistics are fitted, the training features' deviations from their
-    means (n_train x n_features).
+    means (n_train x n_features). A training mean, std or z-score that
+    overflows raises DataError naming the part and the column.
 
     Returns (train, test, params); params is the identity on the noise columns.
     """
     _check_blended_split(ds, split_spec.n_train)
-    n_train, d = split_spec.n_train, ds.n_features
-    k = 0 if noise_spec is None else len(noise_spec.variances)
+    n_train, d, k = split_spec.n_train, ds.n_features, len(noise_spec.variances)
     train = np.empty((n_train, d + k))
     test = np.empty((ds.n_samples - n_train, d + k))
-    names = ds.feature_names
-    if noise_spec is not None:
-        names += _write_noise(noise_spec, (train, test))
+    names = ds.feature_names + _write_noise(noise_spec, (train, test))
     train[:, :d] = ds.X[:n_train]
     test[:, :d] = ds.X[n_train:]
     # the blended training rows' statistics: each column is summed row by row,
     # as over the whole table, unless the view is one column (summed pairwise)
-    fitted = _fit_columns(train[:, :max(d, min(2, d + k))])
-    mean, std, constant = fitted.mean[:d], fitted.std[:d], fitted.constant[:d]
-    for part in (train, test):
-        z = part[:, :d]
-        z -= mean
-        z /= std
-        z[:, constant] = 0.0
+    fitted = _fit_columns(train[:, :max(d, min(2, d + k))], f"{ds.name}/train", names)
+    features = NormalizationParams(fitted.mean[:d], fitted.std[:d], fitted.constant[:d])
+    for part, suffix in ((train, "train"), (test, "test")):
+        _z_score(part[:, :d], features, f"{ds.name}/{suffix}", names)
     params = NormalizationParams(
-        mean=np.concatenate([mean, np.zeros(k)]),
-        std=np.concatenate([std, np.ones(k)]),
-        constant=np.concatenate([constant, np.zeros(k, dtype=bool)]),
+        mean=np.concatenate([features.mean, np.zeros(k)]),
+        std=np.concatenate([features.std, np.ones(k)]),
+        constant=np.concatenate([features.constant, np.zeros(k, dtype=bool)]),
     )
     return (
         Dataset(X=train, y=ds.y[:n_train].copy(), feature_names=names, name=f"{ds.name}/train"),

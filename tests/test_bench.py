@@ -30,7 +30,7 @@ from rmse_elm.bench import (
     write_records,
     write_report,
 )
-from rmse_elm.data import NoiseSpec, SplitSpec, save_csv
+from rmse_elm.data import DataError, Dataset, NoiseSpec, SplitSpec, save_csv
 from rmse_elm.recursive import EnsembleConfig, train_e_gasen, train_simple_ensemble
 from rmse_elm.selective import GaConfig
 from rmse_elm.synth import make_housing_task, make_synthetic_regression
@@ -184,6 +184,44 @@ class TestRunExperiment:
         assert set(report.errors) == {("bad", "n2", m) for m in METHODS}
         assert len(set(report.errors.values())) == 1
         assert set(report.cells) == {(m, "ok", "n2") for m in METHODS}
+
+    def test_every_configured_cell_has_runs_or_a_failure(self, monkeypatch, tmp_path):
+        # a failed load, a failed split and a failed unit: each configured key is in
+        # exactly one of cells and errors, and the tables keep the configured order
+        X = np.arange(30.0).reshape(10, 3)
+        X[1, 0] = 1e308  # its training std overflows: the split fails, naming the column
+        huge = Dataset(X, np.arange(10.0), ("a", "b", "c"), "huge")
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("member broke")
+
+        monkeypatch.setattr(bench, "train_elm", broken)
+        methods = ("ELM", "SimpleEnsemble", "RMSE-ELM")
+        cfg = tiny_config(
+            methods=methods,
+            datasets={"lost": (DataError("lost.csv: file is empty"), None),
+                      "huge": (huge, SplitSpec(n_train=6)),
+                      "syn": tiny_config().datasets["syn"]},
+            noise_specs={"clean": NoiseSpec(()), "n2": NoiseSpec((1.0, 0.1), seed=5)})
+        report = run_experiment(cfg)
+        keys = [(d, n, m) for d in cfg.datasets for n in cfg.noise_specs for m in methods]
+        assert [((m, d, n) in report.cells) + ((d, n, m) in report.errors)
+                for d, n, m in keys] == [1] * len(keys)
+        assert len(report.cells) + len(report.errors) == len(keys)
+        assert report.errors == {
+            **{("lost", n, m): "dataset load failed: lost.csv: file is empty"
+               for n in cfg.noise_specs for m in methods},
+            **{("huge", n, m): "DataError: huge/train: column 'a' is too large to z-score: "
+                               "its training mean or std overflows"
+               for n in cfg.noise_specs for m in methods},
+            **{("syn", n, "ELM"): "RuntimeError: member broke" for n in cfg.noise_specs},
+        }
+        assert report.dataset_ids == ("lost", "huge", "syn")
+        out = write_report(report, tmp_path / "rep")
+        assert (out / "mse.csv").read_text().splitlines()[1].startswith("lost,clean,")
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert [line for line in summary if line.startswith("[")] == [
+            f"[{d} / {n}]" for d in cfg.datasets for n in cfg.noise_specs]
 
     def test_each_split_is_blended_once(self, monkeypatch):
         # one task per (dataset, noise): every method runs on the one split
@@ -498,7 +536,7 @@ SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.ini"))
 def test_shipped_config_loads(path):
     # a shipped config that drifts from the loader's key table fails here
     cfg = load_experiment_config(path)
-    assert cfg.datasets and not cfg.dataset_errors
+    assert cfg.datasets and all(split_spec for _, split_spec in cfg.datasets.values())
 
 
 class TestConfigFile:
@@ -588,27 +626,50 @@ n_train = 100
             load_experiment_config(p)
 
     def test_broken_dataset_becomes_error_cells(self, tmp_path):
-        extra_section = f"""
-[dataset:broken]
+        broken_section = f"""[dataset:broken]
 path = {tmp_path / "missing.csv"}
 target = target
 n_train = 10
+
 """
         cfg_path = self.write_config(tmp_path)
-        cfg_path.write_text(cfg_path.read_text() + extra_section)
+        cfg_path.write_text(cfg_path.read_text().replace("[dataset:syn]",
+                                                         broken_section + "[dataset:syn]"))
         cfg = load_experiment_config(cfg_path)
-        assert "broken" in cfg.dataset_errors
+        assert list(cfg.datasets) == ["broken", "syn"]
+        assert isinstance(cfg.datasets["broken"][0], DataError)
         report = run_experiment(cfg)
         # the broken dataset is reported per cell; the good one still ran
-        assert ("broken", "g2", "ELM") in report.errors
-        assert ("ELM", "syn", "g2") in report.cells
+        message = f"dataset load failed: dataset file not found: {tmp_path / 'missing.csv'}"
+        assert report.errors == {("broken", "g2", m): message for m in ("ELM", "RMSE-ELM")}
+        assert set(report.cells) == {(m, "syn", "g2") for m in ("ELM", "RMSE-ELM")}
         out = write_report(report, tmp_path / "rep_broken")
-        assert "FAILED" in (out / "summary.txt").read_text()
-        # the broken dataset keeps its rows in the tables, after the loaded ones
+        # the broken dataset keeps its place, first as configured, in the tables and summary
         rows = (out / "mse.csv").read_text().splitlines()
-        assert [row.split(",")[:2] for row in rows] == [["dataset", "noise"], ["syn", "g2"],
-                                                         ["broken", "g2"]]
-        assert rows[2] == "broken,g2,,"
+        assert [row.split(",")[:2] for row in rows] == [["dataset", "noise"], ["broken", "g2"],
+                                                         ["syn", "g2"]]
+        assert rows[1] == "broken,g2,,"
+        summary = (out / "summary.txt").read_text()
+        sections = [line for line in summary.splitlines() if line.startswith("[")]
+        assert sections == ["[broken / g2]", "[syn / g2]"]
+        assert f"ELM: FAILED ({message})" in summary
+
+    def test_empty_variances_is_a_clean_column(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path)
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "[dataset:syn]", "[noise:clean]\nvariances =\n\n[dataset:syn]"))
+        cfg = load_experiment_config(cfg_path)
+        assert cfg.noise_specs["clean"] == NoiseSpec(())
+        assert cli.main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 0
+        records = read_records(tmp_path / "b" / "runrecords.csv")
+        assert [r.noise_id for r in records] == ["g2"] * 4 + ["clean"] * 4
+        # report rebuilds the clean column's tables byte for byte
+        assert cli.main(["report", "--records", str(tmp_path / "b" / "runrecords.csv"),
+                         "--out", str(tmp_path / "r")]) == 0
+        for name in ("mse.csv", "std.csv", "cc.csv", "mse_comparison.csv",
+                     "std_comparison.csv", "summary.txt"):
+            assert (tmp_path / "r" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("kind", ["path-not-utf8", "path-is-a-directory", "task-not-utf8"])
     def test_unreadable_data_file_becomes_error_cells_naming_it(self, tmp_path, kind):
@@ -627,7 +688,8 @@ n_train = 10
         text = cfg_path.read_text().replace("seed = 42\n", "seed = 42\ndata_dir = data\n", 1)
         cfg_path.write_text(f"{text}\n[dataset:broken]\n{source}\n")
         cfg = load_experiment_config(cfg_path)
-        assert cfg.dataset_errors == {"broken": message}
+        assert str(cfg.datasets["broken"][0]) == message
+        assert cfg.datasets["broken"][1] is None
         report = run_experiment(cfg)
         assert report.errors[("broken", "g2", "ELM")] == f"dataset load failed: {message}"
         assert [r.dataset for r in report.records] == ["syn"] * 4
@@ -734,7 +796,7 @@ class TestConfigTable:
                      "[dataset:BH]\ntask = housing\n[dataset:syn]\npath = syn.csv\nn_train = 40\n")
         monkeypatch.chdir(elsewhere)
         cfg = load_experiment_config(Path("..") / "configs" / "bench.ini")
-        assert not cfg.dataset_errors
+        assert all(split_spec for _, split_spec in cfg.datasets.values())
         assert np.array_equal(cfg.datasets["BH"][0].y, y)
         assert cfg.datasets["syn"][0].n_samples == 60
 

@@ -79,7 +79,7 @@ class TestTrain:
         printed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("test MSE:")]
         assert code == EXIT_OK
         train, test, _ = make_blended_split(
-            load_csv(csv_path, "target"), NoiseSpec((1.0, 0.5), seed=0) if noise else None,
+            load_csv(csv_path, "target"), NoiseSpec((1.0, 0.5) if noise else ()),
             SplitSpec(n_train=60),
         )
         X, y = train.X, train.y
@@ -156,7 +156,7 @@ class TestTrain:
                         "--group-size", "3", "--hidden", "6", "--seed", "4"])
         out = capsys.readouterr().out.splitlines()
         assert code == EXIT_OK
-        train, _, _ = make_blended_split(load_csv(csv_path, "target"), None,
+        train, _, _ = make_blended_split(load_csv(csv_path, "target"), NoiseSpec(()),
                                          SplitSpec(n_train=60))
         cfg = EnsembleConfig(groups=2, group_size=3, n_hidden=6, seed=4)
         fitted = bench.fit(method, train.X, train.y, cfg)
@@ -688,6 +688,23 @@ def _records_row(name, text, expected):
     _csv_row("csv-nan", "a,b,target\n1,2,3\n4,nan,6\n", "row 2, column 'b': non-finite value"),
     _csv_row("csv-overflow", "a,b,target\n1,2,3\n4,5,1e999\n",
              "row 2, column 'target': non-finite value"),
+    _csv_row("csv-empty", "", "file is empty\n"),
+    _csv_row("csv-header-only", "a,b,target\n", "no data rows below the header\n"),
+    pytest.param({}, ["train", "--dataset", "{dir}/good.csv", "--target-col", "7"], EXIT_DATA,
+                 "data error: {dir}/good.csv: column index 7 out of range (0..2)\n", SEED_LINE,
+                 id="csv-target-index-out-of-range"),
+    pytest.param({}, ["train", "--dataset", "{dir}/good.csv", "--no-header"], EXIT_DATA,
+                 "data error: {dir}/good.csv: column named 'target' needs a header row\n",
+                 SEED_LINE, id="csv-named-target-without-header"),
+    # finite values too large to z-score name the dataset, the part and the column
+    pytest.param({"huge.csv": "a,b,target\n1,2,3\n1e308,5,6\n-1e308,1,2\n4,4,4\n5,5,5\n"},
+                 ["train", "--dataset", "{dir}/huge.csv", "--n-train", "3"], EXIT_DATA,
+                 "data error: huge/train: column 'a' is too large to z-score: "
+                 "its training mean or std overflows\n", SEED_LINE, id="csv-huge-in-train"),
+    pytest.param({"huge.csv": "a,b,target\n1,2,3\n1.5,5,6\n1,1,2\n1e308,4,4\n5,5,5\n"},
+                 ["train", "--dataset", "{dir}/huge.csv", "--n-train", "3"], EXIT_DATA,
+                 "data error: huge/test: column 'a' is too large to z-score: "
+                 "a z-score overflows\n", SEED_LINE, id="csv-huge-in-test"),
     # a field the csv module will not read, over 131072 characters, names its line
     pytest.param({"t.csv": "a,b,target\n1,2,3\n" + "4" * 131073 + ",5,6\n"},
                  ["train", "--dataset", "{dir}/t.csv"], EXIT_DATA,
@@ -730,16 +747,19 @@ def _records_row(name, text, expected):
     _ini_row("ini-bad-ga", "n_train = 9\n", "n_train = 9\n[ga]\npopulation = 0\n",
              "[ga] population_size and generations must be positive"),
     _ini_row("ini-bad-noise", "variances = 1\n", "variances = -1\n",
-             "[noise:g1] variances must be non-empty and positive"),
+             "[noise:g1] variances must be positive"),
     _ini_row("ini-jobs-zero", "runs = 1\n", "runs = 1\njobs = 0\n",
              "[experiment] jobs must be positive"),
     # settings that would fail every cell, or train a GA whose mutated genes are all NaN
     _ini_row("ini-noise-variance-nan", "variances = 1\n", "variances = 1, nan\n",
-             "[noise:g1] variances must be non-empty and positive finite numbers"),
+             "[noise:g1] variances must be positive finite numbers"),
     _ini_row("ini-noise-variance-inf", "variances = 1\n", "variances = inf\n",
-             "[noise:g1] variances must be non-empty and positive finite numbers"),
+             "[noise:g1] variances must be positive finite numbers"),
     _ini_row("ini-noise-seed-negative", "variances = 1\n", "variances = 1\nseed = -1\n",
              "[noise:g1] seed must be a non-negative integer"),
+    # an empty variances list is the clean column: a seed would draw nothing
+    _ini_row("ini-clean-noise-seed", "variances = 1\n", "variances =\nseed = 4\n",
+             "[noise:g1] empty variances draw no noise, so seed must be left at 0\n"),
     _ini_row("ini-seed-negative", "runs = 1\n", "runs = 1\nseed = -1\n",
              "[experiment] master seed must be a non-negative integer"),
     _ini_row("ini-ga-mutation-scale-nan", "n_train = 9\n",
@@ -758,8 +778,18 @@ def _records_row(name, text, expected):
                  "error: --noise 1 --noise-seed -1: seed must be a non-negative integer\n",
                  "", id="flag-train-noise-seed-negative"),
     pytest.param({}, ["train", "--dataset", "task:housing", "--noise", "1,nan"], EXIT_CONFIG,
-                 "error: --noise 1,nan --noise-seed 0: variances must be non-empty and positive "
-                 "finite numbers\n", "", id="flag-train-noise-nan"),
+                 "error: --noise 1,nan --noise-seed 0: variances must be positive finite "
+                 "numbers\n", "", id="flag-train-noise-nan"),
+    # no --noise is the clean spec, which draws nothing and so takes no seed
+    pytest.param({}, ["train", "--dataset", "task:housing", "--noise-seed", "5"], EXIT_CONFIG,
+                 "error: --noise-seed 5: empty variances draw no noise, so seed must be left "
+                 "at 0\n", "", id="flag-train-noise-seed-alone"),
+    pytest.param({}, ["train", "--dataset", "task:housing", "--noise", ""], EXIT_CONFIG,
+                 "error: --noise  --noise-seed 0: no variance listed\n", "",
+                 id="flag-train-noise-empty"),
+    pytest.param({}, ["blend", "--dataset", "{dir}/good.csv", "--noise", "", "--out", "{dir}/b.csv"],
+                 EXIT_CONFIG, f"error: --noise  --seed {cli.DEFAULT_SEED}: no variance listed\n",
+                 "", id="flag-blend-noise-empty"),
     pytest.param({}, ["blend", "--dataset", "{dir}/good.csv", "--noise", "1", "--seed", "-1",
                       "--out", "{dir}/b.csv"], EXIT_CONFIG,
                  "error: --noise 1 --seed -1: seed must be a non-negative integer\n", "",

@@ -128,6 +128,16 @@ class TestLoadCsv:
             load_csv(p, "t", categorical={"sex": {"M": 1.0}})
 
 
+# finite values too large to z-score, as columns (a, b) of five rows, the first
+# three of which train: one whose training std overflows, and one whose test z-score does
+HUGE_IN_TRAIN = [[2.0, 1.0], [5.0, 1e308], [1.0, -1e308], [4.0, 4.0], [5.0, 5.0]]
+HUGE_IN_TEST = [[2.0, 1.0], [5.0, 1.5], [1.0, 1.0], [4.0, 1e308], [5.0, 5.0]]
+
+
+def two_columns(rows, name):
+    return Dataset(np.array(rows), np.arange(float(len(rows))), ("a", "b"), name)
+
+
 class TestNormalize:
     def test_hand_computed_column(self):
         ds = Dataset(np.array([[1.0], [2.0], [3.0]]), np.zeros(3), ("a",), "t")
@@ -157,6 +167,18 @@ class TestNormalize:
         ds = Dataset(np.ones((1, 2)), np.ones(1), ("a", "b"), "t")
         with pytest.raises(ValueError):
             fit_normalization(ds)
+
+    def test_statistics_that_overflow_name_the_dataset_and_column(self):
+        # the std's squared deviations overflow: no warning, and no column of zeros
+        with pytest.raises(DataError, match=r"^t: column 'b' is too large to z-score: "
+                                            r"its training mean or std overflows$"):
+            fit_normalization(two_columns(HUGE_IN_TRAIN[:3], "t"))
+
+    def test_z_score_that_overflows_names_the_dataset_and_column(self):
+        params = fit_normalization(two_columns(HUGE_IN_TEST[:3], "t"))
+        with pytest.raises(DataError, match=r"^t/test: column 'b' is too large to z-score: "
+                                            r"a z-score overflows$"):
+            apply_normalization(two_columns(HUGE_IN_TEST[3:], "t/test"), params)
 
 
 class TestBlendNoise:
@@ -198,9 +220,18 @@ class TestBlendNoise:
             r = np.corrcoef(out.X[:, col], out.y)[0, 1]
             assert abs(r) < 0.1
 
+    def test_empty_spec_blends_nothing(self):
+        ds = make_waveform(n_samples=30, seed=0)
+        out = blend_noise(ds, NoiseSpec(()))
+        assert np.array_equal(out.X, ds.X) and out.feature_names == ds.feature_names
+
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(())
+        # empty variances draw nothing, so a seed other than the default would be ignored
+        assert NoiseSpec(()).variances == ()
+        for seed in (1, 4):
+            with pytest.raises(ValueError, match="^empty variances draw no noise, so seed must "
+                                                 "be left at 0$"):
+                NoiseSpec((), seed=seed)
         with pytest.raises(ValueError):
             NoiseSpec((1.0, -0.5))
         # a non-finite variance would blend a column of NaN or inf into the data
@@ -263,7 +294,7 @@ class TestMakeBlendedSplit:
         # train without --noise: the same split and normalization, with no column blended in
         ds = make_housing_task(seed=0)
         spec = SplitSpec(n_train=400)
-        train, test, params = make_blended_split(ds, None, spec)
+        train, test, params = make_blended_split(ds, NoiseSpec(()), spec)
         ref_train, ref_test = split(ds, spec)
         ref_params = fit_normalization(ref_train)
         for got, want in ((train, apply_normalization(ref_train, ref_params)),
@@ -281,9 +312,9 @@ class TestMakeBlendedSplit:
     def test_equals_split_then_normalization(self, make, n_train, noise):
         ds = make(seed=0)
         spec = SplitSpec(n_train=n_train)
-        noise = None if noise is None else NoiseSpec(noise, seed=3)
+        noise = NoiseSpec(noise, seed=3) if noise else NoiseSpec(())  # None: the clean spec
         train, test, params = make_blended_split(ds, noise, spec)
-        blended = ds if noise is None else blend_noise(ds, noise)
+        blended = blend_noise(ds, noise)
         ref_train, ref_test = split(blended, spec)
         ref_params = fit_normalization(ref_train)
         ref_params.mean[ds.n_features:] = 0.0
@@ -296,25 +327,35 @@ class TestMakeBlendedSplit:
         for name in ("mean", "std", "constant"):
             assert np.array_equal(getattr(params, name), getattr(ref_params, name))
 
+    @pytest.mark.parametrize("rows, message", [
+        (HUGE_IN_TRAIN, "huge/train: column 'b' is too large to z-score: "
+                        "its training mean or std overflows"),
+        (HUGE_IN_TEST, "huge/test: column 'b' is too large to z-score: a z-score overflows"),
+    ], ids=["in-train", "in-test"])
+    @pytest.mark.parametrize("noise", [(), (1.0,)], ids=["clean", "blended"])
+    def test_huge_finite_value_names_the_part_and_column(self, rows, message, noise):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            make_blended_split(two_columns(rows, "huge"), NoiseSpec(noise), SplitSpec(n_train=3))
+
     @pytest.mark.parametrize("n_train", [1, 506, 507])
     def test_training_rows_outside_two_to_rows_minus_one_fail(self, n_train):
         # z-scoring takes two training rows, where a plain split takes one
         ds = make_housing_task(seed=0)
         with pytest.raises(ValueError, match=rf"^n_train must be in \[2, 505\], got {n_train}$"):
-            make_blended_split(ds, None, SplitSpec(n_train=n_train))
-        train, test, _ = make_blended_split(ds, None, SplitSpec(n_train=2))
+            make_blended_split(ds, NoiseSpec(()), SplitSpec(n_train=n_train))
+        train, test, _ = make_blended_split(ds, NoiseSpec(()), SplitSpec(n_train=2))
         assert (train.n_samples, test.n_samples) == (2, 504)
 
     @pytest.mark.parametrize("rows", [1, 2])
     def test_fewer_than_three_rows_cannot_be_split(self, rows):
         ds = Dataset(np.arange(2.0 * rows).reshape(rows, 2), np.zeros(rows), ("a", "b"), "tiny")
         with pytest.raises(ValueError, match=rf"^tiny: .* at least 3 rows, got {rows}$"):
-            make_blended_split(ds, None, SplitSpec(n_train=1))
+            make_blended_split(ds, NoiseSpec(()), SplitSpec(n_train=1))
 
     def test_parts_do_not_alias_the_table(self):
         ds = make_housing_task(seed=0)
         before = ds.X.copy(), ds.y.copy()
-        train, test, _ = make_blended_split(ds, None, SplitSpec(n_train=400))
+        train, test, _ = make_blended_split(ds, NoiseSpec(()), SplitSpec(n_train=400))
         for part in (train, test):
             part.X[:] = 0.0
             part.y[:] = 0.0
