@@ -459,15 +459,10 @@ _CONFIG_KEYS = {
     "ga": {  # -> GaConfig
         "population": ("population_size", int),
         "generations": ("generations", int),
-        "crossover": ("crossover_prob", float),
-        "mutation": ("mutation_prob", float),
-        "mutation_scale": ("mutation_scale", float),
-        "elitism": ("elitism_count", int),
     },
     "noise:": {"variances": ("variances", parse_list), "seed": ("seed", int)},  # -> NoiseSpec
-    "dataset:": {  # task and seed -> benchmark_task, or path and target -> load_csv
+    "dataset:": {  # task -> benchmark_task, or path and target -> load_csv
         "task": ("task", str),
-        "seed": ("seed", int),
         "path": ("path", str),
         "target": ("target", parse_column),
         "n_train": ("n_train", int),
@@ -512,20 +507,20 @@ def load_experiment_config(path):
     each one sets: [experiment], [ensemble] and [ga], one [noise:<id>]
     per noise spec and one [dataset:<id>] per dataset. A dataset is
     either a built-in `task` (housing, abalone, redwine, waveform; real
-    files in data_dir take precedence) with its generator `seed`, or a
-    CSV `path` with its `target` column; `n_train` sets the split and
+    files in data_dir take precedence, else its generator runs at seed 0),
+    or a CSV `path` with its `target` column; `n_train` sets the split and
     is required for a `path`. A relative `data_dir` or `path` is taken
     from the config file's directory. A key left out keeps the default
     of the dataclass or function it feeds.
 
     An unknown section or key fails the load, so a misspelt or retired
     setting cannot quietly fall back to its default; so does a `path` or
-    `target` next to a `task`, a `seed` next to a `path`, a [dataset:]
-    or [noise:] with no id, and a value that does not parse, naming its
-    file, section and key. The [ensemble] and [ga] keys build the one
-    EnsembleConfig every method reads, which validates them here, and an
-    `n_train` that breaks the blended split's rule, [2, rows - 1], fails
-    too: a bad setting fails the load, not every cell. A value that the
+    `target` next to a `task`, a [dataset:] or [noise:] with no id, and a
+    value that does not parse, naming its file, section and key. The
+    [ensemble] and [ga] keys build the one EnsembleConfig every method
+    reads, which validates them here, and an `n_train` that breaks the
+    blended split's rule, [2, rows - 1], fails too: a bad setting fails
+    the load, not every cell. A value that the
     config it feeds rejects (`runs = 0`, `lambda1 = 2`, `methods =`)
     fails with that config's message, prefixed with the file and section.
     """
@@ -563,15 +558,12 @@ def load_experiment_config(path):
                 raise ValueError(f"{path}: [{section}] needs task or path")
             if "task" not in values and "n_train" not in values:
                 raise ValueError(f"{path}: [{section}] needs n_train")
-            source = "task" if "task" in values else "path"
-            other = ("path", "target") if source == "task" else ("seed",)
-            stray = ", ".join(key for key in other if key in values)
-            if stray:
-                raise ValueError(f"{path}: [{section}] {stray} cannot be set with {source}")
+            stray = ", ".join(key for key in ("path", "target") if key in values)
+            if "task" in values and stray:
+                raise ValueError(f"{path}: [{section}] {stray} cannot be set with task")
             try:
                 if "task" in values:
-                    seed = {"seed": values["seed"]} if "seed" in values else {}
-                    task = _build(path, section, benchmark_task, values["task"], **data_dir, **seed)
+                    task = _build(path, section, benchmark_task, values["task"], **data_dir)
                     ds = task.dataset
                     n_train = values.get("n_train", task.split.n_train)
                 else:

@@ -189,7 +189,7 @@ def _cmd_bench(args):
         print("note: jobs > 1; wall-time (CC) numbers are not authoritative")
     report = run_experiment(cfg)
     out = write_report(report, cfg.out_dir)
-    for key, message in sorted(report.errors.items()):
+    for key, message in report.errors.items():
         print(f"cell failed {key}: {message}", file=sys.stderr)
     print(f"report written to {out}")
     if report.errors and not report.records:

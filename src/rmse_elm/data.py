@@ -120,25 +120,26 @@ def load_csv(path, target_column, has_header=True, categorical=None, name=None):
     name : str, optional
         Dataset name; defaults to the file stem.
 
-    Raises DataError with the offending row/column on any parse failure.
+    Raises DataError naming the file's line (blank lines counted) on any parse failure.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    rows = [row for _, row in _csv_rows(path, DataError)
-            if row and any(cell.strip() for cell in row)]
+    rows = [(line, row) for line, row in _csv_rows(path, DataError)
+            if any(cell.strip() for cell in row)]
     if not rows:
         raise DataError(f"{path}: file is empty")
 
     header = None
     if has_header:
-        header = [cell.strip() for cell in rows[0]]
+        header = [cell.strip() for cell in rows[0][1]]
         rows = rows[1:]
         if not rows:
             raise DataError(f"{path}: no data rows below the header")
-    n_cols = len(rows[0])
+    n_cols = len(rows[0][1])
     if header is not None and len(header) != n_cols:
-        raise DataError(f"{path}: header has {len(header)} columns, row 1 has {n_cols}")
+        raise DataError(
+            f"{path}: header has {len(header)} columns, line {rows[0][0]} has {n_cols}")
     names = header if header is not None else [f"col{i}" for i in range(n_cols)]
 
     def column_index(key):
@@ -159,10 +160,10 @@ def load_csv(path, target_column, has_header=True, categorical=None, name=None):
         encodings[column_index(key)] = {str(k): float(v) for k, v in mapping.items()}
 
     data = np.empty((len(rows), n_cols))
-    for r, row in enumerate(rows):
+    for r, (line, row) in enumerate(rows):
         if len(row) != n_cols:
             raise DataError(
-                f"{path}: row {r + 1} has {len(row)} columns, expected {n_cols}"
+                f"{path}, line {line}: {len(row)} columns, expected {n_cols}"
             )
         for c, cell in enumerate(row):
             cell = cell.strip()
@@ -171,19 +172,19 @@ def load_csv(path, target_column, has_header=True, categorical=None, name=None):
                     data[r, c] = encodings[c][cell]
                     continue
                 raise DataError(
-                    f"{path}: row {r + 1}, column {names[c]!r}: "
+                    f"{path}, line {line}, column {names[c]!r}: "
                     f"unknown category {cell!r}"
                 )
             try:
                 value = float(cell)
             except ValueError:
                 raise DataError(
-                    f"{path}: row {r + 1}, column {names[c]!r}: "
+                    f"{path}, line {line}, column {names[c]!r}: "
                     f"cannot parse {cell!r} as a number"
                 ) from None
             if not math.isfinite(value):
                 raise DataError(
-                    f"{path}: row {r + 1}, column {names[c]!r}: non-finite value"
+                    f"{path}, line {line}, column {names[c]!r}: non-finite value"
                 )
             data[r, c] = value
 

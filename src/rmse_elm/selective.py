@@ -83,31 +83,30 @@ class OptimalWeights:
     in_simplex: bool
 
 
+# the GA's fixed breeding: crossover and per-gene mutation probabilities, the
+# std of a mutation's Gaussian step, and the fittest carried over unchanged
+_CROSSOVER_PROB, _MUTATION_PROB, _MUTATION_SCALE, _N_ELITE = 0.8, 0.1, 0.1, 2
+
+
 @dataclass(frozen=True)
 class GaConfig:
     """Real-coded GA settings (population of nonnegative weight vectors).
 
-    The random stream is not a setting: `ga_evolve` takes its seed as an
-    argument, and the ensemble trainers derive one per selection.
+    Breeding is fixed (`_CROSSOVER_PROB`, `_MUTATION_PROB`,
+    `_MUTATION_SCALE`, `_N_ELITE`), so a population must outnumber its 2
+    elite. The random stream is not a setting either: `ga_evolve` takes
+    its seed as an argument, and the ensemble trainers derive one per selection.
     """
 
     population_size: int = 50
     generations: int = 100
-    crossover_prob: float = 0.8
-    mutation_prob: float = 0.1
-    mutation_scale: float = 0.1
-    elitism_count: int = 2
 
     def __post_init__(self):
-        if self.population_size < 1 or self.generations < 1:
-            raise ValueError("population_size and generations must be positive")
-        for p in (self.crossover_prob, self.mutation_prob):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("probabilities must lie in [0, 1]")
-        if not 0.0 < self.mutation_scale < np.inf:
-            raise ValueError("mutation_scale must be positive and finite")
-        if not 0 <= self.elitism_count < self.population_size:
-            raise ValueError("need 0 <= elitism_count < population_size")
+        if self.population_size <= _N_ELITE:
+            raise ValueError(f"population_size must be at least {_N_ELITE + 1}: "
+                             f"the {_N_ELITE} elite and a child")
+        if self.generations < 1:
+            raise ValueError("generations must be positive")
 
 
 def _weight_array(weights, n):
@@ -256,10 +255,10 @@ def ga_evolve(corr, config=None, seed=0, with_history=False):
     Random stream: after the initial population, each generation takes,
     in this order, `rng.random((n_pairs, 4))` -- per mating two parent
     uniforms, a crossover coin and a blend alpha, used only when the coin
-    falls below `crossover_prob` (otherwise alpha = 1 and the children copy
-    their parents) -- then `rng.random((pop_size, n)) < mutation_prob` as
-    the mutation mask with the elite rows cleared, then one
-    `rng.normal(0, mutation_scale)` per mutated gene in row-major order.
+    falls below `_CROSSOVER_PROB` (otherwise alpha = 1 and the children
+    copy their parents) -- then `rng.random((pop_size, n)) < _MUTATION_PROB`
+    as the mutation mask with the `_N_ELITE` elite rows cleared, then one
+    `rng.normal(0, _MUTATION_SCALE)` per mutated gene in row-major order.
     Parents are drawn by roulette on rank through the normalized cumulative
     rank probabilities. A seed therefore pins the weights bit for bit.
 
@@ -305,8 +304,7 @@ def ga_evolve(corr, config=None, seed=0, with_history=False):
         best_w = norm[init_best].copy()
     history = [best_fitness]
 
-    n_elite = config.elitism_count
-    n_children = pop_size - n_elite
+    n_children = pop_size - _N_ELITE
     n_pairs = (n_children + 1) // 2
     rank_values = np.arange(1.0, pop_size + 1)
     rank_total = rank_values.sum()
@@ -319,22 +317,22 @@ def ga_evolve(corr, config=None, seed=0, with_history=False):
         # the matings' draws and the mutation mask, as one block of doubles
         draws = rng.random(4 * n_pairs + pop_size * n)
         mating = draws[: 4 * n_pairs].reshape(n_pairs, 4)
-        mutate = draws[4 * n_pairs :].reshape(pop_size, n) < config.mutation_prob
-        mutate[:n_elite] = False
+        mutate = draws[4 * n_pairs :].reshape(pop_size, n) < _MUTATION_PROB
+        mutate[:_N_ELITE] = False
         cdf = probs.cumsum()
         cdf /= cdf[-1]
         parents = pop[cdf.searchsorted(mating[:, :2], side="right")]
         # blend weights (alpha, 1 - alpha) of each pair's two children; alpha 1
         # copies the parents exactly (all genes are finite and nonnegative)
         coef = np.empty((n_pairs, 2, 1))
-        coef[:, 0, 0] = np.where(mating[:, 2] < config.crossover_prob, mating[:, 3], 1.0)
+        coef[:, 0, 0] = np.where(mating[:, 2] < _CROSSOVER_PROB, mating[:, 3], 1.0)
         coef[:, 1] = 1.0 - coef[:, 0]
         children = coef * parents[:, :1] + coef[:, ::-1] * parents[:, 1:]
         # the elite, best first, then the children in breeding order
-        pop = np.concatenate([pop[order[::-1][:n_elite]], children.reshape(-1, n)[:n_children]])
+        pop = np.concatenate([pop[order[::-1][:_N_ELITE]], children.reshape(-1, n)[:n_children]])
 
         genes = pop[mutate]
-        pop[mutate] = np.maximum(genes + rng.normal(0.0, config.mutation_scale, genes.size), 0.0)
+        pop[mutate] = np.maximum(genes + rng.normal(0.0, _MUTATION_SCALE, genes.size), 0.0)
 
         fitness, norm = fitness_of(pop)
         gen_best = int(np.argmax(fitness))

@@ -185,7 +185,7 @@ def test_criterion_7_subset_chain():
             groups=2,
             group_size=5,
             n_hidden=8,
-            ga=GaConfig(population_size=12, generations=8, elitism_count=2),
+            ga=GaConfig(population_size=12, generations=8),
             seed=int(rng.integers(2**31)),
         )
         ens = train_rmse_elm(ds.X, ds.y, cfg)

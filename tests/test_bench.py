@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 import weakref
 
@@ -131,7 +132,7 @@ def tiny_config(**kw):
             groups=2,
             group_size=3,
             n_hidden=6,
-            ga=GaConfig(population_size=8, generations=5, elitism_count=1),
+            ga=GaConfig(population_size=8, generations=5),
         ),
     )
     base.update(kw)
@@ -351,9 +352,14 @@ NESTED_ORDERS = [order for k in (1, 2, 3) for order in itertools.permutations(be
 class TestNestedMethods:
     """GASEN-ELM, E-GASEN and RMSE-ELM share one fit per run on the run's one seed."""
 
-    def test_records_do_not_depend_on_the_methods_listed(self):
+    # each nested method listed alone, or with any others, gives the records it
+    # gets next to all of them, with or without a hold-out for the selections
+    @pytest.mark.parametrize("validation_fraction", [0.0, 0.25])
+    def test_records_do_not_depend_on_the_methods_listed(self, validation_fraction):
+        ensemble = replace(tiny_config().ensemble, validation_fraction=validation_fraction)
+
         def records(methods):
-            report = run_experiment(tiny_config(runs=2, methods=methods))
+            report = run_experiment(tiny_config(runs=2, methods=methods, ensemble=ensemble))
             assert not report.errors
             by_method = {}
             for r in report.records:
@@ -557,7 +563,6 @@ hidden = 6
 [ga]
 population = 8
 generations = 4
-elitism = 1
 
 [noise:g2]
 variances = 1, 0.5
@@ -741,10 +746,6 @@ class TestConfigTable:
         ("ensemble", "validation_fraction = 0.25", "ensemble.validation_fraction", 0.25),
         ("ga", "population = 12", "ensemble.ga.population_size", 12),
         ("ga", "generations = 7", "ensemble.ga.generations", 7),
-        ("ga", "crossover = 0.5", "ensemble.ga.crossover_prob", 0.5),
-        ("ga", "mutation = 0.2", "ensemble.ga.mutation_prob", 0.2),
-        ("ga", "mutation_scale = 0.3", "ensemble.ga.mutation_scale", 0.3),
-        ("ga", "elitism = 3", "ensemble.ga.elitism_count", 3),
     ])
     def test_each_key_sets_its_field_and_no_other(self, tmp_path, section, line, name, value):
         base = config_settings(load_sections(tmp_path, {"experiment": ""}))
@@ -752,6 +753,23 @@ class TestConfigTable:
         sections = {"experiment": ""}
         sections[section] = line
         assert config_settings(load_sections(tmp_path, sections)) == {**base, name: value}
+
+    # settings no workload set: the GA's breeding is fixed and a task runs at seed 0
+    @pytest.mark.parametrize("section, line", [
+        ("ga", "crossover = 0.8"),
+        ("ga", "mutation = 0.1"),
+        ("ga", "mutation_scale = 0.1"),
+        ("ga", "elitism = 2"),
+        ("dataset:wav", "seed = 0"),
+    ], ids=["crossover", "mutation", "mutation_scale", "elitism", "task-seed"])
+    def test_retired_key_fails_the_load(self, tmp_path, section, line):
+        p = tmp_path / "bench.ini"
+        text = f"[experiment]\n[ga]\n{CORE_SECTIONS}"
+        p.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        key = line.split(" = ")[0]
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: \[{section}\] "
+                                             rf"has unknown keys: {key}$"):
+            load_experiment_config(p)
 
     def test_left_out_keys_keep_the_dataclass_defaults(self, tmp_path):
         cfg = load_sections(tmp_path, {"experiment": "methods = simple"})
@@ -763,7 +781,7 @@ class TestConfigTable:
 
     @pytest.mark.parametrize("experiment, dataset, passed", [
         ("", "", {}),
-        ("data_dir = elsewhere", "seed = 3", {"data_dir": "elsewhere", "seed": 3}),
+        ("data_dir = elsewhere", "", {"data_dir": "elsewhere"}),
     ], ids=["left-out", "set"])
     def test_task_keys_reach_benchmark_task(self, tmp_path, monkeypatch, experiment, dataset,
                                             passed):

@@ -279,7 +279,6 @@ hidden = 6
 [ga]
 population = 8
 generations = 4
-elitism = 1
 
 [noise:g2]
 variances = 1, 0.5
@@ -365,6 +364,11 @@ n_train = 60
          "dataset:syn"),
         ("shuffle_seed = 3", "{cfg}: [dataset:syn] has unknown keys: shuffle_seed",
          "dataset:syn"),
+        # the GA's fixed breeding settings, even at the values they had by default
+        ("crossover = 0.8", "{cfg}: [ga] has unknown keys: crossover", "ga"),
+        ("mutation = 0.1", "{cfg}: [ga] has unknown keys: mutation", "ga"),
+        ("mutation_scale = 0.1", "{cfg}: [ga] has unknown keys: mutation_scale", "ga"),
+        ("elitism = 2", "{cfg}: [ga] has unknown keys: elitism", "ga"),
     ])
     def test_bad_ensemble_setting_fails_before_any_cell(self, csv_path, tmp_path, capsys,
                                                         monkeypatch, setting, message, section):
@@ -461,9 +465,12 @@ n_train = 60
          "target = nothing\n", "[dataset:syn] path, target cannot be set with task"),
         ("path = {csv}\ntarget = target\n", "task = housing\ntarget = nothing\n",
          "[dataset:syn] target cannot be set with task"),
+        # a task's generator always runs at seed 0: no source takes a seed
+        ("path = {csv}\ntarget = target\n", "task = housing\nseed = 0\n",
+         "[dataset:syn] has unknown keys: seed"),
         ("target = target\n", "target = target\nseed = 5\n",
-         "[dataset:syn] seed cannot be set with path"),
-    ], ids=["task-path-target", "task-target", "path-seed"])
+         "[dataset:syn] has unknown keys: seed"),
+    ], ids=["task-path-target", "task-target", "task-seed", "path-seed"])
     def test_dataset_key_of_the_other_source_fails(self, csv_path, tmp_path, capsys,
                                                     monkeypatch, old, new, message):
         cfg = self.write_config(tmp_path, csv_path)
@@ -478,19 +485,26 @@ n_train = 60
         assert captured.err == f"error: {cfg}: {message}\n"
         assert ran == []
 
-    def test_every_cell_failed_exits_4_and_leaves_no_records(self, tmp_path, capsys):
+    @pytest.mark.parametrize("methods, canonical", [
+        ("elm, gasen, rmse", ("ELM", "GASEN-ELM", "RMSE-ELM")),
+        ("rmse, elm", ("RMSE-ELM", "ELM")),  # not sorted: the lines follow the tables
+    ], ids=["sorted", "unsorted"])
+    def test_every_cell_failed_exits_4_and_leaves_no_records(self, tmp_path, capsys,
+                                                             methods, canonical):
         # one line per failed cell, "cell failed (dataset, noise, method): message",
-        # whose key parses back to its tuple
+        # whose key parses back to its tuple, in the configured order
         missing = tmp_path / "missing.csv"
-        cfg = self.write_config(tmp_path, str(missing), methods="elm, gasen, rmse")
+        cfg = self.write_config(tmp_path, str(missing), methods=methods)
         code = run_cli(["bench", "--config", str(cfg)])
         err = capsys.readouterr().err
         assert code == EXIT_NUMERIC
         lines = err.splitlines()
         assert all(line.startswith("cell failed (") for line in lines)
         keys = [ast.literal_eval(line[len("cell failed "):line.index("):") + 1]) for line in lines]
-        assert keys == [("syn", "g2", m) for m in ("ELM", "GASEN-ELM", "RMSE-ELM")]
+        assert keys == [("syn", "g2", m) for m in canonical]
         assert all(line.endswith(f"dataset file not found: {missing}") for line in lines)
+        mse_header = (tmp_path / "reports" / "mse.csv").read_text().splitlines()[0]
+        assert mse_header == ",".join(("dataset", "noise") + canonical)
 
         records = tmp_path / "reports" / "runrecords.csv"
         assert read_records(records) == []
@@ -635,7 +649,7 @@ SEED_LINE = f"master seed: {cli.DEFAULT_SEED}\n"
 
 def _csv_row(name, text, expected):
     return pytest.param({"t.csv": text}, ["train", "--dataset", "{dir}/t.csv", "--hidden", "3"],
-                        EXIT_DATA, "data error: {dir}/t.csv: " + expected, SEED_LINE, id=name)
+                        EXIT_DATA, "data error: {dir}/t.csv" + expected, SEED_LINE, id=name)
 
 
 def _ini_row(name, old, new, expected):
@@ -680,16 +694,20 @@ def _records_row(name, text, expected):
                  "", id="flag-groups-zero"),
     pytest.param({}, ["train", "--dataset", "{dir}/absent.csv"], EXIT_DATA,
                  "data error: dataset file not found: {dir}/absent.csv", SEED_LINE, id="csv-missing"),
-    _csv_row("csv-ragged-short-row", "a,b,target\n1,2,3\n4,5\n", "row 2 has 2 columns, expected 3"),
+    # a row is named by its line in the file, blank lines counted
+    _csv_row("csv-ragged-short-row", "a,b,target\n1,2,3\n4,5\n",
+             ", line 3: 2 columns, expected 3"),
     _csv_row("csv-ragged-wide-rows", "a,b,target\n1,2,3,4\n5,6,7,8\n",
-             "header has 3 columns, row 1 has 4"),
+             ": header has 3 columns, line 2 has 4"),
     _csv_row("csv-unparsable", "a,b,target\n1,2,3\n4,x,6\n",
-             "row 2, column 'b': cannot parse 'x' as a number"),
-    _csv_row("csv-nan", "a,b,target\n1,2,3\n4,nan,6\n", "row 2, column 'b': non-finite value"),
+             ", line 3, column 'b': cannot parse 'x' as a number"),
+    _csv_row("csv-unparsable-after-blank-lines", "a,b,target\n\n1,2,3\n\n4,x,6\n",
+             ", line 5, column 'b': cannot parse 'x' as a number"),
+    _csv_row("csv-nan", "a,b,target\n1,2,3\n4,nan,6\n", ", line 3, column 'b': non-finite value"),
     _csv_row("csv-overflow", "a,b,target\n1,2,3\n4,5,1e999\n",
-             "row 2, column 'target': non-finite value"),
-    _csv_row("csv-empty", "", "file is empty\n"),
-    _csv_row("csv-header-only", "a,b,target\n", "no data rows below the header\n"),
+             ", line 3, column 'target': non-finite value"),
+    _csv_row("csv-empty", "", ": file is empty\n"),
+    _csv_row("csv-header-only", "a,b,target\n", ": no data rows below the header\n"),
     pytest.param({}, ["train", "--dataset", "{dir}/good.csv", "--target-col", "7"], EXIT_DATA,
                  "data error: {dir}/good.csv: column index 7 out of range (0..2)\n", SEED_LINE,
                  id="csv-target-index-out-of-range"),
@@ -716,7 +734,7 @@ def _records_row(name, text, expected):
                  "data error: {dir}/t.csv, line 3: field larger than field limit (131072)\n",
                  SEED_LINE, id="blend-field-over-limit"),
     # every file is read as UTF-8: one that is not, or a directory, names itself
-    _csv_row("csv-not-utf8", b"a,b,target\n1,2,3\n4,\xff,6\n", "not UTF-8 text\n"),
+    _csv_row("csv-not-utf8", b"a,b,target\n1,2,3\n4,\xff,6\n", ": not UTF-8 text\n"),
     pytest.param({}, ["train", "--dataset", "{dir}"], EXIT_DATA,
                  "data error: [Errno 21] Is a directory: '{dir}'\n", SEED_LINE,
                  id="csv-is-a-directory"),
@@ -744,8 +762,8 @@ def _records_row(name, text, expected):
              "[experiment] unknown method 'xgboost'"),
     _ini_row("ini-bad-ensemble", "n_train = 9\n", "n_train = 9\n[ensemble]\nlambda1 = 2\n",
              "[ensemble] thresholds must lie in [0, 1]"),
-    _ini_row("ini-bad-ga", "n_train = 9\n", "n_train = 9\n[ga]\npopulation = 0\n",
-             "[ga] population_size and generations must be positive"),
+    _ini_row("ini-bad-ga", "n_train = 9\n", "n_train = 9\n[ga]\npopulation = 2\n",
+             "[ga] population_size must be at least 3: the 2 elite and a child\n"),
     _ini_row("ini-bad-noise", "variances = 1\n", "variances = -1\n",
              "[noise:g1] variances must be positive"),
     _ini_row("ini-jobs-zero", "runs = 1\n", "runs = 1\njobs = 0\n",
@@ -762,12 +780,14 @@ def _records_row(name, text, expected):
              "[noise:g1] empty variances draw no noise, so seed must be left at 0\n"),
     _ini_row("ini-seed-negative", "runs = 1\n", "runs = 1\nseed = -1\n",
              "[experiment] master seed must be a non-negative integer"),
+    # the mutation step is fixed: no value of the retired key is read, not even one that
+    # would leave every mutated gene NaN
     _ini_row("ini-ga-mutation-scale-nan", "n_train = 9\n",
              "n_train = 9\n[ga]\nmutation_scale = nan\n",
-             "[ga] mutation_scale must be positive and finite"),
+             "[ga] has unknown keys: mutation_scale\n"),
     _ini_row("ini-ga-mutation-scale-inf", "n_train = 9\n",
              "n_train = 9\n[ga]\nmutation_scale = inf\n",
-             "[ga] mutation_scale must be positive and finite"),
+             "[ga] has unknown keys: mutation_scale\n"),
     pytest.param({"b.ini": GOOD_INI}, ["bench", "--config", "{dir}/b.ini", "--seed", "-1"],
                  EXIT_CONFIG, "error: master seed must be a non-negative integer\n", "",
                  id="flag-bench-seed-negative"),

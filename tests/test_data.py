@@ -49,27 +49,40 @@ class TestLoadCsv:
         assert ds.y.tolist() == [1.0, 4.0]
         assert ds.X.shape == (2, 2)
 
-    def test_parse_error_reports_location(self, tmp_path):
-        p = write(tmp_path, "a,b\n1,2\n3,oops\n")
-        with pytest.raises(DataError, match=r"row 2.*'b'.*oops"):
-            load_csv(p, "a")
-
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
-    def test_non_finite_cell_reports_location(self, tmp_path, cell):
-        p = write(tmp_path, f"a,b,c\n1,2,3\n4,5,6\n7,{cell},9\n")
-        with pytest.raises(DataError, match=r"row 3, column 'b': non-finite value"):
-            load_csv(p, "a")
-
-    def test_ragged_row_reported(self, tmp_path):
-        p = write(tmp_path, "a,b\n1,2\n3\n")
-        with pytest.raises(DataError, match="row 2"):
-            load_csv(p, "a")
-
-    @pytest.mark.parametrize("text", ["a,b\n1,2,3\n4,5,6\n", "a,b,c,d\n1,2,3\n4,5,6\n"],
-                             ids=["wider-rows", "wider-header"])
-    def test_header_width_must_match_the_rows(self, tmp_path, text):
+    # the location is the file's line, blank lines counted
+    @pytest.mark.parametrize("text, line", [("a,b\n1,2\n3,oops\n", 3),
+                                            ("a,b\n\n1,2\n\n3,oops\n", 5),
+                                            ("a,b\r\n\r\n1,2\r\n3,oops\r\n", 4),
+                                            ("a,b\n , \n1,2\n3,oops\n", 4)],
+                             ids=["no-blank-lines", "blank-lines", "crlf", "whitespace-line"])
+    def test_parse_error_reports_location(self, tmp_path, text, line):
         p = write(tmp_path, text)
-        with pytest.raises(DataError, match=r"header has \d columns, row 1 has 3"):
+        with pytest.raises(DataError, match=rf"^{re.escape(str(p))}, line {line}, column 'b': "
+                                            r"cannot parse 'oops' as a number$"):
+            load_csv(p, "a")
+
+    @pytest.mark.parametrize("gap, line", [("", 4), ("\n\n", 6)],
+                             ids=["no-blank-lines", "blank-lines"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_reports_location(self, tmp_path, cell, gap, line):
+        p = write(tmp_path, f"a,b,c\n1,2,3\n{gap}4,5,6\n7,{cell},9\n")
+        with pytest.raises(DataError, match=rf", line {line}, column 'b': non-finite value"):
+            load_csv(p, "a")
+
+    @pytest.mark.parametrize("text, line", [("a,b\n1,2\n3\n", 3), ("a,b\n1,2\n\n3\n", 4)],
+                             ids=["no-blank-lines", "blank-lines"])
+    def test_ragged_row_reported(self, tmp_path, text, line):
+        p = write(tmp_path, text)
+        with pytest.raises(DataError, match=rf", line {line}: 1 columns, expected 2"):
+            load_csv(p, "a")
+
+    # the first data row is named by its line, below any blank lines after the header
+    @pytest.mark.parametrize("gap, line", [("", 2), ("\n", 3)],
+                             ids=["no-blank-lines", "blank-lines"])
+    @pytest.mark.parametrize("header", ["a,b", "a,b,c,d"], ids=["wider-rows", "wider-header"])
+    def test_header_width_must_match_the_rows(self, tmp_path, header, gap, line):
+        p = write(tmp_path, f"{header}\n{gap}1,2,3\n4,5,6\n")
+        with pytest.raises(DataError, match=rf"header has \d columns, line {line} has 3"):
             load_csv(p, "a")
 
     @pytest.mark.parametrize("row", [1, 3])
@@ -537,7 +550,7 @@ class TestSynthTasks:
     def test_benchmark_task_bad_category_after_the_first_row(self, tmp_path, load_calls):
         # the first cell fixes the layout; a later bad code is load_csv's error, after one parse
         write(tmp_path, "Sex,Length,Rings\nM,0.4,9\nX,0.2,4\n", "abalone.csv")
-        with pytest.raises(DataError, match=r"abalone.csv: row 2, column 'Sex': "
+        with pytest.raises(DataError, match=r"abalone.csv, line 3, column 'Sex': "
                                             r"unknown category 'X'"):
             benchmark_task("abalone", data_dir=tmp_path)
         assert len(load_calls) == 1

@@ -28,7 +28,7 @@ from rmse_elm.selective import GaConfig, correlation_matrix, ensemble_error
 from rmse_elm.synth import make_synthetic_regression
 
 
-SMALL_GA = GaConfig(population_size=12, generations=10, elitism_count=2)
+SMALL_GA = GaConfig(population_size=12, generations=10)
 
 
 def small_config(**kw):

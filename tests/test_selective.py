@@ -278,7 +278,7 @@ class TestOmission:
 class TestGaEvolve:
     def test_single_learner_shortcut(self):
         corr = CorrelationMatrix(np.array([[2.0]]), n_samples=4)
-        w = ga_evolve(corr, GaConfig(population_size=4, generations=3, elitism_count=1))
+        w = ga_evolve(corr, GaConfig(population_size=4, generations=3))
         assert w.w.tolist() == [1.0]
 
     def test_mass_moves_to_low_error_learner(self):
@@ -364,19 +364,17 @@ class TestValidation:
                 EnsembleWeights(np.array(bad))
         EnsembleWeights(np.array([0.25, 0.75]))
 
-    def test_ga_config_validation(self):
-        with pytest.raises(ValueError):
-            GaConfig(population_size=0)
-        with pytest.raises(ValueError):
-            GaConfig(elitism_count=50, population_size=50)
-        with pytest.raises(ValueError):
-            GaConfig(crossover_prob=1.5)
-        with pytest.raises(ValueError):
-            GaConfig(mutation_scale=0.0)
-        # NaN passes a `<= 0` check, and either value leaves every mutated gene NaN
-        for scale in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="mutation_scale must be positive and finite"):
-                GaConfig(mutation_scale=scale)
+    @pytest.mark.parametrize("population", [-1, 0, 1, 2])
+    def test_population_must_outnumber_the_elite(self, population):
+        # the two elite fill a population of two: no child would ever be bred
+        with pytest.raises(ValueError, match=r"^population_size must be at least 3: "
+                                             r"the 2 elite and a child$"):
+            GaConfig(population_size=population)
+        GaConfig(population_size=3)  # the smallest that breeds a child
+
+    def test_generations_must_be_positive(self):
+        with pytest.raises(ValueError, match="^generations must be positive$"):
+            GaConfig(generations=0)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +384,10 @@ class TestValidation:
 # uniforms, a crossover coin, a blend alpha), rng.random((pop_size, n)) for
 # the mutation mask, then one rng.normal per mutated gene in row-major order --
 # so the vectorised breeding in selective.py must return bit-identical weights
-# and histories and leave the generator in the same state.
+# and histories and leave the generator in the same state. It spells out the
+# fixed breeding settings itself, so a changed constant in selective.py fails.
+CROSSOVER_PROB, MUTATION_PROB, MUTATION_SCALE, N_ELITE = 0.8, 0.1, 0.1, 2
+
 
 def scalar_ga_evolve(corr, config=None, seed=0, with_history=False):
     if config is None:
@@ -424,7 +425,7 @@ def scalar_ga_evolve(corr, config=None, seed=0, with_history=False):
         best_w = norm[init_best].copy()
     history = [best_fitness]
 
-    n_elite = config.elitism_count
+    n_elite = N_ELITE
     for _ in range(config.generations):
         order = np.argsort(fitness)  # ascending: worst first
         ranks = np.empty(pop_size)
@@ -433,7 +434,7 @@ def scalar_ga_evolve(corr, config=None, seed=0, with_history=False):
 
         n_pairs = (pop_size - n_elite + 1) // 2
         matings = rng.random((n_pairs, 4))
-        mutate = rng.random((pop_size, n)) < config.mutation_prob
+        mutate = rng.random((pop_size, n)) < MUTATION_PROB
         cdf = probs.cumsum()
         cdf /= cdf[-1]
 
@@ -443,7 +444,7 @@ def scalar_ga_evolve(corr, config=None, seed=0, with_history=False):
         children = [row.copy() for row in pop[order[::-1][:n_elite]]]
         for u1, u2, coin, alpha in matings:
             p1, p2 = pop[roulette(u1)], pop[roulette(u2)]
-            if coin < config.crossover_prob:
+            if coin < CROSSOVER_PROB:
                 c1 = alpha * p1 + (1.0 - alpha) * p2
                 c2 = (1.0 - alpha) * p1 + alpha * p2
             else:
@@ -456,7 +457,7 @@ def scalar_ga_evolve(corr, config=None, seed=0, with_history=False):
         for r in range(n_elite, pop_size):
             for g in range(n):
                 if mutate[r, g]:
-                    pop[r, g] = max(pop[r, g] + rng.normal(0.0, config.mutation_scale), 0.0)
+                    pop[r, g] = max(pop[r, g] + rng.normal(0.0, MUTATION_SCALE), 0.0)
 
         fitness, norm = fitness_of(pop)
         gen_best = int(np.argmax(fitness))
@@ -474,19 +475,14 @@ def scalar_ga_evolve(corr, config=None, seed=0, with_history=False):
 def _stream_cases():
     base = dict(population_size=12, generations=15)
     configs = [
-        {},
-        dict(population_size=11),  # odd child count with two elite
-        dict(elitism_count=0),
-        dict(elitism_count=0, population_size=9),
-        dict(elitism_count=3, population_size=10),
-        dict(crossover_prob=0.0),
-        dict(crossover_prob=1.0),
-        dict(mutation_prob=1.0),
-        dict(mutation_prob=0.0, crossover_prob=0.5),
-        dict(population_size=1, elitism_count=0),
-        dict(population_size=2, elitism_count=0),
-        dict(population_size=2, elitism_count=1),
+        {},  # an even child count
+        dict(population_size=11),  # an odd child count: the last pair's second child is dropped
+        dict(population_size=3),  # the smallest population: one child a generation
+        dict(population_size=4),
+        dict(population_size=5),  # an odd child count from more than one pair
         dict(population_size=50, generations=8),
+        dict(generations=1),  # one generation: the initial best against one bred population
+        dict(population_size=50, generations=100),  # GaConfig's defaults, which every config uses
     ]
     cases = []
     for n in (2, 3, 5, 20, 37):
@@ -505,12 +501,13 @@ class TestGaStreamContract:
         assert np.array_equal(w.w, w_ref.w)
         assert np.array_equal(hist, hist_ref)
 
+    @pytest.mark.parametrize("population", [3, 15])  # one child a generation, and 13
     @pytest.mark.parametrize(
         "bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
     )
-    def test_generator_left_in_same_state(self, bit_generator):
+    def test_generator_left_in_same_state(self, bit_generator, population):
         corr = random_psd_corr(np.random.default_rng(7), 6)
-        config = GaConfig(population_size=15, generations=12, elitism_count=1)
+        config = GaConfig(population_size=population, generations=12)
         ours, ref = np.random.Generator(bit_generator(3)), np.random.Generator(bit_generator(3))
         w = ga_evolve(corr, config, seed=ours)
         w_ref = scalar_ga_evolve(corr, config, seed=ref)
