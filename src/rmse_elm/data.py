@@ -8,7 +8,10 @@ noise spec, split spec) triple pins the train/test matrices exactly.
 
 import csv
 import math
+from array import array
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -120,74 +123,85 @@ def load_csv(path, target_column, has_header=True, categorical=None, name=None):
     name : str, optional
         Dataset name; defaults to the file stem.
 
-    Raises DataError naming the file's line (blank lines counted) on any parse failure.
+    The file is read as a stream: each row's cells are parsed straight into
+    one float buffer, so the working set is the parsed values, the returned
+    X and y, and one row, never the file's text. The file closes on any exit.
+
+    Raises DataError naming the file's line (blank lines counted) on any parse
+    failure. The header, the column layout, the target and the categorical
+    columns are checked on the first data row; then the first faulty line in
+    file order is reported, be it a bad cell, a ragged row or a row the csv
+    module refuses. Text that is not UTF-8 is named when the decoder reaches
+    it, a chunk of the file at a time, so it may be reported before a bad cell
+    on an earlier line of that chunk.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    rows = [(line, row) for line, row in _csv_rows(path, DataError)
-            if any(cell.strip() for cell in row)]
-    if not rows:
-        raise DataError(f"{path}: file is empty")
-
-    header = None
-    if has_header:
-        header = [cell.strip() for cell in rows[0][1]]
-        rows = rows[1:]
-        if not rows:
-            raise DataError(f"{path}: no data rows below the header")
-    n_cols = len(rows[0][1])
-    if header is not None and len(header) != n_cols:
-        raise DataError(
-            f"{path}: header has {len(header)} columns, line {rows[0][0]} has {n_cols}")
-    names = header if header is not None else [f"col{i}" for i in range(n_cols)]
-
-    def column_index(key):
-        if isinstance(key, int):
-            if not 0 <= key < n_cols:
-                raise DataError(f"{path}: column index {key} out of range (0..{n_cols - 1})")
-            return key
-        if header is None:
-            raise DataError(f"{path}: column named {key!r} needs a header row")
-        try:
-            return header.index(key)
-        except ValueError:
-            raise DataError(f"{path}: no column named {key!r} in header") from None
-
-    target_idx = column_index(target_column)
-    encodings = {}
-    for key, mapping in (categorical or {}).items():
-        encodings[column_index(key)] = {str(k): float(v) for k, v in mapping.items()}
-
-    data = np.empty((len(rows), n_cols))
-    for r, (line, row) in enumerate(rows):
-        if len(row) != n_cols:
+    with closing(_csv_rows(path, DataError)) as lines:
+        rows = ((line, row) for line, row in lines if any(cell.strip() for cell in row))
+        first = next(rows, None)
+        if first is None:
+            raise DataError(f"{path}: file is empty")
+        header = None
+        if has_header:
+            header = [cell.strip() for cell in first[1]]
+            first = next(rows, None)
+            if first is None:
+                raise DataError(f"{path}: no data rows below the header")
+        n_cols = len(first[1])
+        if header is not None and len(header) != n_cols:
             raise DataError(
-                f"{path}, line {line}: {len(row)} columns, expected {n_cols}"
-            )
-        for c, cell in enumerate(row):
-            cell = cell.strip()
-            if c in encodings:
-                if cell in encodings[c]:
-                    data[r, c] = encodings[c][cell]
-                    continue
-                raise DataError(
-                    f"{path}, line {line}, column {names[c]!r}: "
-                    f"unknown category {cell!r}"
-                )
-            try:
-                value = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}, line {line}, column {names[c]!r}: "
-                    f"cannot parse {cell!r} as a number"
-                ) from None
-            if not math.isfinite(value):
-                raise DataError(
-                    f"{path}, line {line}, column {names[c]!r}: non-finite value"
-                )
-            data[r, c] = value
+                f"{path}: header has {len(header)} columns, line {first[0]} has {n_cols}")
+        names = header if header is not None else [f"col{i}" for i in range(n_cols)]
 
+        def column_index(key):
+            if isinstance(key, int):
+                if not 0 <= key < n_cols:
+                    raise DataError(f"{path}: column index {key} out of range (0..{n_cols - 1})")
+                return key
+            if header is None:
+                raise DataError(f"{path}: column named {key!r} needs a header row")
+            try:
+                return header.index(key)
+            except ValueError:
+                raise DataError(f"{path}: no column named {key!r} in header") from None
+
+        target_idx = column_index(target_column)
+        encodings = {}
+        for key, mapping in (categorical or {}).items():
+            encodings[column_index(key)] = {str(k): float(v) for k, v in mapping.items()}
+
+        values = array("d")
+        for line, row in chain((first,), rows):
+            if len(row) != n_cols:
+                raise DataError(
+                    f"{path}, line {line}: {len(row)} columns, expected {n_cols}"
+                )
+            for c, cell in enumerate(row):
+                cell = cell.strip()
+                if c in encodings:
+                    if cell in encodings[c]:
+                        values.append(encodings[c][cell])
+                        continue
+                    raise DataError(
+                        f"{path}, line {line}, column {names[c]!r}: "
+                        f"unknown category {cell!r}"
+                    )
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}, line {line}, column {names[c]!r}: "
+                        f"cannot parse {cell!r} as a number"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"{path}, line {line}, column {names[c]!r}: non-finite value"
+                    )
+                values.append(value)
+
+    data = np.frombuffer(values).reshape(-1, n_cols)
     keep = [i for i in range(n_cols) if i != target_idx]
     return Dataset(
         X=data[:, keep],
@@ -353,6 +367,9 @@ def make_blended_split(ds, noise_spec, split_spec):
     )
 
 
+_SAVE_BLOCK_ROWS = 256  # rows save_csv formats at a time
+
+
 def save_csv(ds, path, manifest=None):
     """Persist a dataset as CSV (features then a final `target` column).
 
@@ -364,9 +381,12 @@ def save_csv(ds, path, manifest=None):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(list(ds.feature_names) + ["target"])
-        # the rows csv.writer would write: a float's repr never needs quoting
-        fh.writelines(",".join(map(repr, row)) + "\r\n"
-                      for row in np.column_stack([ds.X, ds.y]).tolist())
+        # the rows csv.writer would write: a float's repr never needs quoting;
+        # one block of rows at a time is held as Python floats, never the table
+        for start in range(0, ds.n_samples, _SAVE_BLOCK_ROWS):
+            block = slice(start, start + _SAVE_BLOCK_ROWS)
+            fh.writelines(",".join(map(repr, row)) + "\r\n"
+                          for row in np.column_stack([ds.X[block], ds.y[block]]).tolist())
     if manifest is not None:
         lines = [f"dataset: {ds.name}", f"rows: {ds.n_samples}", f"features: {ds.n_features}"]
         lines += [f"{k}: {v}" for k, v in manifest.items()]

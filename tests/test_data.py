@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rmse_elm.data
 import rmse_elm.synth
 from rmse_elm.data import (
     DataError,
@@ -139,6 +140,80 @@ class TestLoadCsv:
         p = write(tmp_path, "sex,t\nM,1\nX,2\n")
         with pytest.raises(DataError, match="unknown category 'X'"):
             load_csv(p, "t", categorical={"sex": {"M": 1.0}})
+
+    def test_holds_the_values_not_the_text(self, tmp_path):
+        # the rows are parsed as they are read into one float buffer, which
+        # X and y are copied from: the text and a list of the rows are never
+        # held, so the peak stays within 3x the returned arrays (reading every
+        # row before parsing any peaked at about 14x)
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.normal(size=(4000, 8)), rng.normal(size=4000), "abcdefgh", "t")
+        path = save_csv(ds, tmp_path / "big.csv")
+        tracemalloc.start()
+        try:
+            back = load_csv(path, "target")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
+        assert peak <= 3 * (back.X.nbytes + back.y.nbytes)
+
+
+class TestLoadCsvFaultOrder:
+    """With several faults in a file, the first faulty line in file order is
+    reported; the header, the target and the categorical columns are checked
+    on the first data row, before any later row is read."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n3,x\n4\n5,inf\n", "line 3, column 'b': cannot parse 'x'"),
+        ("a,b\n1,2\n4\n3,x\n5,inf\n", "line 3: 1 columns, expected 2"),
+        ("a,b\n1,2\n\n5,inf\n3,x\n4\n", "line 4, column 'b': non-finite value"),
+    ], ids=["bad-cell-first", "ragged-row-first", "non-finite-first"])
+    def test_first_faulty_line_is_reported(self, tmp_path, text, message):
+        p = write(tmp_path, text)
+        with pytest.raises(DataError, match=f"^{re.escape(f'{p}, {message}')}"):
+            load_csv(p, "a")
+
+    def test_bad_cell_before_a_field_the_csv_module_refuses(self, tmp_path):
+        # the rows are parsed as they are read, so a field over 131072
+        # characters on a later line no longer masks the earlier bad cell
+        p = write(tmp_path, "a,b\n1,2\n3,x\n" + "4" * 131073 + ",5\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(p))}, line 3, column 'b': "
+                                            r"cannot parse 'x' as a number$"):
+            load_csv(p, "a")
+
+    def test_missing_target_before_a_later_fault(self, tmp_path):
+        p = write(tmp_path, "a,b\n1,2\n3,x\n" + "4" * 131073 + ",5\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(p))}: no column named 'z'"):
+            load_csv(p, "z")
+
+    @pytest.mark.parametrize("rows_between, message", [
+        (0, ": not UTF-8 text"),
+        (100_000, ", line 3, column 'b': cannot parse 'x' as a number"),
+    ], ids=["same-chunk", "far-later"])
+    def test_text_that_is_not_utf8_is_named_when_decoded(self, tmp_path, rows_between, message):
+        # the file is decoded a chunk at a time: a bad byte in the chunk of
+        # an earlier bad cell is named first, one far below it is not reached
+        p = tmp_path / "data.csv"
+        p.write_bytes(b"a,b\n1,2\n3,x\n" + b"5,6\n" * rows_between + b"4,\xff\n")
+        with pytest.raises(DataError, match=f"^{re.escape(f'{p}{message}')}$"):
+            load_csv(p, "a")
+
+    def test_file_is_closed_when_a_middle_line_fails(self, tmp_path, monkeypatch):
+        # the error's traceback holds load_csv's frame, and with it the row
+        # stream: the file is closed all the same while the error is referenced
+        opened = []
+
+        def spy_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(rmse_elm.data, "open", spy_open, raising=False)
+        p = write(tmp_path, "a,b\n1,2\n3,x\n" + "5,6\n" * 1000)
+        with pytest.raises(DataError, match=", line 3, column 'b'") as info:
+            load_csv(p, "a")
+        assert info.value.__traceback__ is not None
+        assert len(opened) == 1 and opened[0].closed
 
 
 # finite values too large to z-score, as columns (a, b) of five rows, the first
@@ -463,6 +538,22 @@ class TestSaveCsv:
         path = save_csv(ds, tmp_path / "out.csv")
         assert path.read_bytes() == expected.getvalue().encode()
         assert path.read_bytes().startswith(b'"a,b","say ""x""",c,target\r\n-0.0,0.1,5.0,')
+
+    def test_holds_one_block_of_rows(self, tmp_path):
+        # rows are formatted a block at a time, so the peak does not grow with
+        # the table: a quarter of its bytes here (a column_stack and tolist
+        # of the whole table peaked at about 4x them)
+        rng = np.random.default_rng(5)
+        ds = Dataset(rng.normal(size=(20000, 8)), rng.normal(size=20000), "abcdefgh", "t")
+        tracemalloc.start()
+        try:
+            path = save_csv(ds, tmp_path / "out.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (ds.X.nbytes + ds.y.nbytes) / 4
+        back = load_csv(path, "target")
+        assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
 
     def test_manifest_sidecar(self, tmp_path):
         ds = make_waveform(n_samples=10, seed=0)
